@@ -15,12 +15,11 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import os
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .lattice import RootDatum, build_datum, neg, sub
+from .lattice import build_datum, neg
 from . import weylgroup as wg
 from . import affine as af
 from . import qbg
@@ -41,9 +40,6 @@ class JobConfig:
     weight: tuple | None = None
     sigma: tuple = ()
     fmt: str = "table"
-    workers: int = 1
-    cache_dir: str | None = None
-    extra: dict = field(default_factory=dict)
 
 
 class CliError(Exception):
@@ -75,9 +71,6 @@ def _config(args) -> JobConfig:
         family=family,
         rank=rank,
         fmt=getattr(args, "format", "table"),
-        workers=getattr(args, "workers", 1),
-        cache_dir=getattr(args, "cache_dir", None)
-        or os.environ.get("ALCOVEPATHS_CACHE_DIR"),
     )
     if getattr(args, "weight", None) is not None:
         cfg.weight = _parse_ints(args.weight)
@@ -94,11 +87,7 @@ def _config(args) -> JobConfig:
 
 def _datum_graph(cfg: JobConfig):
     datum = build_datum(cfg.family, cfg.rank)
-    if cfg.cache_dir:
-        graph = qbg.load_or_build(datum, cfg.cache_dir)
-    else:
-        graph = qbg.build(datum)
-    return datum, graph
+    return datum, qbg.build(datum)
 
 
 def _print_poly(datum, poly, fmt: str) -> None:
@@ -125,7 +114,8 @@ def cmd_qbg(args) -> int:
 
 def cmd_beta(args) -> int:
     cfg = _config(args)
-    datum, _ = _datum_graph(cfg)
+    # the layout needs no graph, so this also works where W is too large
+    datum = build_datum(cfg.family, cfg.rank)
     i = args.index
     if not 1 <= i <= datum.rank:
         raise CliError(f"--index out of range for rank {datum.rank}")
@@ -388,8 +378,6 @@ def _add_common(p, weight=True, sigma=False):
     p.add_argument("--type", required=True, help="simple type, e.g. A2")
     p.add_argument("--format", default="table",
                    choices=["table", "json", "csv", "dot"])
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--cache-dir", default=None)
     if weight:
         p.add_argument("--weight", default=None,
                        help="comma-separated fundamental coordinates")
@@ -474,11 +462,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except RuntimeError as exc:
-        if "cap" in str(exc):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CAP
-        raise
+    except wg.GroupSizeCapExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAP
 
 
 if __name__ == "__main__":

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import json
 
-from .lattice import RootDatum, add, sub, neg
+from .lattice import RootDatum, add, sub
 from . import weylgroup as wg
 from .weylgroup import WeylElt
 from . import affine as af
 from .affine import ExtAffineElt
-from . import qbg
 from .qbg import QuantumBruhatGraph
 from . import paths as pth
 
@@ -133,34 +132,9 @@ def c_function(
     """
     if word is None:
         _, word = af.reduced_word_ext(datum, w)
-    betas = af.beta_sequence(datum, word)
     z0 = af.multiply(u, w)
-    refl = [af.affine_reflection(datum, b) for b in betas]
-    zero = (0,) * datum.rank
-
-    # Subtree sums factor through (dir, position): if z = t_nu * v then the
-    # sum over completions from (z, pos) is x^nu times a value depending
-    # only on (v, pos), since folds multiply on the right.
-    memo: dict = {}
-
-    def walk(v: WeylElt, pos: int) -> LaurentPoly:
-        key = (v, pos)
-        if key not in memo:
-            total = LaurentPoly.monomial(zero)
-            for p in range(pos, len(betas)):
-                kind = qbg.edge_kind(graph, v, betas[p].re, reversed=reversed)
-                if kind is None:
-                    continue
-                qdeg = betas[p].deg if kind == qbg.QUANTUM else 0
-                sub_sum = walk(wg.multiply(v, refl[p].dir), p + 1)
-                step_wt = wg.act_weight(v, refl[p].wt)
-                total = total + shift(sub_sum, step_wt) * LaurentPoly.monomial(
-                    zero, qdeg
-                )
-            memo[key] = total
-        return memo[key]
-
-    return shift(walk(z0.dir, 0), z0.wt)
+    betas = af.beta_sequence(datum, word)
+    return LaurentPoly(pth.fold_terms(datum, graph, z0, betas, reversed))
 
 
 def c_function_typed(
@@ -214,9 +188,11 @@ def recursion_check(
     u_ext = ExtAffineElt(zero, u)
     lhs = c_translated(u, sub(lam, datum.fundamental_weight(i)))
 
-    rhs = LaurentPoly()
+    terms: dict = {}
     for _, qdeg, end in c_function_typed(datum, graph, u_ext, i, lam):
         corr = sub(end.wt, wg.act_weight(end.dir, lam))
-        q_mono = LaurentPoly.monomial(zero, qdeg)
-        rhs = rhs + shift(c_translated(end.dir, lam), corr) * q_mono
+        for (wt, q), c in c_translated(end.dir, lam).terms.items():
+            key = (add(wt, corr), q + qdeg)
+            terms[key] = terms.get(key, 0) + c
+    rhs = LaurentPoly(terms)
     return lhs, rhs, lhs == rhs

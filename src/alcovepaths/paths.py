@@ -16,16 +16,16 @@ import io
 import json
 from dataclasses import dataclass
 
-from .lattice import RootDatum
+from .lattice import RootDatum, add
 from . import weylgroup as wg
 from . import affine as af
-from .affine import AffineCoroot, ExtAffineElt
+from .affine import ExtAffineElt
 from . import qbg
 from .qbg import QuantumBruhatGraph
 
 __all__ = [
-    "AlcovePath", "enumerate_paths", "count", "end_weight", "end_dir",
-    "qwt_degree", "path_record", "export_json", "export_csv",
+    "AlcovePath", "enumerate_paths", "fold_terms", "count", "end_weight",
+    "end_dir", "qwt_degree", "path_record", "export_json", "export_csv",
 ]
 
 
@@ -84,6 +84,45 @@ def enumerate_paths(
     yield from walk(z0, 0, (), (z0,), ())
 
 
+def fold_terms(
+    datum: RootDatum,
+    graph: QuantumBruhatGraph,
+    z0: ExtAffineElt,
+    betas,
+    reversed: bool = False,
+) -> dict:
+    """``{(end weight, q-degree): number of paths}`` over all fold sets.
+
+    This is the one memoized walk over the fold tree.  The subtree below
+    (z, pos) with z = t_nu v contributes x^nu times a sum that depends only
+    on (v, pos), because folds multiply on the right; that sum is built
+    once per (v, pos), in place, with weights relative to the subtree root.
+    """
+    betas = tuple(betas)
+    _check_betas(datum, betas)
+    refl = [af.affine_reflection(datum, b) for b in betas]
+    memo: dict = {}
+
+    def walk(v, pos):
+        terms = memo.get((v, pos))
+        if terms is None:
+            terms = {((0,) * datum.rank, 0): 1}
+            for p in range(pos, len(betas)):
+                kind = qbg.edge_kind(graph, v, betas[p].re, reversed=reversed)
+                if kind is None:
+                    continue
+                qdeg = betas[p].deg if kind == qbg.QUANTUM else 0
+                step = wg.act_weight(v, refl[p].wt)
+                below = walk(wg.multiply(v, refl[p].dir), p + 1)
+                for (wt, q), c in below.items():
+                    key = (add(wt, step), q + qdeg)
+                    terms[key] = terms.get(key, 0) + c
+            memo[(v, pos)] = terms
+        return terms
+
+    return {(add(wt, z0.wt), q): c for (wt, q), c in walk(z0.dir, 0).items()}
+
+
 def count(
     datum: RootDatum,
     graph: QuantumBruhatGraph,
@@ -92,24 +131,7 @@ def count(
     reversed: bool = False,
 ) -> int:
     """Number of admissible fold sets, without materializing the paths."""
-    betas = tuple(betas)
-    _check_betas(datum, betas)
-    refl = [af.affine_reflection(datum, b) for b in betas]
-    # the subtree below (z, pos) depends only on (dir(z), pos): folding
-    # multiplies on the right, so the translation part never feeds back
-    memo: dict = {}
-
-    def walk(v, pos):
-        key = (v, pos)
-        if key not in memo:
-            total = 1
-            for p in range(pos, len(betas)):
-                if qbg.edge_kind(graph, v, betas[p].re, reversed=reversed):
-                    total += walk(wg.multiply(v, refl[p].dir), p + 1)
-            memo[key] = total
-        return memo[key]
-
-    return walk(z0.dir, 0)
+    return sum(fold_terms(datum, graph, z0, betas, reversed).values())
 
 
 def end_weight(p: AlcovePath):

@@ -12,7 +12,6 @@ to cross-validate each other.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 
 from .lattice import RootDatum, neg
@@ -22,7 +21,7 @@ from .weylgroup import WeylElt
 __all__ = [
     "QuantumBruhatGraph", "build", "edge_kind", "signed_one_line",
     "lenart_edge_typeA", "lenart_edge_typeC", "criterion_edge",
-    "export_dot", "export_json", "load_or_build",
+    "export_dot", "export_json",
 ]
 
 BRUHAT = "bruhat"
@@ -325,7 +324,7 @@ def _rank2_simples(sub):
 
 
 # ---------------------------------------------------------------------------
-# Export and cache
+# Export
 
 
 def _word_str(datum: RootDatum, w: WeylElt) -> str:
@@ -361,34 +360,3 @@ def export_dot(graph: QuantumBruhatGraph) -> str:
         lines.append(f'  "{src}" -> "{dst}" [label="{label}"{style}];')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def load_or_build(datum: RootDatum, cache_dir: str | None = None) -> QuantumBruhatGraph:
-    """Build the graph, consulting/refreshing a JSON cache when a directory
-    is given.  A cached file is trusted only if its edge count checksum
-    matches a rebuilt count; on any mismatch it is silently rebuilt."""
-    if cache_dir is None:
-        return build(datum)
-    os.makedirs(cache_dir, exist_ok=True)
-    path = os.path.join(cache_dir, f"qbg_{datum.family}{datum.rank}.json")
-    graph = build(datum)
-    payload = {
-        "family": datum.family,
-        "rank": datum.rank,
-        "edge_count": len(graph.edges),
-        "graph": json.loads(export_json(graph)),
-    }
-    if os.path.exists(path):
-        try:
-            with open(path) as fh:
-                cached = json.load(fh)
-            if (
-                cached.get("edge_count") == payload["edge_count"]
-                and cached.get("graph") == payload["graph"]
-            ):
-                return graph
-        except (json.JSONDecodeError, OSError):
-            pass
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
-    return graph

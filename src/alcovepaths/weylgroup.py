@@ -16,6 +16,7 @@ so inversion is a pair of transposes and no matrix inverse is needed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .lattice import RootDatum
@@ -23,12 +24,16 @@ from .lattice import RootDatum
 __all__ = [
     "WeylElt", "identity", "simple_reflection", "multiply", "inverse",
     "act_weight", "act_coroot", "length", "is_right_descent", "reduced_word",
-    "from_word", "longest_element", "reflection_of", "enumerate_group",
-    "GROUP_SIZE_CAP",
+    "from_word", "longest_element", "reflection_of", "group_order",
+    "enumerate_group", "GROUP_SIZE_CAP", "GroupSizeCapExceeded",
 ]
 
 # refuse to enumerate groups larger than W(E6)
 GROUP_SIZE_CAP = 51840
+
+
+class GroupSizeCapExceeded(RuntimeError):
+    """The Weyl group is larger than ``GROUP_SIZE_CAP``; nothing was enumerated."""
 
 
 def _mat_vec(m, v):
@@ -171,8 +176,38 @@ def reflection_of(datum: RootDatum, coroot) -> WeylElt:
     return WeylElt(wm, cm)
 
 
+def group_order(datum: RootDatum) -> int:
+    """|W| = n! * prod(c_i) * det(C), from the classification.
+
+    C is the Cartan matrix and c_i are the coefficients of the highest
+    root.  The dual system has the same W and det(C^T) = det(C), so its
+    highest root, the highest coroot, serves as well.
+    """
+    # fraction-free (Bareiss) elimination; a Cartan matrix is positive
+    # definite, so no pivot is zero
+    m = [list(row) for row in datum.cartan]
+    prev = 1
+    for k in range(datum.rank - 1):
+        for i in range(k + 1, datum.rank):
+            for j in range(k + 1, datum.rank):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    c = datum.highest_dual_root()
+    return math.factorial(datum.rank) * math.prod(c) * m[-1][-1]
+
+
 def enumerate_group(datum: RootDatum):
-    """All elements, sorted by (length, reduced word).  Caps at |W(E6)|."""
+    """All elements, sorted by (length, reduced word).
+
+    Raises GroupSizeCapExceeded before enumerating when |W| exceeds
+    ``GROUP_SIZE_CAP``.
+    """
+    order = group_order(datum)
+    if order > GROUP_SIZE_CAP:
+        raise GroupSizeCapExceeded(
+            f"|W({datum.family}{datum.rank})| = {order} exceeds the group "
+            f"size cap {GROUP_SIZE_CAP}"
+        )
     gens = [simple_reflection(datum, i) for i in range(1, datum.rank + 1)]
     e = identity(datum)
     seen = {e: ()}
@@ -186,10 +221,6 @@ def enumerate_group(datum: RootDatum):
                     if ws not in seen:
                         seen[ws] = seen[w] + (i,)
                         nxt.append(ws)
-                        if len(seen) > GROUP_SIZE_CAP:
-                            raise RuntimeError(
-                                f"group size exceeds cap {GROUP_SIZE_CAP}"
-                            )
         frontier = nxt
     return sorted(seen, key=lambda w: (len(seen[w]), seen[w]))
 

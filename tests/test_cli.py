@@ -147,6 +147,26 @@ def test_group_cap_exit_code(capsys, monkeypatch):
     assert "cap" in err
 
 
+def test_group_cap_refused_before_enumeration(capsys, monkeypatch):
+    from alcovepaths import weylgroup as wg
+
+    def enumerated(*args):
+        raise AssertionError("a group element was built")
+
+    # |W(E7)| = 2903040 is known from the classification
+    monkeypatch.setattr(wg, "multiply", enumerated)
+    code, _, err = run(capsys, "qbg", "--type", "E7")
+    assert code == 3
+    assert "2903040" in err and "cap" in err
+
+
+def test_beta_builds_no_graph(capsys):
+    # W(E7) is above the group size cap, but the layout never reads W
+    code, out, _ = run(capsys, "beta", "--type", "E7", "--index", "1")
+    assert code == 0
+    assert len(out.splitlines()) == 34
+
+
 def test_verify_fast_subset(capsys):
     code, out, _ = run(capsys, "verify", "--suites", "shift,beta")
     assert code == 0
@@ -165,19 +185,8 @@ def test_output_determinism(capsys):
     a = run(capsys, "emac", "--type", "C2", "--weight", "-1,0", "--format", "json")
     b = run(capsys, "emac", "--type", "C2", "--weight", "-1,0", "--format", "json")
     assert a == b
-    # worker count must not affect the bytes
     c = run(capsys, "paths", "--type", "C2", "--weight", "-1,0",
-            "--format", "json", "--workers", "4")
+            "--format", "json")
     d = run(capsys, "paths", "--type", "C2", "--weight", "-1,0",
-            "--format", "json", "--workers", "1")
+            "--format", "json")
     assert c == d
-
-
-def test_cache_dir_roundtrip(capsys, tmp_path):
-    code, out1, _ = run(capsys, "qbg", "--type", "A2", "--cache-dir",
-                        str(tmp_path))
-    assert code == 0
-    assert (tmp_path / "qbg_A2.json").exists()
-    code, out2, _ = run(capsys, "qbg", "--type", "A2", "--cache-dir",
-                        str(tmp_path))
-    assert out1 == out2

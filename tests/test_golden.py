@@ -1,0 +1,184 @@
+"""Golden CLI outputs: the sha256 of stdout for fixed invocations.
+
+The digests were recorded from the implementation that predates the shared
+fold-walk kernel ``paths.fold_terms``, when ``paths.count`` and
+``genfun.c_function`` still had separate walkers.  They cover both
+specializations and the twisted characters over small weight boxes in
+A2/C2/G2/A3/B3, plus one forward and one reversed path export, so any
+change to the fold walk, the edge oracle or the polynomial printing that
+alters a single byte fails here.
+"""
+
+import hashlib
+
+import pytest
+
+from alcovepaths import cli
+
+# invocation -> sha256 of its stdout; every invocation exits 0
+GOLDEN = {
+    "emac --type A2 --weight 0,0 --spec both":
+        "59c546cde3059a5860f16f82fcf8692d58aaf07d34c9c6b92fa108b2fe9320fe",
+    "char --type A2 --weight 0,0 --sigma 1 --format json":
+        "708e9e647c8c9d7c598fdb6f95c4a8a6d204f6fa33308992184ac52685fe01df",
+    "emac --type A2 --weight 0,-1 --spec both":
+        "994dd0da9eb8b1b489d1b583210b4b50d49201f34dccfae1d6fb05db899193be",
+    "char --type A2 --weight 0,-1 --sigma 1 --format json":
+        "68f4af529dd1b911b6e2ab816a2afdc0e0104a5f48ee64a6d0496a2de63d2d2e",
+    "emac --type A2 --weight 0,-2 --spec both":
+        "085620d711894c752c84dad2a1d64d6e39e5ce91f13972c95626a41b1651fb88",
+    "char --type A2 --weight 0,-2 --sigma 1 --format json":
+        "eea766fc3b12e3017611f62a00491d0b585112088e0c203e3600ff82426bfad3",
+    "emac --type A2 --weight -1,0 --spec both":
+        "7304cd6849b25cc00039f9c00a3ae17c99cc555d9f2035ba856ecfddceed1f6e",
+    "char --type A2 --weight -1,0 --sigma 1 --format json":
+        "af7ee6ed2b81aaa0d53e4ea217fc1b1864a228d3b4113c9cedd3061c7bb28d4b",
+    "emac --type A2 --weight -1,-1 --spec both":
+        "c1a2885278bb18652160d753d320723696dee03e35b4559f5f7a458e3b50d244",
+    "char --type A2 --weight -1,-1 --sigma 1 --format json":
+        "7e52343dfabd03565ed634334d4779d88fdd3235b9c07d4b486f04fdb0e3a4fd",
+    "emac --type A2 --weight -1,-2 --spec both":
+        "05f3a133826b6e5dc8561b20fb7610cd9f92706bacfd36b9d29609390509c5f3",
+    "char --type A2 --weight -1,-2 --sigma 1 --format json":
+        "667c5cefe0bb553de86c8c31860f11caceea205b5e2432a99a0b869fd7faff81",
+    "emac --type A2 --weight -2,0 --spec both":
+        "8d8c78f23e19e217b0412fe90686b4268c16363bdfa9b6142d63007e4f28567c",
+    "char --type A2 --weight -2,0 --sigma 1 --format json":
+        "0731a6795fd7fc23192ceaf54f9b92f6bdf29a710600a852feac9a98820bc59d",
+    "emac --type A2 --weight -2,-1 --spec both":
+        "74ffe749621ed5423eea866133da70dd7e63d88a9fbbed7c5f6d0cdff8e6b996",
+    "char --type A2 --weight -2,-1 --sigma 1 --format json":
+        "dc7eeb5466b837620ff8fd7fc8647f634fbd5641d0d705cc8d0c909ad3ed3560",
+    "emac --type A2 --weight -2,-2 --spec both":
+        "21ee46d27e8c149b6a803358d3532451cc6dea102e14127e5744dd6d21ae1a48",
+    "char --type A2 --weight -2,-2 --sigma 1 --format json":
+        "14c926f0095bd964ff0f8aca679c14bef2d30c3e929b5e1a86254ad821963104",
+    "emac --type C2 --weight 0,0 --spec both":
+        "59c546cde3059a5860f16f82fcf8692d58aaf07d34c9c6b92fa108b2fe9320fe",
+    "char --type C2 --weight 0,0 --sigma 1 --format json":
+        "708e9e647c8c9d7c598fdb6f95c4a8a6d204f6fa33308992184ac52685fe01df",
+    "emac --type C2 --weight 0,-1 --spec both":
+        "89d9c154e1b539356d11beacebc570baf8c91dc012fed65906a0c4addc45b0ec",
+    "char --type C2 --weight 0,-1 --sigma 1 --format json":
+        "d3245a0ee99e330cee99985d4d669cf7182d0f7270cf9f924b0e3e5d9c42362a",
+    "emac --type C2 --weight 0,-2 --spec both":
+        "e3b6e98c7eee6fcbc149f506b1da970ad7c6b567b7ef53910705762b6bc04277",
+    "char --type C2 --weight 0,-2 --sigma 1 --format json":
+        "cffe9957fe7cce1217ccb7bf01991c12d791e91bcec13be79cfafffc23dadbb1",
+    "emac --type C2 --weight -1,0 --spec both":
+        "645f6d0bfc43a824a13cab74506d8062bf7d86d7cf54838681f29fdc91b186f2",
+    "char --type C2 --weight -1,0 --sigma 1 --format json":
+        "1f7444f5906aff8034595718c478919996da93c2d9fb4ac9e1f5ebeed131e5a9",
+    "emac --type C2 --weight -1,-1 --spec both":
+        "5bdc28c04d2d5d9076f898780938feb9faf6f489b58802cb64f91746960014f2",
+    "char --type C2 --weight -1,-1 --sigma 1 --format json":
+        "e3a902d797a3fc4c23146519804ddb5c4b22f59de1e5763769d9e9a59a36a426",
+    "emac --type C2 --weight -1,-2 --spec both":
+        "64b11f1eb7dab1fa8663cbcf6d85e24d01dcc0c7c9a2349c3db8daf79eb47706",
+    "char --type C2 --weight -1,-2 --sigma 1 --format json":
+        "f270843ab3fd61cb3fb0e0ccf18b8c03ea8bcbfbd5a9a68a982431b07d97272c",
+    "emac --type C2 --weight -2,0 --spec both":
+        "5f6ece50cc46a5768cf16a9cbbd962bf26e18f77a5b36e208fe294d5800c53f5",
+    "char --type C2 --weight -2,0 --sigma 1 --format json":
+        "e2e7cba86d5091158e7b87061687e56fd8e3753cfed89c933deb6c30b1a8eb8c",
+    "emac --type C2 --weight -2,-1 --spec both":
+        "41263ba4fb4015caaa0dcb6b66543e3cf2dab96e804374a3ecbeefe0b465d8bc",
+    "char --type C2 --weight -2,-1 --sigma 1 --format json":
+        "b8daa9f0ce25674181ad5d7eafcf4fa83a0275fc4a7f6b2197e08fb487e4288d",
+    "emac --type C2 --weight -2,-2 --spec both":
+        "7b1741f5549b84c1f7e72974d38c35949e8f255947323a2ac0cf9dcc47b9efc3",
+    "char --type C2 --weight -2,-2 --sigma 1 --format json":
+        "1edb484db93a4d0cc8e2767109293c043663a4aa85e8ac2359a77592e8ffbc86",
+    "emac --type G2 --weight 0,0 --spec both":
+        "59c546cde3059a5860f16f82fcf8692d58aaf07d34c9c6b92fa108b2fe9320fe",
+    "char --type G2 --weight 0,0 --sigma 1 --format json":
+        "708e9e647c8c9d7c598fdb6f95c4a8a6d204f6fa33308992184ac52685fe01df",
+    "emac --type G2 --weight 0,-1 --spec both":
+        "fc92d9a1bfb14452eaa5b3673e4d11a13710cff7e3f914d91b74a502fba1bd8a",
+    "char --type G2 --weight 0,-1 --sigma 1 --format json":
+        "35de95c639a727d5e29b4711cc0ef709edbc7a7bc58b23d82f889755c577ae95",
+    "emac --type G2 --weight -1,0 --spec both":
+        "7fe0dace15e9e0d0cdcc218dc95c9a1fc9e73f6459b40734fb593878575cad6c",
+    "char --type G2 --weight -1,0 --sigma 1 --format json":
+        "1bd7b1ada14c970488debdb9e78416ddb3e7ce47da8995dad513549637f4fa7f",
+    "emac --type G2 --weight -1,-1 --spec both":
+        "651bfebc9257a81109107da1c7d91617cdb33506a2dbb169ffde50f1c48bad18",
+    "char --type G2 --weight -1,-1 --sigma 1 --format json":
+        "e2184a29537f82ffcc918d0183d0d945777722aa2c8ef8c0303b465a7918e18d",
+    "emac --type A3 --weight 0,0,0 --spec both":
+        "0b5a4a07973f60114aad5c5dff2748d0ca00cf2e6d693662a422887cad04b0b9",
+    "char --type A3 --weight 0,0,0 --sigma 1 --format json":
+        "ce7564f818b12bb50ee4f56434cd846569fa84b6e9eb07eb0e987be0da816186",
+    "emac --type A3 --weight 0,0,-1 --spec both":
+        "a4a620f1160fcfb1be7c07adf5dadfd52fd3b507d91705a7621ea538bcbb0068",
+    "char --type A3 --weight 0,0,-1 --sigma 1 --format json":
+        "3726350b111993f465a5c92779a0f976a00c656ee2ab098caeed305d10b48ea2",
+    "emac --type A3 --weight 0,-1,0 --spec both":
+        "27b54f846f0357d2b1354299750c5d7686cef3c846be8caec3558e1f2074886e",
+    "char --type A3 --weight 0,-1,0 --sigma 1 --format json":
+        "ed978bdf82c4d82fb4b79f20296a833e3a977398f353aa4225ea0a891629e973",
+    "emac --type A3 --weight 0,-1,-1 --spec both":
+        "73db3ee7a9a81d199d54e0f05bd537b591dda9d9a361452be6605cac3294d87e",
+    "char --type A3 --weight 0,-1,-1 --sigma 1 --format json":
+        "87c1c54cebaecf1c5790643572fc46c7683c426e4a1d3537894fbff4be302021",
+    "emac --type A3 --weight -1,0,0 --spec both":
+        "72c7477d857c6140b590e709ef302d22d3d8a68d31da7849518f63146a7e390e",
+    "char --type A3 --weight -1,0,0 --sigma 1 --format json":
+        "dd9a34439758bb9c092af8016b44221443b94c5c26308b85607fa3ee9f77624c",
+    "emac --type A3 --weight -1,0,-1 --spec both":
+        "59d29f0ddce4f4a733d226ff685c9c4ef7399820459fdede812ba0eaa77cbb18",
+    "char --type A3 --weight -1,0,-1 --sigma 1 --format json":
+        "19da82a47c17816c870e4db859aba39287c350ffd6034d97fef8b3ca308235f4",
+    "emac --type A3 --weight -1,-1,0 --spec both":
+        "0a067c617cc8dce98050bd0392131227636b6ff9d44205cebd4d0f2011f8f11d",
+    "char --type A3 --weight -1,-1,0 --sigma 1 --format json":
+        "e0738c3db1de44c2d6fbbff2a6f2bfc31f5684a260a436295072fab51236f57f",
+    "emac --type A3 --weight -1,-1,-1 --spec both":
+        "07ceccaedcedf433bd9d26bbfa2f69a31d67672379a8ea082c284fd81ba8569e",
+    "char --type A3 --weight -1,-1,-1 --sigma 1 --format json":
+        "f00add018d2606b84e1879005d4a9e33d90a4994dfd47072d580fb37cfa6ff7f",
+    "emac --type B3 --weight 0,0,0 --spec both":
+        "0b5a4a07973f60114aad5c5dff2748d0ca00cf2e6d693662a422887cad04b0b9",
+    "char --type B3 --weight 0,0,0 --sigma 1 --format json":
+        "ce7564f818b12bb50ee4f56434cd846569fa84b6e9eb07eb0e987be0da816186",
+    "emac --type B3 --weight 0,0,-1 --spec both":
+        "1a19a8176d6a8b17650f4440317b2b6273deb752719a75d1bd928aecc35999cb",
+    "char --type B3 --weight 0,0,-1 --sigma 1 --format json":
+        "86b6cf632289b581432b7fa05b529e6bac601ce4ca8d2f5df81952dc57741bce",
+    "emac --type B3 --weight 0,-1,0 --spec both":
+        "9d4662322f603c5a4f9ac578125999ce17eef6b60063095696db27c2e2794fd3",
+    "char --type B3 --weight 0,-1,0 --sigma 1 --format json":
+        "468560311360c7802612487bcf33edbfd4905a26b78de5c1932802d2d9a6a6d6",
+    "emac --type B3 --weight 0,-1,-1 --spec both":
+        "0ca28990c9b92d9fc6e9c892147476fb13bdcbf71ca3e1db97725a24382dcc84",
+    "char --type B3 --weight 0,-1,-1 --sigma 1 --format json":
+        "8f4e297065a1a93dbae7c872e2ee99d8e984422dfcb1edc9c3b5e45778374fe4",
+    "emac --type B3 --weight -1,0,0 --spec both":
+        "479f2bdf35a7ee07af41bb0094c37e369b456d9a501211c4f609242004b29a51",
+    "char --type B3 --weight -1,0,0 --sigma 1 --format json":
+        "e38063c71d6830baf814c2e2dc62599032195109e8320d883f35fa18c699ce81",
+    "emac --type B3 --weight -1,0,-1 --spec both":
+        "f86cad11a13a200bac4615d1f7462daee86b574ae06073462d5b489370c45fd8",
+    "char --type B3 --weight -1,0,-1 --sigma 1 --format json":
+        "07e304923c022e436d1b109cd5d9b865841058081efcb3265f7e3f30705da0b0",
+    "emac --type B3 --weight -1,-1,0 --spec both":
+        "6149e1200dc291d9fb09ef2c36eef244b36c00a866814b6f33f3bc2c472a3faa",
+    "char --type B3 --weight -1,-1,0 --sigma 1 --format json":
+        "2e8ba092c91dc63064b951c64c75ff04c257037fb069672c84476c791e64d373",
+    "emac --type B3 --weight -1,-1,-1 --spec both":
+        "f57aaa117b1ce2b0841ac8974376dab9b6e22d67f8bd622ac49b9804a2ac87e2",
+    "char --type B3 --weight -1,-1,-1 --sigma 1 --format json":
+        "04b2290df3319cb64ae17df0c720ae287b0f1abe834ffcc30cee739589310b98",
+    "paths --type G2 --weight -1,0 --format json":
+        "f5438b376784432cf9f8f0657ffb13a3c0b98d22d817107429048d29575e8602",
+    "paths --type C2 --weight -1,-1 --reversed":
+        "22f48bb41983ff494aada079bdd2a9c5e7897ac12dc6e8892d5a98e394fdb1fc",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN))
+def test_golden_stdout(capsys, argv):
+    code = cli.main(argv.split())
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[argv]

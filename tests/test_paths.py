@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+from collections import Counter
 
 import pytest
 
@@ -53,6 +54,13 @@ def test_count_matches_enumeration(family, rank, lam):
     folds = [p.folds for p in paths]
     assert folds == sorted(set(folds))
     assert folds[0] == ()
+    # the memoized kernel against the unmemoized enumeration, both ways
+    for rev in (False, True):
+        want = Counter(
+            (pth.end_weight(p), pth.qwt_degree(p))
+            for p in pth.enumerate_paths(d, g, t, betas, reversed=rev)
+        )
+        assert pth.fold_terms(d, g, t, betas, reversed=rev) == dict(want)
 
 
 def test_enumeration_prefix_closed():

@@ -162,19 +162,3 @@ def test_export_dot():
     assert out.startswith("digraph qbg {")
     assert out.count("->") == 2
     assert 'style=dashed kind="quantum"' in out
-
-
-def test_cache_roundtrip(tmp_path):
-    d = datum_of("A", 2)
-    g1 = qbg.load_or_build(d, str(tmp_path))
-    cache_file = tmp_path / "qbg_A2.json"
-    assert cache_file.exists()
-    before = cache_file.read_text()
-    g2 = qbg.load_or_build(d, str(tmp_path))
-    assert cache_file.read_text() == before
-    assert g1.edges == g2.edges
-    # corrupted cache is silently rebuilt
-    cache_file.write_text("{not json")
-    g3 = qbg.load_or_build(d, str(tmp_path))
-    assert g3.edges == g1.edges
-    assert json.loads(cache_file.read_text())["edge_count"] == 15

@@ -16,6 +16,7 @@ GROUP_ORDERS = {
 def test_group_order(family, rank):
     d = datum_of(family, rank)
     assert len(wg.enumerate_group(d)) == GROUP_ORDERS[(family, rank)]
+    assert wg.group_order(d) == GROUP_ORDERS[(family, rank)]
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("C", 2), ("G", 2)])
@@ -114,8 +115,19 @@ def test_enumeration_sorted_by_length():
 
 def test_group_size_cap(monkeypatch):
     monkeypatch.setattr(wg, "GROUP_SIZE_CAP", 10)
-    with pytest.raises(RuntimeError, match="cap"):
+    with pytest.raises(wg.GroupSizeCapExceeded, match="cap"):
         wg.enumerate_group(datum_of("A", 3))
+    # the cap is read at call time; |W(A3)| = 24 is allowed at 24
+    monkeypatch.setattr(wg, "GROUP_SIZE_CAP", 24)
+    assert len(wg.enumerate_group(datum_of("A", 3))) == 24
+
+
+@pytest.mark.parametrize("family,rank,order", [
+    ("A", 4, 120), ("B", 4, 384), ("F", 4, 1152), ("E", 6, 51840),
+    ("E", 7, 2903040), ("E", 8, 696729600),
+])
+def test_group_order_without_enumeration(family, rank, order):
+    assert wg.group_order(datum_of(family, rank)) == order
 
 
 def test_descents():
