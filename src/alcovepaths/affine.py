@@ -96,9 +96,7 @@ def affine_simple_coroot(datum: RootDatum, i: int) -> AffineCoroot:
 
 
 def affine_simple_reflection(datum: RootDatum, i: int) -> ExtAffineElt:
-    if i == 0:
-        return affine_reflection(datum, affine_simple_coroot(datum, 0))
-    return ExtAffineElt((0,) * datum.rank, wg.simple_reflection(datum, i))
+    return affine_reflection(datum, affine_simple_coroot(datum, i))
 
 
 def length_ext(datum: RootDatum, a: ExtAffineElt) -> int:
@@ -112,8 +110,9 @@ def length_ext(datum: RootDatum, a: ExtAffineElt) -> int:
 
 
 def is_right_descent_ext(datum: RootDatum, a: ExtAffineElt, i: int) -> bool:
-    s = affine_simple_reflection(datum, i)
-    return length_ext(datum, multiply(a, s)) < length_ext(datum, a)
+    """l(a s_i) < l(a), i.e. a sends the simple affine coroot a_i negative."""
+    img = act_on_affine_coroot(datum, a, affine_simple_coroot(datum, i))
+    return not img.is_positive()
 
 
 def reduced_word_ext(datum: RootDatum, a: ExtAffineElt):
@@ -124,14 +123,16 @@ def reduced_word_ext(datum: RootDatum, a: ExtAffineElt):
     """
     word = []
     cur = a
-    while length_ext(datum, cur) > 0:
+    while True:
         for i in range(datum.rank + 1):
             if is_right_descent_ext(datum, cur, i):
                 word.append(i)
                 cur = multiply(cur, affine_simple_reflection(datum, i))
                 break
         else:
-            raise AssertionError("positive length element with no descent")
+            break
+    if length_ext(datum, cur) != 0:
+        raise AssertionError("positive length element with no descent")
     word.reverse()
     return cur, tuple(word)
 
@@ -169,15 +170,9 @@ def _chain_quadruples(datum: RootDatum):
 _canonical_cache: dict = {}
 
 
-def _canonical_beta_cached(datum: RootDatum, i: int, tail: tuple) -> tuple:
-    key = (datum.family, datum.rank, i, tail)
-    if key not in _canonical_cache:
-        _canonical_cache[key] = _canonical_beta_build(datum, i, tail)
-    return _canonical_cache[key]
-
-
-def _canonical_beta_build(datum: RootDatum, i: int, tail: tuple) -> tuple:
+def _canonical_beta_build(datum: RootDatum, i: int) -> tuple:
     pos = set(datum.pos_coroots)
+    tail = tuple(j for j in range(1, datum.rank + 1) if j != i)
     omega = datum.fundamental_weight(i)
     mult = {
         g: datum.pair(g, omega)
@@ -265,16 +260,15 @@ def _canonical_beta_build(datum: RootDatum, i: int, tail: tuple) -> tuple:
     return tuple(seq)
 
 
-def canonical_beta_order(datum: RootDatum, i: int, tail_order=None) -> tuple:
+def canonical_beta_order(datum: RootDatum, i: int) -> tuple:
     """The beta sequence of ``t_{-omega_i}`` in its canonical reduced word.
 
     The underlying multiset is ``{-gamma + k*delta}`` over positive coroots
     gamma with ``<gamma, omega_i> > 0`` and ``1 <= k <= <gamma, omega_i>``.
     It is laid out greedily in decreasing order of the wall-crossing
     parameter ``deg / <gamma, omega_i>`` (ties broken by the coordinate
-    ratios ``gamma_j / gamma_i`` over ``tail_order``, the remaining indices
-    in increasing order by default), backtracking where necessary to keep
-    two structural properties:
+    ratios ``gamma_j / gamma_i`` over the remaining indices in increasing
+    order), backtracking where necessary to keep two structural properties:
 
     - count additivity: whenever ``-gamma`` is placed and ``gamma`` splits
       as ``tau + eta`` with both summands positive coroots, the numbers of
@@ -290,13 +284,10 @@ def canonical_beta_order(datum: RootDatum, i: int, tail_order=None) -> tuple:
     """
     if not 1 <= i <= datum.rank:
         raise ValueError(f"fundamental index out of range: {i}")
-    if tail_order is None:
-        tail = tuple(j for j in range(1, datum.rank + 1) if j != i)
-    else:
-        tail = tuple(tail_order)
-        if sorted(tail) != [j for j in range(1, datum.rank + 1) if j != i]:
-            raise ValueError(f"tail_order must permute the indices other than {i}")
-    return _canonical_beta_cached(datum, i, tail)
+    key = (datum.family, datum.rank, i)
+    if key not in _canonical_cache:
+        _canonical_cache[key] = _canonical_beta_build(datum, i)
+    return _canonical_cache[key]
 
 
 def word_from_beta(datum: RootDatum, betas):
@@ -321,7 +312,7 @@ def word_from_beta(datum: RootDatum, betas):
     return elt, tuple(word)
 
 
-def shifted_beta(datum: RootDatum, i: int, lam, tail_order=None) -> tuple:
+def shifted_beta(datum: RootDatum, i: int, lam) -> tuple:
     """Beta prefix for ``t_{lam - omega_i}`` relative to ``t_lam``, lam anti-dominant.
 
     Each canonical beta of ``t_{-omega_i}`` has its degree raised by
@@ -331,7 +322,7 @@ def shifted_beta(datum: RootDatum, i: int, lam, tail_order=None) -> tuple:
     if any(x > 0 for x in lam):
         raise ValueError(f"weight is not anti-dominant: {lam!r}")
     out = []
-    for b in canonical_beta_order(datum, i, tail_order):
+    for b in canonical_beta_order(datum, i):
         out.append(AffineCoroot(b.re, b.deg + datum.pair(b.re, lam)))
     return tuple(out)
 

@@ -85,6 +85,14 @@ def _config(args) -> JobConfig:
     return cfg
 
 
+def _antidominant_weight(cfg: JobConfig) -> tuple:
+    if cfg.weight is None:
+        raise CliError("need --weight")
+    if any(x > 0 for x in cfg.weight):
+        raise CliError(f"weight must be anti-dominant: {cfg.weight}")
+    return cfg.weight
+
+
 def _datum_graph(cfg: JobConfig):
     datum = build_datum(cfg.family, cfg.rank)
     return datum, qbg.build(datum)
@@ -140,17 +148,16 @@ def _paths_input(cfg: JobConfig, datum, args):
     else:
         if cfg.weight is None:
             raise CliError("need --weight or --word")
-        if any(x > 0 for x in cfg.weight):
-            raise CliError(f"weight must be anti-dominant: {cfg.weight}")
-        w = af.translation(datum, cfg.weight)
+        w = af.translation(datum, _antidominant_weight(cfg))
         _, word = af.reduced_word_ext(datum, w)
     return af.multiply(u, w), af.beta_sequence(datum, word)
 
 
 def cmd_paths(args) -> int:
     cfg = _config(args)
-    datum, graph = _datum_graph(cfg)
+    datum = build_datum(cfg.family, cfg.rank)
     z0, betas = _paths_input(cfg, datum, args)
+    graph = qbg.build(datum)
     stream = pth.enumerate_paths(datum, graph, z0, betas, reversed=args.reversed)
     if cfg.fmt == "json":
         print(pth.export_json(datum, stream))
@@ -172,11 +179,8 @@ def cmd_paths(args) -> int:
 
 def cmd_emac(args) -> int:
     cfg = _config(args)
-    if cfg.weight is None:
-        raise CliError("need --weight")
+    _antidominant_weight(cfg)
     datum, graph = _datum_graph(cfg)
-    if any(x > 0 for x in cfg.weight):
-        raise CliError(f"weight must be anti-dominant: {cfg.weight}")
     try:
         if args.spec == "zero":
             poly = mac.e_zero(datum, graph, cfg.weight)
@@ -201,11 +205,8 @@ def cmd_emac(args) -> int:
 
 def cmd_char(args) -> int:
     cfg = _config(args)
-    if cfg.weight is None:
-        raise CliError("need --weight")
+    _antidominant_weight(cfg)
     datum, graph = _datum_graph(cfg)
-    if any(x > 0 for x in cfg.weight):
-        raise CliError(f"weight must be anti-dominant: {cfg.weight}")
     sigma = wg.from_word(datum, cfg.sigma)
     _print_poly(
         datum, mac.weyl_character(datum, graph, sigma, cfg.weight), cfg.fmt
@@ -215,11 +216,8 @@ def cmd_char(args) -> int:
 
 def cmd_dims(args) -> int:
     cfg = _config(args)
-    if cfg.weight is None:
-        raise CliError("need --weight")
+    _antidominant_weight(cfg)
     datum, graph = _datum_graph(cfg)
-    if any(x > 0 for x in cfg.weight):
-        raise CliError(f"weight must be anti-dominant: {cfg.weight}")
     sigma = wg.from_word(datum, cfg.sigma)
     print(mac.weyl_dimension(datum, graph, sigma, cfg.weight))
     return EXIT_OK

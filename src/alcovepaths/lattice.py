@@ -44,6 +44,17 @@ def neg(a):
     return tuple(-x for x in a)
 
 
+def _highest(positives) -> tuple:
+    """The member of an irreducible positive system that dominates all others.
+
+    It is the unique member of greatest height, so one pass finds it and
+    one more checks that it dominates.
+    """
+    top = max(positives, key=sum)
+    assert all(x >= y for v in positives for x, y in zip(top, v))
+    return top
+
+
 def _cartan_matrix(family: str, rank: int) -> list[list[int]]:
     """Bourbaki-numbered Cartan matrix ``cartan[i][j] = <alpha_i^vee, alpha_j>``.
 
@@ -190,14 +201,13 @@ class RootDatum:
             raise ValueError(f"fundamental index out of range: {i}")
         return tuple(int(j == i - 1) for j in range(self.rank))
 
+    def highest_root(self) -> Root:
+        """The highest positive root in the dominance order."""
+        return _highest(self.pos_roots)
+
     def highest_dual_root(self) -> Coroot:
         """The highest positive coroot in the dominance order of the dual system."""
-        best = [
-            t for t in self.pos_coroots
-            if all(all(x >= 0 for x in sub(t, g)) for g in self.pos_coroots)
-        ]
-        assert len(best) == 1
-        return best[0]
+        return _highest(self.pos_coroots)
 
     def root_length2(self, r: Root) -> int:
         """(alpha, alpha) with short roots normalized to squared length 2."""

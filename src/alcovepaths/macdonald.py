@@ -149,18 +149,9 @@ def fundamental_dim(datum: RootDatum, graph: QuantumBruhatGraph, i: int) -> int:
     return pth.count(datum, graph, t, af.beta_sequence(datum, word))
 
 
-def _highest_root(datum: RootDatum):
-    best = [
-        r for r in datum.pos_roots
-        if all(all(x >= 0 for x in sub(r, s)) for s in datum.pos_roots)
-    ]
-    assert len(best) == 1
-    return best[0]
-
-
 def cominuscule_indices(datum: RootDatum) -> tuple:
     """Fundamental indices whose simple root has coefficient 1 in the highest root."""
-    theta = _highest_root(datum)
+    theta = datum.highest_root()
     return tuple(i + 1 for i, c in enumerate(theta) if c == 1)
 
 

@@ -35,24 +35,22 @@ class QuantumBruhatGraph:
     edges: dict               # (WeylElt, positive Coroot) -> BRUHAT | QUANTUM
 
 
-def _edge_kind_raw(datum: RootDatum, w: WeylElt, gamma) -> str | None:
-    ws = wg.multiply(w, wg.reflection_of(datum, gamma))
-    lw, lws = wg.length(datum, w), wg.length(datum, ws)
-    if lws == lw + 1:
-        return BRUHAT
-    if lws == lw - datum.two_rho_pair(gamma) + 1:
-        return QUANTUM
-    return None
-
-
 def build(datum: RootDatum) -> QuantumBruhatGraph:
     vertices = tuple(wg.enumerate_group(datum))
+    length = {w: wg.length(datum, w) for w in vertices}
+    # label, its reflection, and the length change of a quantum step
+    labels = [
+        (gamma, wg.reflection_of(datum, gamma), 1 - datum.two_rho_pair(gamma))
+        for gamma in datum.pos_coroots
+    ]
     edges = {}
     for w in vertices:
-        for gamma in datum.pos_coroots:
-            kind = _edge_kind_raw(datum, w, gamma)
-            if kind is not None:
-                edges[(w, gamma)] = kind
+        for gamma, s, quantum_step in labels:
+            step = length[wg.multiply(w, s)] - length[w]
+            if step == 1:
+                edges[(w, gamma)] = BRUHAT
+            elif step == quantum_step:
+                edges[(w, gamma)] = QUANTUM
     return QuantumBruhatGraph(datum, vertices, edges)
 
 
@@ -200,15 +198,6 @@ def typeC_root(datum: RootDatum, cls: int, i: int, j: int = 0) -> tuple:
 # Obstruction-based existence test
 
 
-def _sigma_hat(datum: RootDatum, sigma: WeylElt, alpha):
-    """sigma(alpha) shifted into the positive affine cone: deg 1 if it lands
-    negative, deg 0 otherwise."""
-    img = wg.act_coroot(sigma, alpha)
-    if datum.is_pos_coroot(img):
-        return (img, 0)
-    return (img, 1)
-
-
 _SUBSYSTEM_CACHE: dict = {}
 
 
@@ -251,16 +240,10 @@ def _in_rational_span(a, b, g):
     return False
 
 
-_EXCLUDED_CACHE: dict = {}
-
-
 def _quantum_excluded(datum: RootDatum, gamma) -> bool:
     """Whether gamma can never label a quantum edge: it is a short
     non-simple member of some rank-2 subsystem, "short" measured through
     the underlying roots (another member has a strictly longer root)."""
-    key = (datum.family, datum.rank, tuple(gamma))
-    if key in _EXCLUDED_CACHE:
-        return _EXCLUDED_CACHE[key]
     glen = datum.root_length2(datum.root_of_coroot(gamma))
     for sub in _rank2_subsystems(datum):
         if gamma not in sub or gamma in _rank2_simples(sub):
@@ -334,28 +317,27 @@ def _word_str(datum: RootDatum, w: WeylElt) -> str:
 
 def export_json(graph: QuantumBruhatGraph) -> str:
     d = graph.datum
-    vertices = sorted(_word_str(d, w) for w in graph.vertices)
+    name = {w: _word_str(d, w) for w in graph.vertices}
     edges = sorted(
         (
-            {"src": _word_str(d, w), "label": list(g), "kind": kind}
+            {"src": name[w], "label": list(g), "kind": kind}
             for (w, g), kind in graph.edges.items()
         ),
         key=lambda e: (e["src"], e["label"], e["kind"]),
     )
-    return json.dumps({"vertices": vertices, "edges": edges}, indent=1)
+    return json.dumps({"vertices": sorted(name.values()), "edges": edges}, indent=1)
 
 
 def export_dot(graph: QuantumBruhatGraph) -> str:
     d = graph.datum
+    name = {w: _word_str(d, w) for w in graph.vertices}
     lines = ["digraph qbg {"]
-    for w in sorted(graph.vertices, key=lambda w: _word_str(d, w)):
-        lines.append(f'  "{_word_str(d, w)}";')
+    lines += [f'  "{v}";' for v in sorted(name.values())]
     items = sorted(
-        (_word_str(d, w), list(g), kind, w, g)
+        (name[w], list(g), kind, name[wg.multiply(w, wg.reflection_of(d, g))])
         for (w, g), kind in graph.edges.items()
     )
-    for src, label, kind, w, g in items:
-        dst = _word_str(d, wg.multiply(w, wg.reflection_of(d, g)))
+    for src, label, kind, dst in items:
         style = ' style=dashed kind="quantum"' if kind == QUANTUM else ""
         lines.append(f'  "{src}" -> "{dst}" [label="{label}"{style}];')
     lines.append("}")

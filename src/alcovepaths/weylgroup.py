@@ -74,21 +74,7 @@ def identity(datum: RootDatum) -> WeylElt:
 
 def simple_reflection(datum: RootDatum, i: int) -> WeylElt:
     """s_i, 1-based simple index."""
-    if not 1 <= i <= datum.rank:
-        raise ValueError(f"simple index out of range: {i}")
-    n = datum.rank
-    k = i - 1
-    # on weights: s_i(omega_j) = omega_j - delta_ij alpha_i
-    wm = tuple(
-        tuple(int(r == j) - (j == k) * datum.cartan[r][k] for j in range(n))
-        for r in range(n)
-    )
-    # on coroots: s_i(alpha_j^vee) = alpha_j^vee - <alpha_j^vee, alpha_i> alpha_i^vee
-    cm = tuple(
-        tuple(int(r == j) - (r == k) * datum.cartan[j][k] for j in range(n))
-        for r in range(n)
-    )
-    return WeylElt(wm, cm)
+    return reflection_of(datum, datum.simple_coroot(i))
 
 
 def multiply(a: WeylElt, b: WeylElt) -> WeylElt:

@@ -110,6 +110,25 @@ def test_emac_rejects_dominant(capsys):
     assert "anti-dominant" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("emac", "--type", "B4", "--weight", "1,0,0,0"),
+    ("char", "--type", "B4", "--weight", "0,1,0,0"),
+    ("dims", "--type", "B4", "--weight", "0,0,0,1"),
+    ("paths", "--type", "B4", "--weight", "1,0,0,0"),
+    ("emac", "--type", "B4"),
+])
+def test_weight_checked_before_graph(capsys, monkeypatch, argv):
+    from alcovepaths import qbg
+
+    def built(*args):
+        raise AssertionError("the graph was built")
+
+    monkeypatch.setattr(qbg, "build", built)
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "anti-dominant" in err or "need --weight" in err
+
+
 def test_char_and_dims(capsys):
     code, out, _ = run(capsys, "dims", "--type", "G2", "--weight", "-1,0")
     assert code == 0

@@ -7,6 +7,11 @@ specializations and the twisted characters over small weight boxes in
 A2/C2/G2/A3/B3, plus one forward and one reversed path export, so any
 change to the fold walk, the edge oracle or the polynomial printing that
 alters a single byte fails here.
+
+The graph exports (``qbg`` as JSON for G2/C4/D4/F4 and as DOT for
+G2/C4/D4) and every ``beta --index`` of E6-E8/F4/G2 were recorded from
+the implementation that still summed both lengths for every edge and
+every affine descent, before each length was computed once.
 """
 
 import hashlib
@@ -173,6 +178,74 @@ GOLDEN = {
         "f5438b376784432cf9f8f0657ffb13a3c0b98d22d817107429048d29575e8602",
     "paths --type C2 --weight -1,-1 --reversed":
         "22f48bb41983ff494aada079bdd2a9c5e7897ac12dc6e8892d5a98e394fdb1fc",
+    "qbg --type G2 --format json":
+        "7841854a2fa1242e2a6cc358b655660cd4c7aa7d166a3bb7d5f52e46fdb4330f",
+    "qbg --type C4 --format json":
+        "6bbbfa4fb1b659fd568a78808155f5410a8ce8a873defd4c90d587905fa1048d",
+    "qbg --type D4 --format json":
+        "64a2c9beb9202547bdeb54cb431b6618f99eb1606bec0b99bb9ed1d9dab30f46",
+    "qbg --type F4 --format json":
+        "269a8e50f2825edf75c604fd28d13dd2a5799d403b787ff3bb8539e5ff57d1ca",
+    "qbg --type G2 --format dot":
+        "860b55facf5776ad78ba7bd9a8d27ed103b70f95ebfe8c4fffb953a1bedbc63e",
+    "qbg --type C4 --format dot":
+        "164dc09f2122c44c35b85f2d2b5f361d6f27c2a7e941dde440960d204f9962dc",
+    "qbg --type D4 --format dot":
+        "bf454b3b3301a344aa82137a51d1eb8b4808474b8a39819226c02e45e8f9c29d",
+    "beta --type E6 --index 1":
+        "f2f58b2c155b12805b48394491831563862ea08a12cda1285e048a4e96bbc26b",
+    "beta --type E6 --index 2":
+        "e7339591c74149ce93783384be864867440a318eddf14141adbce16ec0193ad0",
+    "beta --type E6 --index 3":
+        "d64467b24964dcf159ba05f3029dda7f2225eee0fc2910ebef75f482d75337d2",
+    "beta --type E6 --index 4":
+        "40612c4f68aea00a02e8830213f32d4d43427e7bf542c7bedf476286b9430609",
+    "beta --type E6 --index 5":
+        "a4c41c4c8aaade789e041d2a6eceadfd308af558b4bf2b649e9772211dc7d1f6",
+    "beta --type E6 --index 6":
+        "4a56bc1408db372f136b0afa3240be332d94e67a1469b00f500e4e5a2b0c6636",
+    "beta --type E7 --index 1":
+        "f148f20a89d6fd4f39ca6a1bee7ba0858e318d457ae308e930f6a367c1e14b07",
+    "beta --type E7 --index 2":
+        "3eece764284789e6b6c7b5fd3f784539995a81344c52e62f454b7024a74f9aeb",
+    "beta --type E7 --index 3":
+        "b8be1ed7dacedd49c180fc44aa3dc467ce5d344d46883425fa4dc65d678448de",
+    "beta --type E7 --index 4":
+        "c5411554c6c218d5cd56f2a335fa0e150c051bc22539df7a2575573d438755f3",
+    "beta --type E7 --index 5":
+        "f4999d9bca9ba5d25ba5cc6edeb66e6a3e009a1b33703db59ad66de1fdb7e8bf",
+    "beta --type E7 --index 6":
+        "30f8a8c266dc961cabd085022c21ba1a4efedf9e45d70551e011fbda07ca5d00",
+    "beta --type E7 --index 7":
+        "b66ddab2c7a3cf17776a395b1003f93117bacde70449210ffeea828855c2d172",
+    "beta --type E8 --index 1":
+        "6b2a9f37285246459cc211a8280ee4618b3efe6ef354683f5ccc49921052614d",
+    "beta --type E8 --index 2":
+        "233484ffdbcaea4099f676bcdef2b6bd3bba36bd1f71680eefac32a063e8fadc",
+    "beta --type E8 --index 3":
+        "5b59d79951215ac5bcbef8588057c9aaf492273c67f1ef29108e9f1c11ff285b",
+    "beta --type E8 --index 4":
+        "182160c0d2bca0afbf6fcc40392630921637bac02bb68dbf51d8d0ee07c15468",
+    "beta --type E8 --index 5":
+        "b50483ed01d85756e899ff7c5b49ceaea2a3f597ffcce25863c3188d22adee62",
+    "beta --type E8 --index 6":
+        "2c738562d3fe4ccafc1f4640d5f17f8792ffbca7fb20e0dce1034c73c6beda23",
+    "beta --type E8 --index 7":
+        "786ea4af9835f4284ee6d13bc30e154c231b5c82118156c9ca09bcf9dc74e2eb",
+    "beta --type E8 --index 8":
+        "c667c3095624673e20122b7be20474c3282d6bb8e95b0b31f39dcb95653ecd20",
+    "beta --type F4 --index 1":
+        "0728714bcc16d43bcbb939f44404f648639348fdf64c09632aa2c8403c2a06a1",
+    "beta --type F4 --index 2":
+        "ae90ccc8991c2e1994ac8baade5c9b1cabd682dcbc23d73d143e986b49173e34",
+    "beta --type F4 --index 3":
+        "4feac49035b9d3d854b34ba578a71e037dc5b9e97a8ac682cdc53d8e88861e24",
+    "beta --type F4 --index 4":
+        "d7e5f9b35ad8891e97a9b437d17a531652d501160ffd0e4148fe040600e62359",
+    "beta --type G2 --index 1":
+        "5f9c9671b2bf05459853e47c745bab467d60e98e95dc0c323be031984dc73dca",
+    "beta --type G2 --index 2":
+        "64a4bd66720b9a86fd6d1a12c0dae8da0aeff35c5f5e08474c424c5f0718d27b",
 }
 
 
