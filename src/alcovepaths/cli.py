@@ -264,10 +264,7 @@ def _suite_w0_inversion(report):
         w0 = wg.longest_element(d)
         for (w, gam), kind in g.edges.items():
             # the reversed edge through w_0 exists and has the same kind
-            dual = g.edges.get(
-                (wg.multiply(w0, wg.multiply(w, wg.reflection_of(d, gam))),
-                 gam)
-            )
+            dual = g.edges.get((wg.multiply(w0, g.reflect[(w, gam)]), gam))
             if dual != kind:
                 report.append({
                     "suite": "w0_inversion", "type": fam + str(rank),

@@ -171,28 +171,28 @@ def recursion_check(
     The direct value for t_{lam - omega_i} must equal the sum, over typed
     paths, of q^{deg} * C^{t_lam}_{dir(end)} * x^{wt(end) - dir(end)(lam)}.
     Returns (lhs, rhs, equal).
+
+    ``cache`` maps mu to ``paths.fold_table`` over every vertex v for one
+    word of t_mu, the terms of x^{-v(mu)} C_v^{t_mu}; a miss fills all v.
     """
     if cache is None:
         cache = {}
-    zero = (0,) * datum.rank
 
-    def c_translated(v: WeylElt, mu) -> LaurentPoly:
-        # cache C_v^{t_mu}; both sides of the identity are values of this
-        key = (v, tuple(mu))
-        if key not in cache:
-            cache[key] = c_function(
-                datum, graph, ExtAffineElt(zero, v), af.translation(datum, mu)
-            )
-        return cache[key]
+    def table(mu) -> dict:
+        if mu not in cache:
+            _, word = af.reduced_word_ext(datum, af.translation(datum, mu))
+            betas = af.beta_sequence(datum, word)
+            cache[mu] = pth.fold_table(datum, graph, graph.vertices, betas)
+        return cache[mu]
 
-    u_ext = ExtAffineElt(zero, u)
-    lhs = c_translated(u, sub(lam, datum.fundamental_weight(i)))
-
+    # C_v^{t_mu} = x^{v(mu)} table(mu)[v]: its paths start at t_{v(mu)} v
+    lam, mu = tuple(lam), sub(lam, datum.fundamental_weight(i))
+    lhs = shift(LaurentPoly(table(mu)[u]), wg.act_weight(u, mu))
+    u_ext = ExtAffineElt((0,) * datum.rank, u)
     terms: dict = {}
     for _, qdeg, end in c_function_typed(datum, graph, u_ext, i, lam):
-        corr = sub(end.wt, wg.act_weight(end.dir, lam))
-        for (wt, q), c in c_translated(end.dir, lam).terms.items():
-            key = (add(wt, corr), q + qdeg)
+        for (wt, q), c in table(lam)[end.dir].items():
+            key = (add(wt, end.wt), q + qdeg)
             terms[key] = terms.get(key, 0) + c
     rhs = LaurentPoly(terms)
     return lhs, rhs, lhs == rhs

@@ -83,12 +83,11 @@ def e_zero(datum: RootDatum, graph: QuantumBruhatGraph, lam) -> LaurentPoly:
     )
 
 
-def _e_inf_routes(datum: RootDatum, graph: QuantumBruhatGraph, lam):
-    t_lam = af.translation(datum, lam)
+def _e_inf_routes(datum: RootDatum, graph: QuantumBruhatGraph, t_lam, word=None):
     w0 = ExtAffineElt((0,) * datum.rank, wg.longest_element(datum))
-    by_word = gf.w0_twist(datum, gf.c_function(datum, graph, w0, t_lam))
+    by_word = gf.w0_twist(datum, gf.c_function(datum, graph, w0, t_lam, word))
     by_reversal = gf.c_function(
-        datum, graph, af.ext_identity(datum), t_lam, reversed=True
+        datum, graph, af.ext_identity(datum), t_lam, word, reversed=True
     )
     return by_word, by_reversal
 
@@ -101,7 +100,7 @@ def e_infinity(datum: RootDatum, graph: QuantumBruhatGraph, lam) -> LaurentPoly:
     """
     datum.check_rank(lam)
     _check_antidominant(lam)
-    by_word, by_reversal = _e_inf_routes(datum, graph, lam)
+    by_word, by_reversal = _e_inf_routes(datum, graph, af.translation(datum, lam))
     if by_word != by_reversal:
         raise SpecializationMismatch(tuple(lam), by_word, by_reversal)
     return by_word
@@ -112,10 +111,13 @@ def specialization_report(
 ) -> SpecializationReport:
     datum.check_rank(lam)
     _check_antidominant(lam)
-    by_word, by_reversal = _e_inf_routes(datum, graph, lam)
+    t_lam = af.translation(datum, lam)
+    _, word = af.reduced_word_ext(datum, t_lam)  # one word for all three
+    by_word, by_reversal = _e_inf_routes(datum, graph, t_lam, word)
+    zero = gf.c_function(datum, graph, af.ext_identity(datum), t_lam, word)
     return SpecializationReport(
         lam=tuple(lam),
-        e_zero=e_zero(datum, graph, lam),
+        e_zero=zero,
         e_inf_word=by_word,
         e_inf_reversed=by_reversal,
         agree=by_word == by_reversal,

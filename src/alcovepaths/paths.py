@@ -16,7 +16,7 @@ import io
 import json
 from dataclasses import dataclass
 
-from .lattice import RootDatum, add
+from .lattice import RootDatum, add, neg
 from . import weylgroup as wg
 from . import affine as af
 from .affine import ExtAffineElt
@@ -24,8 +24,9 @@ from . import qbg
 from .qbg import QuantumBruhatGraph
 
 __all__ = [
-    "AlcovePath", "enumerate_paths", "fold_terms", "count", "end_weight",
-    "end_dir", "qwt_degree", "path_record", "export_json", "export_csv",
+    "AlcovePath", "enumerate_paths", "fold_table", "fold_terms", "count",
+    "end_weight", "end_dir", "qwt_degree", "path_record", "export_json",
+    "export_csv",
 ]
 
 
@@ -45,12 +46,15 @@ class AlcovePath:
     quantum_folds: tuple
 
 
-def _check_betas(datum: RootDatum, betas) -> None:
+def _fold_steps(datum: RootDatum, betas) -> list:
+    """Per position: beta's positive label and its reflection's translation."""
     for b in betas:
         if not any(b.re):
             raise ValueError(f"beta with zero real part: {b!r}")
         if not datum.is_coroot(b.re):
             raise ValueError(f"beta real part is not a coroot: {b!r}")
+    pos = lambda g: g if datum.is_pos_coroot(g) else neg(g)  # noqa: E731
+    return [(pos(b.re), af.affine_reflection(datum, b).wt) for b in betas]
 
 
 def enumerate_paths(
@@ -68,20 +72,57 @@ def enumerate_paths(
     otherwise.  The empty fold set is always admissible and comes first.
     """
     betas = tuple(betas)
-    _check_betas(datum, betas)
-    refl = [af.affine_reflection(datum, b) for b in betas]
+    steps = _fold_steps(datum, betas)
 
     def walk(z, pos, folds, ends, qfolds):
         yield AlcovePath(z0, betas, folds, ends, qfolds)
         for p in range(pos, len(betas)):
-            kind = qbg.edge_kind(graph, z.dir, betas[p].re, reversed=reversed)
+            g, wt = steps[p]
+            kind = qbg.edge_kind(graph, z.dir, g, reversed=reversed)
             if kind is None:
                 continue
-            z1 = af.multiply(z, refl[p])
+            step = wg.act_weight(z.dir, wt)
+            z1 = ExtAffineElt(add(z.wt, step), graph.reflect[(z.dir, g)])
             q1 = qfolds + (p + 1,) if kind == qbg.QUANTUM else qfolds
             yield from walk(z1, p + 1, folds + (p + 1,), ends + (z1,), q1)
 
     yield from walk(z0, 0, (), (z0,), ())
+
+
+def fold_table(
+    datum: RootDatum,
+    graph: QuantumBruhatGraph,
+    starts,
+    betas,
+    reversed: bool = False,
+) -> dict:
+    """``{v: {(end weight, q-degree): count}}``, paths from t_0 v, v in starts.
+
+    A forward sweep finds the directions and folds at each position; a
+    backward sweep builds T(v, p), the terms of folds at positions >= p, as
+    T(v, p + 1) plus, if v folds at p, T(v s_p, p + 1) shifted by v(wt_p)
+    and deg_p.  Unfolded directions share dicts: do not mutate the result.
+    """
+    betas = tuple(betas)
+    layers, folds = [set(starts)], []
+    for (g, wt), b in zip(_fold_steps(datum, betas), betas):
+        here = {}
+        for v in layers[-1]:
+            if kind := qbg.edge_kind(graph, v, g, reversed=reversed):
+                qdeg = b.deg if kind == qbg.QUANTUM else 0
+                here[v] = (graph.reflect[(v, g)], wg.act_weight(v, wt), qdeg)
+        folds.append(here)
+        layers.append(layers[-1] | {dest for dest, _, _ in here.values()})
+    below = dict.fromkeys(layers.pop(), {((0,) * datum.rank, 0): 1})
+    while folds:
+        table = {v: below[v] for v in layers.pop()}
+        for v, (dest, shift, qdeg) in folds.pop().items():
+            terms = table[v] = dict(below[v])
+            for (w, q), c in below[dest].items():
+                key = (add(w, shift), q + qdeg)
+                terms[key] = terms.get(key, 0) + c
+        below = table
+    return below
 
 
 def fold_terms(
@@ -91,36 +132,9 @@ def fold_terms(
     betas,
     reversed: bool = False,
 ) -> dict:
-    """``{(end weight, q-degree): number of paths}`` over all fold sets.
-
-    This is the one memoized walk over the fold tree.  The subtree below
-    (z, pos) with z = t_nu v contributes x^nu times a sum that depends only
-    on (v, pos), because folds multiply on the right; that sum is built
-    once per (v, pos), in place, with weights relative to the subtree root.
-    """
-    betas = tuple(betas)
-    _check_betas(datum, betas)
-    refl = [af.affine_reflection(datum, b) for b in betas]
-    memo: dict = {}
-
-    def walk(v, pos):
-        terms = memo.get((v, pos))
-        if terms is None:
-            terms = {((0,) * datum.rank, 0): 1}
-            for p in range(pos, len(betas)):
-                kind = qbg.edge_kind(graph, v, betas[p].re, reversed=reversed)
-                if kind is None:
-                    continue
-                qdeg = betas[p].deg if kind == qbg.QUANTUM else 0
-                step = wg.act_weight(v, refl[p].wt)
-                below = walk(wg.multiply(v, refl[p].dir), p + 1)
-                for (wt, q), c in below.items():
-                    key = (add(wt, step), q + qdeg)
-                    terms[key] = terms.get(key, 0) + c
-            memo[(v, pos)] = terms
-        return terms
-
-    return {(add(wt, z0.wt), q): c for (wt, q), c in walk(z0.dir, 0).items()}
+    """``{(end weight, q-degree): number of paths}`` over all fold sets."""
+    terms = fold_table(datum, graph, (z0.dir,), betas, reversed)[z0.dir]
+    return {(add(wt, z0.wt), q): c for (wt, q), c in terms.items()}
 
 
 def count(

@@ -33,25 +33,29 @@ class QuantumBruhatGraph:
     datum: RootDatum
     vertices: tuple           # all WeylElt, sorted by (length, word)
     edges: dict               # (WeylElt, positive Coroot) -> BRUHAT | QUANTUM
+    reflect: dict             # (WeylElt, positive Coroot) -> w s_gamma vertex
 
 
 def build(datum: RootDatum) -> QuantumBruhatGraph:
     vertices = tuple(wg.enumerate_group(datum))
     length = {w: wg.length(datum, w) for w in vertices}
+    # store each product as the vertex itself, not one WeylElt per entry
+    vertex = {w: w for w in vertices}
     # label, its reflection, and the length change of a quantum step
     labels = [
         (gamma, wg.reflection_of(datum, gamma), 1 - datum.two_rho_pair(gamma))
         for gamma in datum.pos_coroots
     ]
-    edges = {}
+    edges, reflect = {}, {}
     for w in vertices:
         for gamma, s, quantum_step in labels:
-            step = length[wg.multiply(w, s)] - length[w]
+            ws = reflect[(w, gamma)] = vertex[wg.multiply(w, s)]
+            step = length[ws] - length[w]
             if step == 1:
                 edges[(w, gamma)] = BRUHAT
             elif step == quantum_step:
                 edges[(w, gamma)] = QUANTUM
-    return QuantumBruhatGraph(datum, vertices, edges)
+    return QuantumBruhatGraph(datum, vertices, edges, reflect)
 
 
 def edge_kind(graph: QuantumBruhatGraph, w: WeylElt, gamma, reversed=False):
@@ -63,10 +67,8 @@ def edge_kind(graph: QuantumBruhatGraph, w: WeylElt, gamma, reversed=False):
     if not d.is_coroot(gamma):
         raise ValueError(f"not a coroot: {gamma!r}")
     g = tuple(gamma) if d.is_pos_coroot(gamma) else neg(gamma)
-    if reversed:
-        src = wg.multiply(w, wg.reflection_of(d, g))
-        return graph.edges.get((src, g))
-    return graph.edges.get((w, g))
+    src = graph.reflect.get((w, g)) if reversed else w
+    return graph.edges.get((src, g))
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +336,7 @@ def export_dot(graph: QuantumBruhatGraph) -> str:
     lines = ["digraph qbg {"]
     lines += [f'  "{v}";' for v in sorted(name.values())]
     items = sorted(
-        (name[w], list(g), kind, name[wg.multiply(w, wg.reflection_of(d, g))])
+        (name[w], list(g), kind, name[graph.reflect[(w, g)]])
         for (w, g), kind in graph.edges.items()
     )
     for src, label, kind, dst in items:

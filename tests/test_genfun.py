@@ -192,6 +192,39 @@ def test_recursion_identity(family, rank):
                 assert ok, (family, rank, wg.reduced_word(d, u), i, lam)
 
 
+@pytest.mark.parametrize("family,rank", [("A", 2), ("C", 2)])
+def test_recursion_derives_each_word_once(family, rank, monkeypatch):
+    d = datum_of(family, rank)
+    g = graph_of(family, rank)
+    lams = [(0, 0), (-1, 0), (-1, -1)]
+    derive = af.reduced_word_ext
+    derived = []
+
+    def counting(datum, a):
+        derived.append(a.wt)
+        return derive(datum, a)
+
+    monkeypatch.setattr(af, "reduced_word_ext", counting)
+    cache = {}
+    checks = [
+        (u, i, lam, gf.recursion_check(d, g, u, i, lam, cache))
+        for u in wg.enumerate_group(d) for i in (1, 2) for lam in lams
+    ]
+    monkeypatch.undo()
+    mus = set(lams) | {
+        sub(lam, d.fundamental_weight(i)) for i in (1, 2) for lam in lams
+    }
+    assert sorted(derived) == sorted(mus)
+    # the tabulated value against a single-start generating function
+    zero = (0,) * rank
+    for u, i, lam, (lhs, rhs, ok) in checks:
+        mu = sub(lam, d.fundamental_weight(i))
+        assert ok
+        assert lhs == gf.c_function(
+            d, g, ExtAffineElt(zero, u), af.translation(d, mu)
+        )
+
+
 def test_recursion_collapses_at_zero():
     # at lam = 0 the right side reduces to the bare typed-path sum
     d = datum_of("A", 2)

@@ -63,6 +63,33 @@ def test_count_matches_enumeration(family, rank, lam):
         assert pth.fold_terms(d, g, t, betas, reversed=rev) == dict(want)
 
 
+@pytest.mark.parametrize("family,rank,lam", [
+    ("A", 2, (-1, 0)), ("A", 2, (0, -1)), ("A", 2, (-1, -1)),
+    ("C", 2, (-1, 0)), ("C", 2, (0, -1)), ("C", 2, (-1, -1)),
+    ("G", 2, (-1, 0)), ("G", 2, (0, -1)), ("G", 2, (-1, -1)),
+    ("B", 3, (-1, 0, 0)), ("B", 3, (0, -1, 0)), ("B", 3, (0, 0, -1)),
+])
+def test_fold_table_matches_walks_from_each_start(family, rank, lam):
+    # one table over every start against a single-start table and the
+    # unmemoized enumeration, from t_0 v t_lam = t_{v(lam)} v for each v
+    d, g, t, betas = _translation_input(family, rank, lam)
+    for rev in (False, True):
+        table = pth.fold_table(d, g, g.vertices, betas, reversed=rev)
+        assert set(table) == set(g.vertices)
+        for v, terms in table.items():
+            z0 = af.ExtAffineElt(wg.act_weight(v, lam), v)
+            shifted = {
+                (tuple(x + y for x, y in zip(wt, z0.wt)), q): c
+                for (wt, q), c in terms.items()
+            }
+            assert pth.fold_terms(d, g, z0, betas, reversed=rev) == shifted
+            want = Counter(
+                (pth.end_weight(p), pth.qwt_degree(p))
+                for p in pth.enumerate_paths(d, g, z0, betas, reversed=rev)
+            )
+            assert shifted == dict(want), (v, rev)
+
+
 def test_enumeration_prefix_closed():
     d, g, t, betas = _translation_input("C", 2, (-1, -1))
     folds = {p.folds for p in pth.enumerate_paths(d, g, t, betas)}

@@ -44,6 +44,40 @@ def test_edge_length_conditions(family, rank):
             assert lws == lw - d.two_rho_pair(gamma) + 1
 
 
+@pytest.mark.parametrize("family,rank", sorted(EDGE_COUNTS) + [("B", 3)])
+def test_reflect_table(family, rank):
+    # every w s_gamma is stored, and stored as the vertex object itself, so
+    # the table holds one WeylElt per element
+    d = datum_of(family, rank)
+    g = graph_of(family, rank)
+    vertex = {w: w for w in g.vertices}
+    assert len(g.reflect) == len(g.vertices) * len(d.pos_coroots)
+    for w in g.vertices:
+        for gamma in d.pos_coroots:
+            ws = wg.multiply(w, wg.reflection_of(d, gamma))
+            assert g.reflect[(w, gamma)] == ws
+            assert g.reflect[(w, gamma)] is vertex[ws]
+
+
+@pytest.mark.parametrize("family,rank", [
+    ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
+    ("C", 3), ("C", 4), ("D", 4), ("G", 2), ("F", 4),
+])
+def test_quantum_labels_are_quantum_roots(family, rank):
+    # Brenti-Fomin-Postnikov: gamma labels a quantum edge iff
+    # l(s_gamma) = <2 rho, gamma> - 1; the right side is computed from the
+    # reflection's length alone, with no graph lookup
+    d = datum_of(family, rank)
+    g = graph_of(family, rank)
+    labels = {gamma for (_, gamma), kind in g.edges.items() if kind == qbg.QUANTUM}
+    quantum_roots = {
+        gamma for gamma in d.pos_coroots
+        if wg.length(d, wg.reflection_of(d, gamma)) == d.two_rho_pair(gamma) - 1
+    }
+    assert labels == quantum_roots
+    assert labels
+
+
 def test_identity_edges_are_simple_covers():
     # from the identity, exactly the simple coroots give (covering) edges
     d = datum_of("A", 2)
