@@ -318,9 +318,7 @@ def shifted_beta(datum: RootDatum, i: int, lam) -> tuple:
     Each canonical beta of ``t_{-omega_i}`` has its degree raised by
     ``<re(beta), lam> >= 0``.
     """
-    datum.check_rank(lam)
-    if any(x > 0 for x in lam):
-        raise ValueError(f"weight is not anti-dominant: {lam!r}")
+    datum.check_antidominant(lam)
     out = []
     for b in canonical_beta_order(datum, i):
         out.append(AffineCoroot(b.re, b.deg + datum.pair(b.re, lam)))
@@ -347,9 +345,7 @@ def word_for_translation(datum: RootDatum, lam, lead_index=None):
     ``lead_index`` puts that fundamental factor first; the rest follow in
     increasing index order.
     """
-    datum.check_rank(lam)
-    if any(x > 0 for x in lam):
-        raise ValueError(f"weight is not anti-dominant: {lam!r}")
+    datum.check_antidominant(lam)
     order = list(range(1, datum.rank + 1))
     if lead_index is not None:
         order.remove(lead_index)

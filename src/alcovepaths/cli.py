@@ -2,9 +2,11 @@
 Command-line front end.
 
 Subcommands expose the graph builder, beta sequences, path enumeration,
-specializations, characters, dimensions, and a verification harness that
-re-runs the structural identities on small ranks.  All output is
-deterministic for a fixed invocation.
+specializations, characters and dimensions, and ``verify``, which runs the
+checkers of ``alcovepaths.identities`` on the small-rank cases listed in
+``identities.SUITES``.  Each subcommand accepts only the ``--format``
+values it prints (``dims`` has none).  All output is deterministic for a
+fixed invocation.
 
 Exit codes: 0 success, 2 argument/parse error, 3 size-cap exceeded,
 4 identity-verification failure.
@@ -13,19 +15,19 @@ Exit codes: 0 success, 2 argument/parse error, 3 size-cap exceeded,
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import re
 import sys
 from dataclasses import dataclass
 
-from .lattice import build_datum, neg
+from .lattice import build_datum
 from . import weylgroup as wg
 from . import affine as af
 from . import qbg
 from . import paths as pth
 from . import genfun as gf
 from . import macdonald as mac
+from . import identities as ids
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -98,7 +100,7 @@ def _datum_graph(cfg: JobConfig):
     return datum, qbg.build(datum)
 
 
-def _print_poly(datum, poly, fmt: str) -> None:
+def _print_poly(poly, fmt: str) -> None:
     if fmt == "json":
         print(gf.to_json(poly))
     else:
@@ -199,7 +201,7 @@ def cmd_emac(args) -> int:
             raise CliError("only --eval 1,1 is supported")
         print(gf.evaluate(poly))
     else:
-        _print_poly(datum, poly, cfg.fmt)
+        _print_poly(poly, cfg.fmt)
     return EXIT_OK
 
 
@@ -208,9 +210,7 @@ def cmd_char(args) -> int:
     _antidominant_weight(cfg)
     datum, graph = _datum_graph(cfg)
     sigma = wg.from_word(datum, cfg.sigma)
-    _print_poly(
-        datum, mac.weyl_character(datum, graph, sigma, cfg.weight), cfg.fmt
-    )
+    _print_poly(mac.weyl_character(datum, graph, sigma, cfg.weight), cfg.fmt)
     return EXIT_OK
 
 
@@ -223,156 +223,28 @@ def cmd_dims(args) -> int:
     return EXIT_OK
 
 
-# --- verification suites -------------------------------------------------
-
-def _suite_shift(report):
-    d = build_datum("A", 2)
-    g = qbg.build(d)
-    w = af.translation(d, (-1, 0))
-    for uw in [(), (1,), (2,), (1, 2)]:
-        u = wg.from_word(d, uw)
-        for mu in [(1, 0), (0, -1), (2, -1)]:
-            lhs = gf.c_function(d, g, af.ExtAffineElt(mu, u), w)
-            rhs = gf.shift(
-                gf.c_function(d, g, af.ExtAffineElt((0, 0), u), w), mu
-            )
-            if lhs != rhs:
-                report.append({"suite": "shift", "u": list(uw), "mu": list(mu)})
-
-
-def _suite_recursion(report):
-    for fam, rank in (("A", 2), ("C", 2)):
-        d = build_datum(fam, rank)
-        g = qbg.build(d)
-        cache: dict = {}
-        for u in wg.enumerate_group(d):
-            for i in (1, 2):
-                for lam in [(0, 0), (-1, 0), (-1, -1)]:
-                    _, _, ok = gf.recursion_check(d, g, u, i, lam, cache)
-                    if not ok:
-                        report.append({
-                            "suite": "recursion", "type": fam + str(rank),
-                            "u": list(wg.reduced_word(d, u)), "i": i,
-                            "lam": list(lam),
-                        })
-
-
-def _suite_w0_inversion(report):
-    for fam, rank in (("A", 2), ("C", 2)):
-        d = build_datum(fam, rank)
-        g = qbg.build(d)
-        w0 = wg.longest_element(d)
-        for (w, gam), kind in g.edges.items():
-            # the reversed edge through w_0 exists and has the same kind
-            dual = g.edges.get((wg.multiply(w0, g.reflect[(w, gam)]), gam))
-            if dual != kind:
-                report.append({
-                    "suite": "w0_inversion", "type": fam + str(rank),
-                    "w": list(wg.reduced_word(d, w)), "gamma": list(gam),
-                })
-
-
-def _suite_lenart(report):
-    for n in (2, 3):
-        d = build_datum("A", n)
-        g = qbg.build(d)
-        for w in wg.enumerate_group(d):
-            for i in range(1, n + 1):
-                for j in range(i + 1, n + 2):
-                    got = qbg.lenart_edge_typeA(d, w, i, j)
-                    label = d.coroot_of_root(qbg.typeA_root(d, i, j))
-                    want = g.edges.get((w, label))
-                    if got != want:
-                        report.append({
-                            "suite": "lenart", "type": f"A{n}",
-                            "w": list(wg.reduced_word(d, w)), "ij": [i, j],
-                        })
-    d = build_datum("C", 2)
-    g = qbg.build(d)
-    for w in wg.enumerate_group(d):
-        for cls, pairs in (
-            (1, [(1, 2)]), (2, [(1, 2)]), (3, [(1,), (2,)])
-        ):
-            for p in pairs:
-                got = qbg.lenart_edge_typeC(d, w, cls, *p)
-                label = d.coroot_of_root(qbg.typeC_root(d, cls, *p))
-                want = g.edges.get((w, label))
-                if got != want:
-                    report.append({
-                        "suite": "lenart", "type": "C2", "class": cls,
-                        "w": list(wg.reduced_word(d, w)), "pos": list(p),
-                    })
-
-
-def _suite_beta(report):
-    for fam, rank in (("A", 2), ("C", 2), ("G", 2)):
-        d = build_datum(fam, rank)
-        for i in range(1, rank + 1):
-            betas = af.canonical_beta_order(d, i)
-            omega = d.fundamental_weight(i)
-            want = sorted(
-                (tuple(neg(gm)), k)
-                for gm in d.pos_coroots
-                for k in range(1, d.pair(gm, omega) + 1)
-            )
-            got = sorted((b.re, b.deg) for b in betas)
-            if got != want:
-                report.append({"suite": "beta", "type": fam + str(rank), "i": i})
-
-
-def _suite_dual_route(report):
-    for fam, rank in (("A", 1), ("A", 2)):
-        d = build_datum(fam, rank)
-        g = qbg.build(d)
-        for lam in itertools.product(range(-1, 1), repeat=rank):
-            r = mac.specialization_report(d, g, lam)
-            if not r.agree:
-                report.append({
-                    "suite": "dual_route", "type": fam + str(rank),
-                    "lam": list(lam),
-                })
-
-
-def _suite_twist(report):
-    cases = [("A", 1, 1, 2), ("A", 2, 1, 1), ("A", 2, 2, 1), ("C", 2, 2, 1)]
-    for fam, rank, i, mmax in cases:
-        d = build_datum(fam, rank)
-        g = qbg.build(d)
-        for m in range(1, mmax + 1):
-            if not mac.cominuscule_twist_check(d, g, i, m):
-                report.append({
-                    "suite": "twist", "type": fam + str(rank), "i": i, "m": m,
-                })
-
-
-_SUITES = {
-    "shift": _suite_shift,
-    "recursion": _suite_recursion,
-    "w0_inversion": _suite_w0_inversion,
-    "lenart": _suite_lenart,
-    "beta": _suite_beta,
-    "dual_route": _suite_dual_route,
-    "twist": _suite_twist,
-}
-
-
 def cmd_verify(args) -> int:
-    names = args.suites.split(",") if args.suites else sorted(_SUITES)
+    names = args.suites.split(",") if args.suites else sorted(ids.SUITES)
+    for name in names:
+        if name not in ids.SUITES:
+            raise CliError(f"unknown suite {name!r}; have {sorted(ids.SUITES)}")
     failures: list = []
     for name in names:
-        if name not in _SUITES:
-            raise CliError(f"unknown suite {name!r}; have {sorted(_SUITES)}")
-        _SUITES[name](failures)
+        checker, cases = ids.SUITES[name]
+        for family, rank, *inputs in cases:
+            datum = build_datum(family, rank)
+            for failure in checker(datum, qbg.build(datum), *inputs):
+                failures.append({"suite": name, **failure})
     print(json.dumps({
         "suites": names, "ok": not failures, "failures": failures,
     }))
     return EXIT_OK if not failures else EXIT_IDENTITY
 
 
-def _add_common(p, weight=True, sigma=False):
+def _add_common(p, formats=("table", "json"), weight=True, sigma=False):
     p.add_argument("--type", required=True, help="simple type, e.g. A2")
-    p.add_argument("--format", default="table",
-                   choices=["table", "json", "csv", "dot"])
+    if formats:
+        p.add_argument("--format", default="table", choices=formats)
     if weight:
         p.add_argument("--weight", default=None,
                        help="comma-separated fundamental coordinates")
@@ -390,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = ap.add_subparsers(dest="command", required=True)
 
     p = sp.add_parser("qbg", help="build and export the graph")
-    _add_common(p, weight=False)
+    _add_common(p, ("table", "json", "dot"), weight=False)
     p.set_defaults(func=cmd_qbg)
 
     p = sp.add_parser("beta", help="canonical coroot sequence of a fundamental")
@@ -399,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_beta)
 
     p = sp.add_parser("paths", help="enumerate folded paths")
-    _add_common(p, sigma=True)
+    _add_common(p, ("table", "json", "csv"), sigma=True)
     p.add_argument("--word", default=None,
                    help="explicit affine word (0-based letters), overrides --weight")
     p.add_argument("--reversed", action="store_true")
@@ -417,12 +289,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_char)
 
     p = sp.add_parser("dims", help="generalized Weyl module dimension")
-    _add_common(p, sigma=True)
+    _add_common(p, (), sigma=True)
     p.set_defaults(func=cmd_dims)
 
     p = sp.add_parser("verify", help="run identity suites")
     p.add_argument("--suites", default=None,
-                   help="comma-separated subset of " + ",".join(sorted(_SUITES)))
+                   help="comma-separated subset of " + ",".join(sorted(ids.SUITES)))
     p.set_defaults(func=cmd_verify)
     return ap
 

@@ -22,7 +22,7 @@ from . import paths as pth
 
 __all__ = [
     "LaurentPoly", "c_function", "c_function_typed", "recursion_check",
-    "shift", "w0_twist", "evaluate", "to_json",
+    "shift", "w0_twist", "evaluate", "term_records", "to_json",
 ]
 
 
@@ -110,11 +110,13 @@ def evaluate(poly: LaurentPoly) -> int:
     return sum(poly.terms.values())
 
 
+def term_records(poly: LaurentPoly) -> list:
+    """One ``{"x": weight, "q": q-exponent, "c": coefficient}`` per term, sorted."""
+    return [{"x": list(w), "q": q, "c": c} for (w, q), c in poly.sorted_terms()]
+
+
 def to_json(poly: LaurentPoly) -> str:
-    recs = [
-        {"x": list(w), "q": q, "c": c} for (w, q), c in poly.sorted_terms()
-    ]
-    return json.dumps(recs)
+    return json.dumps(term_records(poly))
 
 
 def c_function(

@@ -18,6 +18,7 @@ length 2; coroots are 2*alpha/(alpha,alpha) in that normalization.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NewType
@@ -33,11 +34,15 @@ Coroot = NewType("Coroot", tuple)
 
 
 def add(a, b):
-    return tuple(x + y for x, y in zip(a, b, strict=True))
+    if len(a) != len(b):
+        raise ValueError(f"vector lengths differ: {len(a)} and {len(b)}")
+    return tuple(map(operator.add, a, b))
 
 
 def sub(a, b):
-    return tuple(x - y for x, y in zip(a, b, strict=True))
+    if len(a) != len(b):
+        raise ValueError(f"vector lengths differ: {len(a)} and {len(b)}")
+    return tuple(map(operator.sub, a, b))
 
 
 def neg(a):
@@ -146,6 +151,12 @@ class RootDatum:
     def check_rank(self, v) -> None:
         if len(v) != self.rank:
             raise ValueError(f"expected a length-{self.rank} vector, got {v!r}")
+
+    def check_antidominant(self, lam) -> None:
+        """Raise ValueError unless lam is a weight with no positive coordinate."""
+        self.check_rank(lam)
+        if any(x > 0 for x in lam):
+            raise ValueError(f"weight is not anti-dominant: {lam!r}")
 
     def pair(self, c: Coroot, w: Weight) -> int:
         """<c, w> for a coroot c and a weight w."""

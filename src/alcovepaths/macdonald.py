@@ -10,15 +10,15 @@ of generalized Weyl modules are read off the same machinery.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import RootDatum, add, sub, neg
+from .lattice import RootDatum, sub, neg
 from . import weylgroup as wg
 from .weylgroup import WeylElt
 from . import affine as af
 from .affine import ExtAffineElt
-from . import qbg
 from .qbg import QuantumBruhatGraph
 from . import paths as pth
 from . import genfun as gf
@@ -53,31 +53,17 @@ class SpecializationReport:
     agree: bool
 
     def to_json(self) -> str:
-        import json
-
         return json.dumps({
             "lam": list(self.lam),
-            "e_zero": [
-                {"x": list(w), "q": q, "c": c}
-                for (w, q), c in self.e_zero.sorted_terms()
-            ],
-            "e_infinity": [
-                {"x": list(w), "q": q, "c": c}
-                for (w, q), c in self.e_inf_word.sorted_terms()
-            ],
+            "e_zero": gf.term_records(self.e_zero),
+            "e_infinity": gf.term_records(self.e_inf_word),
             "routes_agree": self.agree,
         })
 
 
-def _check_antidominant(lam) -> None:
-    if any(x > 0 for x in lam):
-        raise ValueError(f"weight is not anti-dominant: {lam!r}")
-
-
 def e_zero(datum: RootDatum, graph: QuantumBruhatGraph, lam) -> LaurentPoly:
     """The t=0 specialization at anti-dominant lam."""
-    datum.check_rank(lam)
-    _check_antidominant(lam)
+    datum.check_antidominant(lam)
     return gf.c_function(
         datum, graph, af.ext_identity(datum), af.translation(datum, lam)
     )
@@ -98,8 +84,7 @@ def e_infinity(datum: RootDatum, graph: QuantumBruhatGraph, lam) -> LaurentPoly:
     Computed by two independent routes; a disagreement raises with both
     values attached.
     """
-    datum.check_rank(lam)
-    _check_antidominant(lam)
+    datum.check_antidominant(lam)
     by_word, by_reversal = _e_inf_routes(datum, graph, af.translation(datum, lam))
     if by_word != by_reversal:
         raise SpecializationMismatch(tuple(lam), by_word, by_reversal)
@@ -109,8 +94,7 @@ def e_infinity(datum: RootDatum, graph: QuantumBruhatGraph, lam) -> LaurentPoly:
 def specialization_report(
     datum: RootDatum, graph: QuantumBruhatGraph, lam
 ) -> SpecializationReport:
-    datum.check_rank(lam)
-    _check_antidominant(lam)
+    datum.check_antidominant(lam)
     t_lam = af.translation(datum, lam)
     _, word = af.reduced_word_ext(datum, t_lam)  # one word for all three
     by_word, by_reversal = _e_inf_routes(datum, graph, t_lam, word)
@@ -128,8 +112,7 @@ def weyl_character(
     datum: RootDatum, graph: QuantumBruhatGraph, sigma: WeylElt, lam
 ) -> LaurentPoly:
     """Graded character of the generalized Weyl module twisted by sigma."""
-    datum.check_rank(lam)
-    _check_antidominant(lam)
+    datum.check_antidominant(lam)
     return gf.c_function(
         datum,
         graph,

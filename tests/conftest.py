@@ -1,11 +1,13 @@
-"""Shared fixtures: root data and quantum Bruhat graphs are expensive to
-rebuild, so they are cached per type for the whole session."""
+"""Shared fixtures and helpers: root data and quantum Bruhat graphs are
+expensive to rebuild, so they are cached per type for the whole session."""
 
 from functools import lru_cache
 
 import pytest
 
-from alcovepaths.lattice import build_datum
+from alcovepaths.lattice import add, build_datum, neg
+from alcovepaths import weylgroup as wg
+from alcovepaths import affine as af
 from alcovepaths import qbg
 
 
@@ -17,6 +19,40 @@ def datum_of(family: str, rank: int):
 @lru_cache(maxsize=None)
 def graph_of(family: str, rank: int):
     return qbg.build(datum_of(family, rank))
+
+
+def datum_and_graph(family: str, rank: int):
+    """The datum and the graph of one type, the first two checker inputs."""
+    return datum_of(family, rank), graph_of(family, rank)
+
+
+def length_zero_elements(d):
+    """The elements ``t_mu v`` of length zero with ``mu = +-omega_i``."""
+    return [
+        af.ExtAffineElt(mu, v)
+        for i in range(1, d.rank + 1)
+        for mu in (d.fundamental_weight(i), neg(d.fundamental_weight(i)))
+        for v in wg.enumerate_group(d)
+        if af.length_ext(d, af.ExtAffineElt(mu, v)) == 0
+    ]
+
+
+def chain_parses(seq, tau, eta):
+    """``seq`` splits into the blocks ``(eta, tau+2eta, tau+eta, tau+2eta)``
+    and ``(tau, tau+eta, tau+2eta)`` of a non-simply-laced rank-two chain."""
+    te, t2e = add(tau, eta), add(tau, add(eta, eta))
+    pat_a = (eta, t2e, te, t2e)
+    pat_b = (tau, te, t2e)
+
+    def rec(k):
+        if k == len(seq):
+            return True
+        for pat in (pat_a, pat_b):
+            if tuple(seq[k:k + len(pat)]) == pat and rec(k + len(pat)):
+                return True
+        return False
+
+    return rec(0)
 
 
 @pytest.fixture

@@ -4,12 +4,15 @@ Each test pins one externally stated guarantee: exact counts and towers,
 the one-step recursion, the two t=infinity routes, the cross-validated
 edge criteria, the structural properties of the canonical coroot layout,
 the invariance laws of the generating function, the cominuscule twist,
-and non-negativity of all specialization coefficients.
+and non-negativity of all specialization coefficients.  Seven of them are
+calls to the checkers of ``alcovepaths.identities``, and the last test
+shows that each checker visits every case it is given.
 """
 
 import itertools
-import math
+import json
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -18,10 +21,17 @@ from alcovepaths import weylgroup as wg
 from alcovepaths import affine as af
 from alcovepaths.affine import AffineCoroot, ExtAffineElt
 from alcovepaths import qbg
-from alcovepaths import paths as pth
 from alcovepaths import genfun as gf
 from alcovepaths import macdonald as mac
-from conftest import datum_of, graph_of
+from alcovepaths import identities as ids
+from conftest import (
+    chain_parses, datum_and_graph, datum_of, graph_of, length_zero_elements,
+)
+
+
+def box(rank):
+    """The anti-dominant weights with every coordinate in {0, -1, -2}."""
+    return itertools.product(range(0, -3, -1), repeat=rank)
 
 
 # 1. G2 fundamental path counts, under a second ---------------------------
@@ -69,56 +79,26 @@ def test_03_a2_tower():
     ("A", 2), ("C", 2), ("A", 3), ("G", 2),
 ])
 def test_04_recursion(family, rank):
-    d = datum_of(family, rank)
-    g = graph_of(family, rank)
-    cache = {}
-    for u in wg.enumerate_group(d):
-        for i in range(1, rank + 1):
-            for lam in itertools.product(range(0, -3, -1), repeat=rank):
-                lhs, rhs, ok = gf.recursion_check(d, g, u, i, lam, cache)
-                assert ok, (family, rank, wg.reduced_word(d, u), i, lam)
+    assert list(ids.recursion(*datum_and_graph(family, rank), box(rank))) == []
 
 
 # 5. both t=infinity routes agree, exact ----------------------------------
 
 @pytest.mark.parametrize("family,rank", [("A", 1), ("A", 2), ("C", 2)])
 def test_05_dual_route(family, rank):
-    d = datum_of(family, rank)
-    g = graph_of(family, rank)
-    for lam in itertools.product(range(0, -3, -1), repeat=rank):
-        report = mac.specialization_report(d, g, lam)
-        assert report.agree, (family, rank, lam)
+    assert list(ids.dual_route(*datum_and_graph(family, rank), box(rank))) == []
 
 
 # 6. three edge criteria agree with the length-based graph, exhaustively --
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_06_edges_type_a_one_line(n):
-    d = datum_of("A", n)
-    g = graph_of("A", n)
-    for w in wg.enumerate_group(d):
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 2):
-                label = d.coroot_of_root(qbg.typeA_root(d, i, j))
-                assert qbg.lenart_edge_typeA(d, w, i, j) == g.edges.get(
-                    (w, label)
-                )
+    assert list(ids.lenart(*datum_and_graph("A", n))) == []
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_06_edges_type_c_one_line(n):
-    d = datum_of("C", n)
-    g = graph_of("C", n)
-    for w in wg.enumerate_group(d):
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                for cls in (1, 2):
-                    label = d.coroot_of_root(qbg.typeC_root(d, cls, i, j))
-                    assert qbg.lenart_edge_typeC(d, w, cls, i, j) == g.edges.get(
-                        (w, label)
-                    )
-            label = d.coroot_of_root(qbg.typeC_root(d, 3, i))
-            assert qbg.lenart_edge_typeC(d, w, 3, i) == g.edges.get((w, label))
+    assert list(ids.lenart(*datum_and_graph("C", n))) == []
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("C", 2), ("G", 2)])
@@ -138,37 +118,13 @@ BETA_TYPES = [
 ]
 
 
-def _chain_parses(seq, tau, eta):
-    te, t2e = add(tau, eta), add(tau, add(eta, eta))
-    pat_a = (eta, t2e, te, t2e)
-    pat_b = (tau, te, t2e)
-
-    def rec(k):
-        if k == len(seq):
-            return True
-        for pat in (pat_a, pat_b):
-            if tuple(seq[k:k + len(pat)]) == pat and rec(k + len(pat)):
-                return True
-        return False
-
-    return rec(0)
-
-
 @pytest.mark.parametrize("family,rank", BETA_TYPES)
 def test_07_beta_suite(family, rank):
     d = datum_of(family, rank)
     pos = set(d.pos_coroots)
+    assert list(ids.beta(d)) == []  # the multiset of the layout
     for i in range(1, rank + 1):
         betas = af.canonical_beta_order(d, i)
-        omega = d.fundamental_weight(i)
-
-        # multiset: -gamma + k*delta with 1 <= k <= <gamma, omega_i>
-        want = sorted(
-            (neg(g), k)
-            for g in pos
-            for k in range(1, d.pair(g, omega) + 1)
-        )
-        assert sorted((b.re, b.deg) for b in betas) == want
 
         # the layout opens with the simple coroot at degree one
         assert betas[0] == AffineCoroot(neg(d.simple_coroot(i)), 1)
@@ -187,9 +143,8 @@ def test_07_beta_suite(family, rank):
             for eta in pos:
                 if add(tau, eta) in pos and add(tau, add(eta, eta)) in pos:
                     group = {tau, eta, add(tau, eta), add(tau, add(eta, eta))}
-                    assert _chain_parses(
-                        [g for g in res if g in group], tau, eta
-                    ), (i, tau, eta)
+                    seq = [g for g in res if g in group]
+                    assert chain_parses(seq, tau, eta), (i, tau, eta)
 
 
 @pytest.mark.parametrize("family,rank", BETA_TYPES)
@@ -212,14 +167,8 @@ def test_07_beta_concatenation(family, rank):
 # 8. invariance laws of the generating function ----------------------------
 
 def test_08_translation_shift():
-    d = datum_of("A", 2)
-    g = graph_of("A", 2)
-    w = af.translation(d, (-1, -1))
-    for u in wg.enumerate_group(d):
-        for mu in [(1, 0), (0, -1), (2, -1)]:
-            assert gf.c_function(d, g, ExtAffineElt(mu, u), w) == gf.shift(
-                gf.c_function(d, g, ExtAffineElt((0, 0), u), w), mu
-            )
+    mus = [(1, 0), (0, -1), (2, -1)]
+    assert list(ids.shift(*datum_and_graph("A", 2), (-1, -1), mus)) == []
 
 
 def test_08_length_zero_invariance():
@@ -232,12 +181,7 @@ def test_08_length_zero_invariance():
     for family, rank in [("A", 1), ("A", 2), ("C", 2)]:
         d = datum_of(family, rank)
         g = graph_of(family, rank)
-        pis = []
-        for i in range(1, rank + 1):
-            for mu in (d.fundamental_weight(i), neg(d.fundamental_weight(i))):
-                for v in wg.enumerate_group(d):
-                    if af.length_ext(d, ExtAffineElt(mu, v)) == 0:
-                        pis.append(ExtAffineElt(mu, v))
+        pis = length_zero_elements(d)
         assert pis
         w = af.translation(d, (-1,) * rank)
         _, word = af.reduced_word_ext(d, w)
@@ -257,17 +201,7 @@ def test_08_length_zero_invariance():
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("C", 2), ("G", 2)])
 def test_08_w0_inversion(family, rank):
-    # w -> w s_gamma is an edge iff w0 w s_gamma -> w0 w is, same kind
-    d = datum_of(family, rank)
-    g = graph_of(family, rank)
-    w0 = wg.longest_element(d)
-    for w in g.vertices:
-        for gamma in d.pos_coroots:
-            dual = g.edges.get(
-                (wg.multiply(w0, wg.multiply(w, wg.reflection_of(d, gamma))),
-                 gamma)
-            )
-            assert g.edges.get((w, gamma)) == dual
+    assert list(ids.w0_inversion(*datum_and_graph(family, rank))) == []
 
 
 # 9. cominuscule twist relates the two specializations --------------------
@@ -276,10 +210,7 @@ def test_08_w0_inversion(family, rank):
     ("A", 1, 1, 4), ("A", 2, 1, 3), ("A", 2, 2, 3), ("C", 2, 2, 2),
 ])
 def test_09_cominuscule_twist(family, rank, i, mmax):
-    d = datum_of(family, rank)
-    g = graph_of(family, rank)
-    for m in range(1, mmax + 1):
-        assert mac.cominuscule_twist_check(d, g, i, m), (family, rank, i, m)
+    assert list(ids.twist(*datum_and_graph(family, rank), i, range(1, mmax + 1))) == []
 
 
 # 10. all specialization coefficients are non-negative integers -----------
@@ -302,3 +233,35 @@ def test_10_non_negativity():
                         family, rank, lam, weight, qexp, coeff
                     )
                     assert qexp >= 0
+
+
+# the checkers visit every case: with the predicate a checker relies on made
+# to fail, it yields one record per case, each naming distinct inputs -------
+
+@pytest.mark.parametrize("name,patch,family,rank,inputs,cases", [
+    ("shift", (gf, "shift", lambda poly, mu: gf.LaurentPoly()), "A", 2,
+     ((-1, -1), iter([(1, 0), (0, -1), (2, -1)])), 6 * 3),
+    ("recursion", (gf, "recursion_check", lambda *a: (None, None, False)),
+     "A", 2, (box(2),), 6 * 2 * 9),
+    ("w0_inversion", None, "A", 3, (), 24 * 6),
+    ("lenart", (qbg, "lenart_edge_typeA", lambda *a: False), "A", 3, (), 24 * 6),
+    ("lenart", (qbg, "lenart_edge_typeC", lambda *a: False), "C", 2, (), 8 * 4),
+    ("beta", (af, "canonical_beta_order", lambda d, i: ()), "G", 2, (), 2),
+    ("dual_route", (mac, "specialization_report",
+                    lambda *a: SimpleNamespace(agree=False)), "C", 2, (box(2),), 9),
+    ("twist", (mac, "cominuscule_twist_check", lambda *a: False), "A", 2,
+     (1, range(1, 4)), 3),
+])
+def test_checkers_yield_one_record_per_failing_case(
+    monkeypatch, name, patch, family, rank, inputs, cases
+):
+    d, g = datum_and_graph(family, rank)
+    if patch is None:  # the checker compares two lookups in the edge table
+        unequal = SimpleNamespace(get=lambda key: object())
+        g = SimpleNamespace(vertices=g.vertices, edges=unequal)
+    else:
+        monkeypatch.setattr(*patch)
+    records = list(getattr(ids, name)(d, g, *inputs))
+    assert len(records) == cases
+    assert len({json.dumps(r, sort_keys=True) for r in records}) == cases
+    assert {r["type"] for r in records} == {f"{family}{rank}"}

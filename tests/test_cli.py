@@ -5,12 +5,18 @@ import json
 import pytest
 
 from alcovepaths import cli
+from alcovepaths import macdonald as mac
+from alcovepaths import qbg
 
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def built(*args):
+    raise AssertionError("the graph was built")
 
 
 def test_qbg_table(capsys):
@@ -118,15 +124,23 @@ def test_emac_rejects_dominant(capsys):
     ("emac", "--type", "B4"),
 ])
 def test_weight_checked_before_graph(capsys, monkeypatch, argv):
-    from alcovepaths import qbg
-
-    def built(*args):
-        raise AssertionError("the graph was built")
-
     monkeypatch.setattr(qbg, "build", built)
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert "anti-dominant" in err or "need --weight" in err
+
+
+@pytest.mark.parametrize("command,fmt", [
+    ("qbg", "csv"), ("beta", "csv"), ("beta", "dot"), ("paths", "dot"),
+    ("emac", "csv"), ("emac", "dot"), ("char", "csv"), ("char", "dot"),
+    ("dims", "table"), ("dims", "json"),
+])
+def test_unimplemented_format_refused(capsys, monkeypatch, command, fmt):
+    monkeypatch.setattr(qbg, "build", built)
+    extra = {"qbg": (), "beta": ("--index", "1")}.get(command, ("--weight", "-1,0"))
+    code, out, err = run(capsys, command, "--type", "A2", *extra, "--format", fmt)
+    assert (code, out) == (2, "")
+    assert "--format" in err
 
 
 def test_char_and_dims(capsys):
@@ -192,6 +206,24 @@ def test_verify_fast_subset(capsys):
     payload = json.loads(out)
     assert payload["ok"] is True
     assert payload["failures"] == []
+
+
+def test_verify_runs_every_suite(capsys):
+    code, out, _ = run(capsys, "verify")
+    assert code == 0
+    assert out == (
+        '{"suites": ["beta", "dual_route", "lenart", "recursion", "shift", '
+        '"twist", "w0_inversion"], "ok": true, "failures": []}\n'
+    )
+
+
+def test_verify_failure_names_suite_and_inputs(capsys, monkeypatch):
+    monkeypatch.setattr(mac, "cominuscule_twist_check", lambda *args: False)
+    code, out, _ = run(capsys, "verify", "--suites", "twist")
+    assert code == 4
+    failures = json.loads(out)["failures"]
+    assert len(failures) == 5  # m = 1, 2 in A1 and m = 1 in A2, A2, C2
+    assert failures[0] == {"suite": "twist", "type": "A1", "i": 1, "m": 1}
 
 
 def test_verify_unknown_suite(capsys):

@@ -1,17 +1,16 @@
 """Generating functions over folded paths and the Laurent polynomial ring."""
 
-import itertools
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from alcovepaths.lattice import neg, sub
+from alcovepaths.lattice import sub
 from alcovepaths import weylgroup as wg
 from alcovepaths import affine as af
 from alcovepaths.affine import ExtAffineElt
 from alcovepaths import genfun as gf
+from alcovepaths import identities as ids
 from alcovepaths.genfun import LaurentPoly
-from conftest import datum_of, graph_of
+from conftest import datum_and_graph, datum_of, graph_of, length_zero_elements
 
 
 # --- polynomial ring -----------------------------------------------------
@@ -115,27 +114,9 @@ def test_c_function_word_independence(family, rank, lam):
 
 
 def test_shift_equivariance():
-    # C_{t_mu u}^w = x^mu * C_u^w
-    d = datum_of("A", 2)
-    g = graph_of("A", 2)
-    w = af.translation(d, (-1, 0))
-    for uw in [(), (1,), (2, 1)]:
-        u = wg.from_word(d, uw)
-        for mu in [(1, 0), (0, -1), (2, -1)]:
-            lhs = gf.c_function(d, g, ExtAffineElt(mu, u), w)
-            rhs = gf.shift(gf.c_function(d, g, ExtAffineElt((0, 0), u), w), mu)
-            assert lhs == rhs
-
-
-def _length_zero_elements(d):
-    out = []
-    for i in range(1, d.rank + 1):
-        for mu in (d.fundamental_weight(i), neg(d.fundamental_weight(i))):
-            for v in wg.enumerate_group(d):
-                cand = ExtAffineElt(mu, v)
-                if af.length_ext(d, cand) == 0:
-                    out.append(cand)
-    return out
+    # C_{t_mu u}^w = x^mu * C_u^w, for every u
+    mus = [(1, 0), (0, -1), (2, -1)]
+    assert list(ids.shift(*datum_and_graph("A", 2), (-1, 0), mus)) == []
 
 
 @pytest.mark.parametrize("family,rank", [("A", 1), ("A", 2), ("C", 2)])
@@ -146,7 +127,7 @@ def test_twisted_translation_invariance(family, rank):
     # x^{-1} + x.
     d = datum_of(family, rank)
     g = graph_of(family, rank)
-    pis = _length_zero_elements(d)
+    pis = length_zero_elements(d)
     assert pis, "every listed type has nontrivial length-zero elements"
     lam = (-1,) * rank
     w = af.translation(d, lam)
@@ -182,14 +163,8 @@ def test_plain_translation_invariance_fails():
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("C", 2)])
 def test_recursion_identity(family, rank):
-    d = datum_of(family, rank)
-    g = graph_of(family, rank)
-    cache = {}
-    for u in wg.enumerate_group(d):
-        for i in (1, 2):
-            for lam in [(0, 0), (-1, 0), (-1, -1)]:
-                lhs, rhs, ok = gf.recursion_check(d, g, u, i, lam, cache)
-                assert ok, (family, rank, wg.reduced_word(d, u), i, lam)
+    lams = [(0, 0), (-1, 0), (-1, -1)]
+    assert list(ids.recursion(*datum_and_graph(family, rank), lams)) == []
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("C", 2)])

@@ -5,11 +5,11 @@ import json
 
 import pytest
 
-from alcovepaths.lattice import neg
 from alcovepaths import weylgroup as wg
 from alcovepaths import macdonald as mac
+from alcovepaths import identities as ids
 from alcovepaths.genfun import LaurentPoly
-from conftest import datum_of, graph_of
+from conftest import datum_and_graph, datum_of, graph_of
 
 
 def _poly(terms):
@@ -166,10 +166,7 @@ def test_cominuscule_twist_rejects_other_indices():
     ("A", 1, 1, 2), ("A", 2, 1, 2), ("A", 2, 2, 2), ("C", 2, 2, 1),
 ])
 def test_cominuscule_twist(family, rank, i, mmax):
-    d = datum_of(family, rank)
-    g = graph_of(family, rank)
-    for m in range(1, mmax + 1):
-        assert mac.cominuscule_twist_check(d, g, i, m)
+    assert list(ids.twist(*datum_and_graph(family, rank), i, range(1, mmax + 1))) == []
 
 
 def test_mismatch_exception_payload():

@@ -9,10 +9,10 @@ import json
 
 import pytest
 
-from alcovepaths.lattice import neg
 from alcovepaths import weylgroup as wg
 from alcovepaths import qbg
-from conftest import datum_of, graph_of
+from alcovepaths import identities as ids
+from conftest import datum_and_graph, datum_of, graph_of
 
 EDGE_COUNTS = {
     ("A", 1): (1, 1),
@@ -94,18 +94,7 @@ def test_identity_edges_are_simple_covers():
 
 @pytest.mark.parametrize("family,rank", sorted(EDGE_COUNTS))
 def test_w0_duality_preserves_kind(family, rank):
-    # w -> w s_gamma is an edge iff w0 w s_gamma -> w0 w is, with equal kind
-    d = datum_of(family, rank)
-    g = graph_of(family, rank)
-    w0 = wg.longest_element(d)
-    for w in g.vertices:
-        for gamma in d.pos_coroots:
-            kind = g.edges.get((w, gamma))
-            dual = g.edges.get(
-                (wg.multiply(w0, wg.multiply(w, wg.reflection_of(d, gamma))),
-                 gamma)
-            )
-            assert kind == dual
+    assert list(ids.w0_inversion(*datum_and_graph(family, rank))) == []
 
 
 def test_edge_kind_lookup():
@@ -124,30 +113,12 @@ def test_edge_kind_lookup():
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_lenart_type_a_exhaustive(n):
-    d = datum_of("A", n)
-    g = graph_of("A", n)
-    for w in wg.enumerate_group(d):
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 2):
-                got = qbg.lenart_edge_typeA(d, w, i, j)
-                label = d.coroot_of_root(qbg.typeA_root(d, i, j))
-                assert got == g.edges.get((w, label))
+    assert list(ids.lenart(*datum_and_graph("A", n))) == []
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_lenart_type_c_exhaustive(n):
-    d = datum_of("C", n)
-    g = graph_of("C", n)
-    for w in wg.enumerate_group(d):
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                for cls in (1, 2):
-                    got = qbg.lenart_edge_typeC(d, w, cls, i, j)
-                    label = d.coroot_of_root(qbg.typeC_root(d, cls, i, j))
-                    assert got == g.edges.get((w, label))
-            got = qbg.lenart_edge_typeC(d, w, 3, i)
-            label = d.coroot_of_root(qbg.typeC_root(d, 3, i))
-            assert got == g.edges.get((w, label))
+    assert list(ids.lenart(*datum_and_graph("C", n))) == []
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("C", 2), ("G", 2)])
