@@ -104,7 +104,7 @@ def length_ext(datum: RootDatum, a: ExtAffineElt) -> int:
     v_inv = wg.inverse(a.dir)
     total = 0
     for g in datum.pos_coroots:
-        chi = int(wg._is_negative(wg.act_coroot(v_inv, g)))
+        chi = int(not datum.is_pos_coroot(wg.act_coroot(v_inv, g)))
         total += abs(datum.pair(g, a.wt) - chi)
     return total
 

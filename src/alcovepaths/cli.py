@@ -182,6 +182,16 @@ def cmd_paths(args) -> int:
 def cmd_emac(args) -> int:
     cfg = _config(args)
     _antidominant_weight(cfg)
+    # --spec both prints a JSON report and --eval an integer
+    if args.spec == "both" and (cfg.fmt not in (None, "json") or args.eval):
+        raise CliError("--spec both prints JSON; --format table and --eval "
+                       "are not implemented")
+    if args.eval is not None:
+        if cfg.fmt == "json":
+            raise CliError("--eval prints an integer; --format json is not "
+                           "implemented")
+        if _parse_ints(args.eval) != (1, 1):
+            raise CliError("only --eval 1,1 is supported")
     datum, graph = _datum_graph(cfg)
     try:
         if args.spec == "zero":
@@ -195,10 +205,7 @@ def cmd_emac(args) -> int:
     except mac.SpecializationMismatch as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_IDENTITY
-    if args.eval:
-        coords = _parse_ints(args.eval)
-        if coords != (1, 1):
-            raise CliError("only --eval 1,1 is supported")
+    if args.eval is not None:
         print(gf.evaluate(poly))
     else:
         _print_poly(poly, cfg.fmt)
@@ -282,7 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", default="zero",
                    choices=["zero", "infinity", "both"])
     p.add_argument("--eval", default=None, help="evaluate at x,q (only 1,1)")
-    p.set_defaults(func=cmd_emac)
+    # no --format given prints a table, or the JSON report of --spec both
+    p.set_defaults(func=cmd_emac, format=None)
 
     p = sp.add_parser("char", help="generalized Weyl module character")
     _add_common(p, sigma=True)

@@ -6,6 +6,8 @@ fundamental-weight, simple-root and simple-coroot bases respectively,
 so the pairing of a coroot with a weight is a plain dot product.
 The invariant form is normalized so that short roots have squared
 length 2; coroots are 2*alpha/(alpha,alpha) in that normalization.
+``coroots`` lists the positive coroots and then their negatives, and
+``coroot_index`` gives each one's position there.
 
 >>> d = build_datum("A", 2)
 >>> d.cartan
@@ -14,6 +16,8 @@ length 2; coroots are 2*alpha/(alpha,alpha) in that normalization.
 [(0, 1), (1, 0), (1, 1)]
 >>> d.highest_dual_root()
 (1, 1)
+>>> d.coroots[d.simple_index[0]], d.coroot_index[(-1, -1)]
+((1, 0), 5)
 """
 
 from __future__ import annotations
@@ -143,10 +147,14 @@ class RootDatum:
     d: tuple                 # symmetrizer, d_i = (alpha_i, alpha_i)/2
     pos_roots: tuple         # Root coordinates, deterministic order
     pos_coroots: tuple       # Coroot of pos_roots[k] is pos_coroots[k]
-    _coroot_set: frozenset = field(repr=False)
+    coroots: tuple = field(repr=False)        # pos_coroots, then their negatives
+    coroot_index: dict = field(repr=False)    # coroot -> its index in coroots
+    simple_index: tuple = field(repr=False)   # index of alpha_i^vee, i = 1..rank
     _root_by_coroot: dict = field(repr=False)
     _coroot_by_root: dict = field(repr=False)
     two_rho: tuple = field(repr=False)   # Weight, sum of all positive roots
+    # positive coroot index -> s_gamma, filled by weylgroup.reflection_of
+    reflection_memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     def check_rank(self, v) -> None:
         if len(v) != self.rank:
@@ -177,10 +185,11 @@ class RootDatum:
         )
 
     def is_coroot(self, c) -> bool:
-        return tuple(c) in self._coroot_set or neg(c) in self._coroot_set
+        return tuple(c) in self.coroot_index
 
     def is_pos_coroot(self, c) -> bool:
-        return tuple(c) in self._coroot_set
+        n = len(self.pos_coroots)
+        return self.coroot_index.get(tuple(c), n) < n
 
     def coroot_of_root(self, r: Root) -> Coroot:
         if tuple(r) in self._coroot_by_root:
@@ -283,6 +292,8 @@ def build_datum(family: str, rank: int) -> RootDatum:
             c.append(num // len2)
         coroots.append(tuple(c))
 
+    all_coroots = tuple(coroots) + tuple(map(neg, coroots))
+    coroot_index = {c: k for k, c in enumerate(all_coroots)}
     two_rho = tuple(
         sum(sum(cartan[i][j] * r[j] for j in range(n)) for r in pos)
         for i in range(n)
@@ -294,14 +305,12 @@ def build_datum(family: str, rank: int) -> RootDatum:
         d=d,
         pos_roots=tuple(pos),
         pos_coroots=tuple(coroots),
-        _coroot_set=frozenset(coroots),
+        coroots=all_coroots,
+        coroot_index=coroot_index,
+        # alpha_i^vee is the same unit vector as alpha_i
+        simple_index=tuple(coroot_index[s] for s in simples),
         _root_by_coroot=dict(zip(coroots, pos)),
         _coroot_by_root=dict(zip(pos, coroots)),
         two_rho=two_rho,
     )
 
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -1,23 +1,31 @@
 """
-Finite Weyl group elements as exact integer matrices.
+Finite Weyl group elements as permutations of the coroots.
 
-An element carries both its action on the weight lattice (``wm``, in
-fundamental-weight coordinates) and its action on the coroot lattice
-(``cm``, in simple-coroot coordinates).  The two are contragredient,
-so inversion is a pair of transposes and no matrix inverse is needed.
+An element ``w`` is stored as the permutation it induces on the coroots
+of its root datum, in the order of ``RootDatum.coroots``: the N positive
+coroots first, then their negatives in the same order.  ``perm[k]`` is
+the index of ``w(coroots[k])``.  A product composes two tuples, the length
+counts the positive indices sent to indices ``>= N``, and ``w`` acts on a
+weight through the coroots it sends to the simple coroots.
 
->>> d = __import__("alcovepaths.lattice", fromlist=["build_datum"]).build_datum("A", 2)
+>>> from alcovepaths.lattice import build_datum
+>>> d = build_datum("A", 2)
+>>> d.coroots
+((0, 1), (1, 0), (1, 1), (0, -1), (-1, 0), (-1, -1))
+>>> simple_reflection(d, 1).perm
+(2, 4, 0, 5, 1, 3)
 >>> w0 = longest_element(d)
->>> length(d, w0)
-3
->>> reduced_word(d, w0)
-(1, 2, 1)
+>>> length(d, w0), reduced_word(d, w0)
+(3, (1, 2, 1))
+>>> act_weight(w0, (1, 0)), act_coroot(w0, (1, 1))
+((0, -1), (-1, -1))
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 
 from .lattice import RootDatum
 
@@ -36,40 +44,15 @@ class GroupSizeCapExceeded(RuntimeError):
     """The Weyl group is larger than ``GROUP_SIZE_CAP``; nothing was enumerated."""
 
 
-def _mat_vec(m, v):
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-
-
-def _transpose(m):
-    return tuple(tuple(row[i] for row in m) for i in range(len(m)))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WeylElt:
-    """A Weyl group element; ``wm`` acts on weights, ``cm`` on coroots."""
-    wm: tuple
-    cm: tuple
-
-    def __eq__(self, other):
-        return isinstance(other, WeylElt) and self.wm == other.wm
-
-    def __hash__(self):
-        return hash(self.wm)
+    """A Weyl group element; ``perm[k]`` is the index of ``w(datum.coroots[k])``."""
+    perm: tuple
+    datum: RootDatum = field(compare=False, repr=False)
 
 
 def identity(datum: RootDatum) -> WeylElt:
-    eye = tuple(
-        tuple(int(i == j) for j in range(datum.rank)) for i in range(datum.rank)
-    )
-    return WeylElt(eye, eye)
+    return WeylElt(tuple(range(len(datum.coroots))), datum)
 
 
 def simple_reflection(datum: RootDatum, i: int) -> WeylElt:
@@ -78,34 +61,43 @@ def simple_reflection(datum: RootDatum, i: int) -> WeylElt:
 
 
 def multiply(a: WeylElt, b: WeylElt) -> WeylElt:
-    return WeylElt(_mat_mul(a.wm, b.wm), _mat_mul(a.cm, b.cm))
+    # (ab)(c) = a(b(c))
+    return WeylElt(tuple(map(a.perm.__getitem__, b.perm)), a.datum)
 
 
 def inverse(a: WeylElt) -> WeylElt:
-    # wm and cm are contragredient: wm^{-1} = cm^T
-    return WeylElt(_transpose(a.cm), _transpose(a.wm))
+    # position v of the result holds the k with perm[k] = v
+    return WeylElt(tuple(sorted(range(len(a.perm)), key=a.perm.__getitem__)), a.datum)
 
 
 def act_weight(a: WeylElt, w):
-    return _mat_vec(a.wm, w)
+    """a(w): coordinate j is <a^{-1}(alpha_j^vee), w>, and a^{-1}(alpha_j^vee)
+    is the coroot that a sends to alpha_j^vee."""
+    d = a.datum
+    source = a.perm.index
+    return tuple(
+        sum(map(operator.mul, d.coroots[source(k)], w)) for k in d.simple_index
+    )
 
 
 def act_coroot(a: WeylElt, c):
-    return _mat_vec(a.cm, c)
-
-
-def _is_negative(v) -> bool:
-    return all(x <= 0 for x in v) and any(x < 0 for x in v)
+    k = a.datum.coroot_index.get(tuple(c))
+    if k is None:
+        raise ValueError(f"not a coroot: {c!r}")
+    return a.datum.coroots[a.perm[k]]
 
 
 def length(datum: RootDatum, a: WeylElt) -> int:
     """Number of positive coroots sent to negative coroots."""
-    return sum(1 for c in datum.pos_coroots if _is_negative(act_coroot(a, c)))
+    n = len(datum.pos_coroots)
+    return sum(map(n.__le__, a.perm[:n]))
 
 
 def is_right_descent(datum: RootDatum, a: WeylElt, i: int) -> bool:
     """l(a s_i) < l(a), i.e. a(alpha_i^vee) is negative."""
-    return _is_negative(act_coroot(a, datum.simple_coroot(i)))
+    if not 1 <= i <= datum.rank:
+        raise ValueError(f"simple index out of range: {i}")
+    return a.perm[datum.simple_index[i - 1]] >= len(datum.pos_coroots)
 
 
 def from_word(datum: RootDatum, word) -> WeylElt:
@@ -117,14 +109,17 @@ def from_word(datum: RootDatum, word) -> WeylElt:
 
 def reduced_word(datum: RootDatum, a: WeylElt) -> tuple:
     """Lexicographically smallest reduced word, as a tuple of 1-based indices."""
+    n = len(datum.pos_coroots)
+    gens = [simple_reflection(datum, i).perm for i in range(1, datum.rank + 1)]
     out = []
-    cur = a
+    # peel left descents of a: i is one when a^{-1}(alpha_i^vee) is
+    # negative, and peeling it turns a^{-1} into a^{-1} s_i
+    inv = inverse(a).perm
     while True:
-        for i in range(1, datum.rank + 1):
-            # left descent of cur <=> cur^{-1}(alpha_i^vee) negative
-            if _is_negative(_mat_vec(_transpose(cur.wm), datum.simple_coroot(i))):
-                out.append(i)
-                cur = multiply(simple_reflection(datum, i), cur)
+        for i, k in enumerate(datum.simple_index):
+            if inv[k] >= n:
+                out.append(i + 1)
+                inv = tuple(map(inv.__getitem__, gens[i]))
                 break
         else:
             return tuple(out)
@@ -144,22 +139,26 @@ def longest_element(datum: RootDatum) -> WeylElt:
 
 
 def reflection_of(datum: RootDatum, coroot) -> WeylElt:
-    """The reflection s_gamma for a (positive or negative) coroot gamma."""
-    if not datum.is_coroot(coroot):
+    """The reflection s_gamma for a (positive or negative) coroot gamma.
+
+    Each reflection is built once per datum, on first use.
+    """
+    k = datum.coroot_index.get(tuple(coroot))
+    if k is None:
         raise ValueError(f"not a coroot: {coroot!r}")
-    n = datum.rank
-    root_wt = datum.coroot_weight(coroot)
-    # s_gamma(x) = x - <gamma, x> alpha_gamma on weights
-    wm = tuple(
-        tuple(int(r == j) - coroot[j] * root_wt[r] for j in range(n))
-        for r in range(n)
-    )
-    # s_gamma(c) = c - <c, alpha_gamma> gamma on coroots
-    cm = tuple(
-        tuple(int(r == j) - coroot[r] * root_wt[j] for j in range(n))
-        for r in range(n)
-    )
-    return WeylElt(wm, cm)
+    k %= len(datum.pos_coroots)
+    memo = datum.reflection_memo
+    if k not in memo:
+        gamma = datum.pos_coroots[k]
+        root_wt = datum.coroot_weight(gamma)
+        images = []
+        for c in datum.coroots:
+            # s_gamma(c) = c - <c, alpha_gamma> gamma
+            m = datum.pair(c, root_wt)
+            image = tuple(ci - m * gi for ci, gi in zip(c, gamma))
+            images.append(datum.coroot_index[image])
+        memo[k] = WeylElt(tuple(images), datum)
+    return memo[k]
 
 
 def group_order(datum: RootDatum) -> int:
@@ -210,8 +209,3 @@ def enumerate_group(datum: RootDatum):
         frontier = nxt
     return sorted(seen, key=lambda w: (len(seen[w]), seen[w]))
 
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

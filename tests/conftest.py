@@ -37,6 +37,12 @@ def length_zero_elements(d):
     ]
 
 
+def reflect_weight(datum, i, lam):
+    """``s_i(lam) = lam - lam_i alpha_i`` from the Cartan matrix alone;
+    coordinate j of alpha_i is ``<alpha_j^vee, alpha_i> = cartan[j][i - 1]``."""
+    return tuple(x - lam[i - 1] * row[i - 1] for x, row in zip(lam, datum.cartan))
+
+
 def chain_parses(seq, tau, eta):
     """``seq`` splits into the blocks ``(eta, tau+2eta, tau+eta, tau+2eta)``
     and ``(tau, tau+eta, tau+2eta)`` of a non-simply-laced rank-two chain."""

@@ -101,7 +101,10 @@ def test_06_edges_type_c_one_line(n):
     assert list(ids.lenart(*datum_and_graph("C", n))) == []
 
 
-@pytest.mark.parametrize("family,rank", [("A", 2), ("C", 2), ("G", 2)])
+@pytest.mark.parametrize("family,rank", [
+    ("A", 2), ("C", 2), ("G", 2), ("A", 3), ("A", 4), ("B", 3), ("B", 4),
+    ("C", 3), ("C", 4), ("D", 4),
+])
 def test_06_edges_obstruction_criterion(family, rank):
     d = datum_of(family, rank)
     g = graph_of(family, rank)

@@ -134,13 +134,24 @@ def test_weight_checked_before_graph(capsys, monkeypatch, argv):
     ("qbg", "csv"), ("beta", "csv"), ("beta", "dot"), ("paths", "dot"),
     ("emac", "csv"), ("emac", "dot"), ("char", "csv"), ("char", "dot"),
     ("dims", "table"), ("dims", "json"),
+    ("emac --spec both", "table"), ("emac --eval 1,1", "json"),
 ])
 def test_unimplemented_format_refused(capsys, monkeypatch, command, fmt):
     monkeypatch.setattr(qbg, "build", built)
+    command, *options = command.split()
     extra = {"qbg": (), "beta": ("--index", "1")}.get(command, ("--weight", "-1,0"))
-    code, out, err = run(capsys, command, "--type", "A2", *extra, "--format", fmt)
+    code, out, err = run(capsys, command, "--type", "A2", *extra, *options,
+                         "--format", fmt)
     assert (code, out) == (2, "")
     assert "--format" in err
+
+
+def test_emac_both_refuses_eval(capsys, monkeypatch):
+    monkeypatch.setattr(qbg, "build", built)
+    code, out, err = run(capsys, "emac", "--type", "A2", "--weight", "-1,0",
+                         "--spec", "both", "--eval", "1,1")
+    assert (code, out) == (2, "")
+    assert "--eval" in err
 
 
 def test_char_and_dims(capsys):

@@ -1,0 +1,22 @@
+"""The examples in the module docstrings run and give the printed output."""
+
+import doctest
+import importlib
+import pkgutil
+
+import pytest
+
+import alcovepaths
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(alcovepaths.__path__))
+# modules whose docstrings carry examples, which must keep them
+WITH_EXAMPLES = {"lattice", "weylgroup"}
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_doctests(name):
+    module = importlib.import_module(f"alcovepaths.{name}")
+    result = doctest.testmod(module)
+    assert result.failed == 0
+    if name in WITH_EXAMPLES:
+        assert result.attempted > 0

@@ -9,7 +9,7 @@ from alcovepaths import weylgroup as wg
 from alcovepaths import macdonald as mac
 from alcovepaths import identities as ids
 from alcovepaths.genfun import LaurentPoly
-from conftest import datum_and_graph, datum_of, graph_of
+from conftest import datum_and_graph, datum_of, graph_of, reflect_weight
 
 
 def _poly(terms):
@@ -176,3 +176,17 @@ def test_mismatch_exception_payload():
     assert exc.lam == (-1,)
     assert "disagree" in str(exc)
     assert isinstance(exc, AssertionError)
+
+
+@pytest.mark.parametrize("family,rank,depth", [
+    ("A", 2, 2), ("C", 2, 2), ("G", 2, 1), ("A", 3, 1), ("B", 3, 1),
+])
+def test_e_zero_is_w_invariant(family, rank, depth):
+    # E(lam; q, 0) at anti-dominant lam is a Weyl-symmetric polynomial; each
+    # simple reflection acts on its weights by the Cartan-matrix formula
+    d, g = datum_and_graph(family, rank)
+    for lam in itertools.product(range(0, -depth - 1, -1), repeat=rank):
+        terms = mac.e_zero(d, g, lam).terms
+        for i in range(1, rank + 1):
+            moved = {(reflect_weight(d, i, x), q): c for (x, q), c in terms.items()}
+            assert moved == terms, (lam, i)

@@ -121,17 +121,6 @@ def test_lenart_type_c_exhaustive(n):
     assert list(ids.lenart(*datum_and_graph("C", n))) == []
 
 
-@pytest.mark.parametrize("family,rank", [("A", 2), ("C", 2), ("G", 2)])
-def test_criterion_edge_exhaustive(family, rank):
-    d = datum_of(family, rank)
-    g = graph_of(family, rank)
-    for w in wg.enumerate_group(d):
-        for gamma in d.pos_coroots:
-            assert qbg.criterion_edge(d, w, gamma) == (
-                (w, gamma) in g.edges
-            )
-
-
 def test_one_line_notation():
     d = datum_of("A", 2)
     assert qbg.one_line(d, wg.identity(d)) == (1, 2, 3)

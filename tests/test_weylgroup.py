@@ -4,7 +4,7 @@ import pytest
 
 from alcovepaths.lattice import neg
 from alcovepaths import weylgroup as wg
-from conftest import datum_of
+from conftest import datum_of, reflect_weight
 
 GROUP_ORDERS = {
     ("A", 1): 2, ("A", 2): 6, ("A", 3): 24, ("B", 2): 8, ("C", 2): 8,
@@ -136,3 +136,40 @@ def test_descents():
     assert wg.is_right_descent(d, s1, 1)
     assert not wg.is_right_descent(d, s1, 2)
     assert not wg.is_right_descent(d, wg.identity(d), 1)
+
+
+def reflect_coroot(datum, i, c):
+    """``s_i(c) = c - <c, alpha_i> alpha_i^vee`` from the Cartan matrix alone."""
+    pairing = sum(ck * row[i - 1] for ck, row in zip(c, datum.cartan))
+    return tuple(x - pairing * (j == i - 1) for j, x in enumerate(c))
+
+
+@pytest.mark.parametrize("family,rank", [
+    ("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2), ("F", 4),
+])
+def test_actions_match_cartan_formulas(family, rank):
+    # apply the reduced word of w letter by letter with the Cartan-matrix
+    # formulas, which never read the stored form of w.  Dropping the first
+    # letter of a lexicographically smallest reduced word leaves the one of
+    # a shorter element, so each word costs one more letter.
+    d = datum_of(family, rank)
+    regular = tuple(range(1, rank + 1))     # strictly dominant, not a root
+    images = {(): ([d.two_rho, regular], list(d.pos_coroots))}
+    for w in wg.enumerate_group(d):
+        word = wg.reduced_word(d, w)
+        if word:
+            weights, coroots = images[word[1:]]
+            images[word] = (
+                [reflect_weight(d, word[0], v) for v in weights],
+                [reflect_coroot(d, word[0], c) for c in coroots],
+            )
+        weights, coroots = images[word]
+        assert [wg.act_weight(w, v) for v in (d.two_rho, regular)] == weights
+        assert [wg.act_coroot(w, c) for c in d.pos_coroots] == coroots
+        negative = {
+            c: all(x <= 0 for x in img) for c, img in zip(d.pos_coroots, coroots)
+        }
+        assert wg.length(d, w) == len(word) == sum(negative.values())
+        for i in range(1, rank + 1):
+            assert wg.is_right_descent(d, w, i) == negative[d.simple_coroot(i)]
+    assert len(images) == wg.group_order(d)
