@@ -13,6 +13,19 @@ coroot and ``m`` an integer.  The element ``t_mu * v`` acts by
 
 and the reflection in ``gamma + N*delta`` is ``t_{-N*alpha_gamma} s_gamma``
 (with ``alpha_gamma`` the root of ``gamma`` written as a weight).
+
+The affine simple coroots and reflections, the splittings of the positive
+coroots and each canonical layout are built once per datum, on first use.
+
+>>> from alcovepaths.lattice import build_datum
+>>> d = build_datum("A", 2)
+>>> pi, word = reduced_word_ext(d, translation(d, (-1, 0)))
+>>> word, pi.wt, length_ext(d, pi)
+((2, 0), (0, 1), 0)
+>>> [(b.re, b.deg) for b in canonical_beta_order(d, 1)]
+[((-1, 0), 1), ((-1, -1), 1)]
+>>> beta_sequence(d, word) == canonical_beta_order(d, 1)
+True
 """
 
 from __future__ import annotations
@@ -88,15 +101,31 @@ def affine_reflection(datum: RootDatum, c: AffineCoroot) -> ExtAffineElt:
     )
 
 
+def _affine_simples(datum: RootDatum) -> tuple:
+    """``((a_0, ..., a_n), (s_0, ..., s_n))``, built once per datum."""
+    def build():
+        coroots = (AffineCoroot(neg(datum.highest_dual_root()), 1),) + tuple(
+            AffineCoroot(datum.simple_coroot(i), 0)
+            for i in range(1, datum.rank + 1)
+        )
+        return coroots, tuple(affine_reflection(datum, c) for c in coroots)
+    return datum.memoized("affine_simples", build)
+
+
+def _check_affine_index(datum: RootDatum, i: int) -> None:
+    if not 0 <= i <= datum.rank:
+        raise ValueError(f"affine simple index out of range: {i}")
+
+
 def affine_simple_coroot(datum: RootDatum, i: int) -> AffineCoroot:
     """a_i for i = 1..n; a_0 = -theta + delta with theta the highest coroot."""
-    if i == 0:
-        return AffineCoroot(neg(datum.highest_dual_root()), 1)
-    return AffineCoroot(datum.simple_coroot(i), 0)
+    _check_affine_index(datum, i)
+    return _affine_simples(datum)[0][i]
 
 
 def affine_simple_reflection(datum: RootDatum, i: int) -> ExtAffineElt:
-    return affine_reflection(datum, affine_simple_coroot(datum, i))
+    _check_affine_index(datum, i)
+    return _affine_simples(datum)[1][i]
 
 
 def length_ext(datum: RootDatum, a: ExtAffineElt) -> int:
@@ -156,22 +185,33 @@ def beta_sequence(datum: RootDatum, word) -> tuple:
     return tuple(out)
 
 
-def _chain_quadruples(datum: RootDatum):
-    """Pairs (tau, eta) of positive coroots with tau+eta, tau+2eta coroots."""
-    pos = set(datum.pos_coroots)
-    return [
-        (t, e)
-        for t in sorted(pos)
-        for e in sorted(pos)
-        if add(t, e) in pos and add(t, add(e, e)) in pos
-    ]
+def _coroot_splits(datum: RootDatum) -> tuple:
+    """``(decomps, chains)`` from one pass over pairs of positive coroots.
 
-
-_canonical_cache: dict = {}
+    ``decomps[g]`` lists the pairs ``(t, e)`` of positive coroots with
+    ``t + e = g`` and ``t <= e``; ``chains`` lists, in sorted order, the
+    pairs ``(t, e)`` with ``t + e`` and ``t + 2e`` positive coroots too.
+    Built once per datum.
+    """
+    def build():
+        pos = sorted(datum.pos_coroots)
+        is_pos = set(pos)
+        decomps = {g: [] for g in pos}
+        chains = []
+        for t in pos:
+            for e in pos:
+                te = add(t, e)
+                if te in is_pos:
+                    if t <= e:
+                        decomps[te].append((t, e))
+                    if add(te, e) in is_pos:
+                        chains.append((t, e))
+        return decomps, chains
+    return datum.memoized("coroot_splits", build)
 
 
 def _canonical_beta_build(datum: RootDatum, i: int) -> tuple:
-    pos = set(datum.pos_coroots)
+    decomps, chains = _coroot_splits(datum)
     tail = tuple(j for j in range(1, datum.rank + 1) if j != i)
     omega = datum.fundamental_weight(i)
     mult = {
@@ -179,37 +219,42 @@ def _canonical_beta_build(datum: RootDatum, i: int) -> tuple:
         for g in datum.pos_coroots
         if datum.pair(g, omega) > 0
     }
-    decomps = {
-        g: [
-            (t, e)
-            for t in pos
-            for e in [tuple(a - b for a, b in zip(g, t))]
-            if e in pos and t <= e
-        ]
-        for g in mult
-    }
     quads = [
         (t, e, add(t, e), add(t, add(e, e)))
-        for t, e in _chain_quadruples(datum)
+        for t, e in chains
         if any(x in mult for x in (t, e, add(t, e), add(t, add(e, e))))
     ]
+    # the quadruples each coroot belongs to, by position in quads
+    quads_of: dict = {}
+    for k, quad in enumerate(quads):
+        for g in quad:
+            quads_of.setdefault(g, []).append(k)
 
-    def pref_key(g, placed):
-        # crossing order: decreasing deg/<g, omega_i>, then coordinate ratios
+    def pref_key(g, k):
+        # crossing order of g with k copies placed: decreasing
+        # deg/<g, omega_i>, then coordinate ratios
         ai = g[i - 1]
-        head = -Fraction(mult[g] - placed[g], ai)
+        head = -Fraction(mult[g] - k, ai)
         return (head,) + tuple(Fraction(g[j - 1], ai) for j in tail)
+
+    # dense integer ranks of the exact keys, equal keys sharing a rank, so a
+    # stable sort by rank orders the candidates as a sort by key would
+    keys = {(g, k): pref_key(g, k) for g in mult for k in range(mult[g])}
+    position = {key: n for n, key in enumerate(sorted(set(keys.values())))}
+    ranks = {g: [position[keys[g, k]] for k in range(mult[g])] for g in mult}
 
     placed = {g: 0 for g in mult}
     states = [()] * len(quads)  # expected tail of the current chain block
     seq: list = []
     total = sum(mult.values())
+    first = datum.simple_coroot(i)
 
     def advance(g):
+        if g not in quads_of:
+            return states
         new = list(states)
-        for k, (t, e, te, t2e) in enumerate(quads):
-            if g not in (t, e, te, t2e):
-                continue
+        for k in quads_of[g]:
+            t, e, te, t2e = quads[k]
             st = new[k]
             if st:
                 if st[0] != g:
@@ -229,9 +274,9 @@ def _canonical_beta_build(datum: RootDatum, i: int) -> tuple:
             return all(st == () for st in states)
         for g in sorted(
             (g for g in mult if placed[g] < mult[g]),
-            key=lambda g: pref_key(g, placed),
+            key=lambda g: ranks[g][placed[g]],
         ):
-            if not seq and g != datum.simple_coroot(i):
+            if not seq and g != first:
                 continue
             if any(
                 placed[g] + 1 != placed.get(t, 0) + placed.get(e, 0)
@@ -284,10 +329,9 @@ def canonical_beta_order(datum: RootDatum, i: int) -> tuple:
     """
     if not 1 <= i <= datum.rank:
         raise ValueError(f"fundamental index out of range: {i}")
-    key = (datum.family, datum.rank, i)
-    if key not in _canonical_cache:
-        _canonical_cache[key] = _canonical_beta_build(datum, i)
-    return _canonical_cache[key]
+    return datum.memoized(
+        ("canonical_beta", i), lambda: _canonical_beta_build(datum, i)
+    )
 
 
 def word_from_beta(datum: RootDatum, betas):

@@ -7,7 +7,10 @@ so the pairing of a coroot with a weight is a plain dot product.
 The invariant form is normalized so that short roots have squared
 length 2; coroots are 2*alpha/(alpha,alpha) in that normalization.
 ``coroots`` lists the positive coroots and then their negatives, and
-``coroot_index`` gives each one's position there.
+``coroot_index`` gives each one's position there.  Tables derived from
+the datum alone (the reflections, the highest coroot, the root weight of
+each coroot, the affine simple coroots, the canonical layouts) are built
+on first use and kept in the datum, so each is built once per datum.
 
 >>> d = build_datum("A", 2)
 >>> d.cartan
@@ -155,6 +158,15 @@ class RootDatum:
     two_rho: tuple = field(repr=False)   # Weight, sum of all positive roots
     # positive coroot index -> s_gamma, filled by weylgroup.reflection_of
     reflection_memo: dict = field(default_factory=dict, repr=False, compare=False)
+    # the other tables, keyed by a table name and its argument; see memoized
+    memo: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def memoized(self, key, build):
+        """``build()``, computed on the first call with ``key`` and kept in ``memo``."""
+        memo = self.memo
+        if key not in memo:
+            memo[key] = build()
+        return memo[key]
 
     def check_rank(self, v) -> None:
         if len(v) != self.rank:
@@ -203,7 +215,10 @@ class RootDatum:
 
     def coroot_weight(self, c: Coroot) -> Weight:
         """The root of the coroot c, as a weight vector."""
-        return self.root_to_weight(self.root_of_coroot(c))
+        c = tuple(c)
+        return self.memoized(
+            ("coroot_weight", c), lambda: self.root_to_weight(self.root_of_coroot(c))
+        )
 
     def simple_root(self, i: int) -> Root:
         """Simple root alpha_i, 1-based index."""
@@ -227,7 +242,7 @@ class RootDatum:
 
     def highest_dual_root(self) -> Coroot:
         """The highest positive coroot in the dominance order of the dual system."""
-        return _highest(self.pos_coroots)
+        return self.memoized("highest_dual_root", lambda: _highest(self.pos_coroots))
 
     def root_length2(self, r: Root) -> int:
         """(alpha, alpha) with short roots normalized to squared length 2."""

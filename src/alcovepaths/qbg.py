@@ -200,31 +200,29 @@ def typeC_root(datum: RootDatum, cls: int, i: int, j: int = 0) -> tuple:
 # Obstruction-based existence test
 
 
-_SUBSYSTEM_CACHE: dict = {}
-
-
 def _rank2_subsystems(datum: RootDatum):
-    """All sets of positive coroots closed under the rank-2 span of a pair."""
-    key = (datum.family, datum.rank)
-    if key in _SUBSYSTEM_CACHE:
-        return _SUBSYSTEM_CACHE[key]
-    out = []
-    pos = list(datum.pos_coroots)
-    seen = set()
-    for a in pos:
-        for b in pos:
-            if a >= b:
-                continue
-            # span test: collect positive coroots that are rational combos
-            sub = tuple(
-                g for g in pos
-                if _in_rational_span(a, b, g)
-            )
-            if sub not in seen:
-                seen.add(sub)
-                out.append(sub)
-    _SUBSYSTEM_CACHE[key] = out
-    return out
+    """All sets of positive coroots closed under the rank-2 span of a pair.
+
+    Built once per datum.
+    """
+    def build():
+        out = []
+        pos = list(datum.pos_coroots)
+        seen = set()
+        for a in pos:
+            for b in pos:
+                if a >= b:
+                    continue
+                # span test: collect positive coroots that are rational combos
+                sub = tuple(
+                    g for g in pos
+                    if _in_rational_span(a, b, g)
+                )
+                if sub not in seen:
+                    seen.add(sub)
+                    out.append(sub)
+        return out
+    return datum.memoized("rank2_subsystems", build)
 
 
 def _in_rational_span(a, b, g):
@@ -257,6 +255,20 @@ def _quantum_excluded(datum: RootDatum, gamma) -> bool:
     return False
 
 
+def _criterion_support(datum: RootDatum, gamma) -> tuple:
+    """``(pairs, excluded)`` for ``criterion_edge``: the coroot indices of
+    each ``(alpha, beta)`` over S, and ``_quantum_excluded(gamma)``."""
+    groot_wt = datum.coroot_weight(gamma)
+    pairs = []
+    for alpha in datum.pos_coroots:
+        c = datum.pair(alpha, groot_wt)
+        # beta = -s_gamma(alpha); alpha is in S when beta is positive
+        beta = tuple(c * gi - ai for gi, ai in zip(gamma, alpha))
+        if alpha != gamma and datum.is_pos_coroot(beta):
+            pairs.append((datum.coroot_index[alpha], datum.coroot_index[beta]))
+    return tuple(pairs), _quantum_excluded(datum, gamma)
+
+
 def criterion_edge(datum: RootDatum, sigma: WeylElt, gamma) -> bool:
     """Existence of an edge ``sigma -> sigma s_gamma`` via the obstruction test.
 
@@ -265,31 +277,22 @@ def criterion_edge(datum: RootDatum, sigma: WeylElt, gamma) -> bool:
     root(gamma)>.  When sigma(gamma) stays positive the edge exists unless
     some pair keeps both members positive under sigma; when sigma(gamma)
     turns negative the edge exists iff sigma sends all of S negative and
-    gamma is not excluded from carrying quantum edges.
+    gamma is not excluded from carrying quantum edges.  S and the exclusion
+    are built once per datum and gamma.
     """
     if not datum.is_pos_coroot(gamma):
         raise ValueError(f"not a positive coroot: {gamma!r}")
-    groot_wt = datum.coroot_weight(gamma)
-    support = [
-        a for a in datum.pos_coroots
-        if a != tuple(gamma) and not datum.is_pos_coroot(
-            tuple(ai - datum.pair(a, groot_wt) * gi for ai, gi in zip(a, gamma))
-        )
-    ]
-
-    def stays_positive(a):
-        return datum.is_pos_coroot(wg.act_coroot(sigma, a))
-
-    if datum.is_pos_coroot(wg.act_coroot(sigma, gamma)):
-        for alpha in support:
-            c = datum.pair(alpha, groot_wt)
-            beta = tuple(c * gi - ai for gi, ai in zip(gamma, alpha))
-            if stays_positive(alpha) and stays_positive(beta):
-                return False
-        return True
-    if _quantum_excluded(datum, gamma):
+    gamma = tuple(gamma)
+    pairs, excluded = datum.memoized(
+        ("criterion_support", gamma), lambda: _criterion_support(datum, gamma)
+    )
+    # sigma sends the coroot of index k to a positive one iff perm[k] < n
+    perm, n = sigma.perm, len(datum.pos_coroots)
+    if perm[datum.coroot_index[gamma]] < n:
+        return not any(perm[a] < n and perm[b] < n for a, b in pairs)
+    if excluded:
         return False
-    return not any(stays_positive(a) for a in support)
+    return not any(perm[a] < n for a, _ in pairs)
 
 
 def _rank2_simples(sub):

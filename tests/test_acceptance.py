@@ -103,7 +103,7 @@ def test_06_edges_type_c_one_line(n):
 
 @pytest.mark.parametrize("family,rank", [
     ("A", 2), ("C", 2), ("G", 2), ("A", 3), ("A", 4), ("B", 3), ("B", 4),
-    ("C", 3), ("C", 4), ("D", 4),
+    ("C", 3), ("C", 4), ("D", 4), ("F", 4),
 ])
 def test_06_edges_obstruction_criterion(family, rank):
     d = datum_of(family, rank)
@@ -121,7 +121,8 @@ BETA_TYPES = [
 ]
 
 
-@pytest.mark.parametrize("family,rank", BETA_TYPES)
+# t_{-rho} in E8 has 1240 letters, so the E types skip the concatenation
+@pytest.mark.parametrize("family,rank", BETA_TYPES + [("E", 6), ("E", 7), ("E", 8)])
 def test_07_beta_suite(family, rank):
     d = datum_of(family, rank)
     pos = set(d.pos_coroots)

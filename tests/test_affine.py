@@ -3,17 +3,19 @@
 The rank-two beta sequences of the fundamental translations are pinned
 verbatim as fixtures; the structural properties of the canonical layout
 (count additivity, chain factorization, word validity) are checked across
-every type of rank at most four plus G2.
+every type of rank at most four plus G2, and word validity on E6-E8 too.
+The tables each datum memoizes are checked against fresh computations.
 """
 
 import itertools
 
 import pytest
 
-from alcovepaths.lattice import add, neg
+from alcovepaths.lattice import add, build_datum, neg
 from alcovepaths import weylgroup as wg
 from alcovepaths import affine as af
 from alcovepaths import identities as ids
+from alcovepaths import qbg
 from alcovepaths.affine import AffineCoroot, ExtAffineElt
 from conftest import chain_parses, datum_of
 
@@ -21,6 +23,7 @@ ALL_TYPES = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
     ("C", 2), ("C", 3), ("C", 4), ("D", 4), ("F", 4), ("G", 2),
 ]
+E_TYPES = [("E", 6), ("E", 7), ("E", 8)]
 
 # Beta sequences of t_{-omega_i} in G2, alpha_1 long, entries -gamma + k*delta
 # written as ((gamma_1, gamma_2), k).  Frozen by hand from the rank-two
@@ -181,7 +184,7 @@ def test_canonical_beta_multiset(family, rank):
         assert first == AffineCoroot(neg(d.simple_coroot(i)), 1)
 
 
-@pytest.mark.parametrize("family,rank", ALL_TYPES)
+@pytest.mark.parametrize("family,rank", ALL_TYPES + E_TYPES)
 def test_canonical_beta_word_valid(family, rank):
     # every canonical layout is the beta sequence of an actual reduced word
     d = datum_of(family, rank)
@@ -284,3 +287,44 @@ def test_simple_affine_reflections():
     assert s0.wt == d.root_to_weight(d.pos_roots[-1])
     assert af.multiply(s0, s0) == af.ext_identity(d)
     assert af.affine_simple_coroot(d, 0) == AffineCoroot((-1, -1), 1)
+
+
+@pytest.mark.parametrize("i", [-1, 3])
+def test_affine_simple_index_validation(i):
+    d = datum_of("A", 2)
+    with pytest.raises(ValueError, match="out of range"):
+        af.affine_simple_coroot(d, i)
+    with pytest.raises(ValueError, match="out of range"):
+        af.affine_simple_reflection(d, i)
+
+
+@pytest.mark.parametrize("family,rank", ALL_TYPES + [("E", 8)])
+def test_memoized_tables_match_fresh_computation(family, rank):
+    # a fresh datum: the first call of each loop fills its memo, the second
+    # reads it back
+    d = build_datum(family, rank)
+    for _ in range(2):
+        theta = d.highest_dual_root()
+        assert d.is_pos_coroot(theta)
+        assert all(x >= y for g in d.pos_coroots for x, y in zip(theta, g))
+        assert af.affine_simple_coroot(d, 0) == AffineCoroot(neg(theta), 1)
+        for i in range(rank + 1):
+            assert af.affine_simple_reflection(d, i) == af.affine_reflection(
+                d, af.affine_simple_coroot(d, i)
+            )
+        for c in d.coroots:
+            assert d.coroot_weight(c) == d.root_to_weight(d.root_of_coroot(c))
+
+
+def test_memo_belongs_to_its_datum():
+    a, b = build_datum("G", 2), build_datum("G", 2)
+    for d in (a, b):
+        af.canonical_beta_order(d, 1)
+        af.reduced_word_ext(d, af.translation(d, (-1, 0)))
+        for gamma in d.pos_coroots:
+            qbg.criterion_edge(d, wg.identity(d), gamma)
+    for memo_a, memo_b in [(a.memo, b.memo), (a.reflection_memo, b.reflection_memo)]:
+        assert memo_a is not memo_b
+        assert memo_a.keys() == memo_b.keys()
+        assert not {id(v) for v in memo_a.values()} & {id(v) for v in memo_b.values()}
+    assert af.canonical_beta_order(a, 1) == af.canonical_beta_order(b, 1)
