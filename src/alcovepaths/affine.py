@@ -76,10 +76,9 @@ def ext_identity(datum: RootDatum) -> ExtAffineElt:
 
 
 def multiply(a: ExtAffineElt, b: ExtAffineElt) -> ExtAffineElt:
-    # (t_mu u)(t_nu v) = t_{mu + u(nu)} (u v)
-    return ExtAffineElt(
-        add(a.wt, wg.act_weight(a.dir, b.wt)), wg.multiply(a.dir, b.dir)
-    )
+    # (t_mu u)(t_nu v) = t_{mu + u(nu)} (u v); nu = 0 for s_1, ..., s_r
+    wt = add(a.wt, wg.act_weight(a.dir, b.wt)) if any(b.wt) else a.wt
+    return ExtAffineElt(wt, wg.multiply(a.dir, b.dir))
 
 
 def inverse(a: ExtAffineElt) -> ExtAffineElt:
@@ -335,7 +334,8 @@ def canonical_beta_order(datum: RootDatum, i: int) -> tuple:
 
 
 def word_from_beta(datum: RootDatum, betas):
-    """Recover ``(pi, word)`` from a beta sequence; raises if it is not one."""
+    """Recover ``(s_{i_1} ... s_{i_l}, (i_1, ..., i_l))`` from a beta
+    sequence; raises if it is not one."""
     l = len(betas)
     word = [0] * l
     p = ext_identity(datum)
@@ -349,11 +349,7 @@ def word_from_beta(datum: RootDatum, betas):
                 f"not a valid beta sequence: step {k + 1} is not simple"
             ) from None
         p = multiply(p, affine_simple_reflection(datum, word[k]))
-    elt = from_word_ext(datum, word)
-    # elt = s_{i_1}...s_{i_l}; the full element is pi * elt for the unique pi
-    # making the word a reduced word, but pi is determined by the caller's
-    # target element, so return the word element itself alongside the word.
-    return elt, tuple(word)
+    return inverse(p), tuple(word)
 
 
 def shifted_beta(datum: RootDatum, i: int, lam) -> tuple:

@@ -160,7 +160,9 @@ def cmd_paths(args) -> int:
     datum = build_datum(cfg.family, cfg.rank)
     z0, betas = _paths_input(cfg, datum, args)
     graph = qbg.build(datum)
-    stream = pth.enumerate_paths(datum, graph, z0, betas, reversed=args.reversed)
+    if args.reversed:
+        graph = graph.reversed
+    stream = pth.enumerate_paths(datum, graph, z0, betas)
     if cfg.fmt == "json":
         print(pth.export_json(datum, stream))
     elif cfg.fmt == "csv":
@@ -182,16 +184,9 @@ def cmd_paths(args) -> int:
 def cmd_emac(args) -> int:
     cfg = _config(args)
     _antidominant_weight(cfg)
-    # --spec both prints a JSON report and --eval an integer
-    if args.spec == "both" and (cfg.fmt not in (None, "json") or args.eval):
-        raise CliError("--spec both prints JSON; --format table and --eval "
-                       "are not implemented")
-    if args.eval is not None:
-        if cfg.fmt == "json":
-            raise CliError("--eval prints an integer; --format json is not "
-                           "implemented")
-        if _parse_ints(args.eval) != (1, 1):
-            raise CliError("only --eval 1,1 is supported")
+    if args.spec == "both" and cfg.fmt not in (None, "json"):
+        raise CliError("--spec both prints JSON; --format table is not "
+                       "implemented")
     datum, graph = _datum_graph(cfg)
     try:
         if args.spec == "zero":
@@ -205,10 +200,7 @@ def cmd_emac(args) -> int:
     except mac.SpecializationMismatch as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_IDENTITY
-    if args.eval is not None:
-        print(gf.evaluate(poly))
-    else:
-        _print_poly(poly, cfg.fmt)
+    _print_poly(poly, cfg.fmt)
     return EXIT_OK
 
 
@@ -288,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--spec", default="zero",
                    choices=["zero", "infinity", "both"])
-    p.add_argument("--eval", default=None, help="evaluate at x,q (only 1,1)")
     # no --format given prints a table, or the JSON report of --spec both
     p.set_defaults(func=cmd_emac, format=None)
 
@@ -310,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _join_negative_values(argv):
     """Glue values like ``--weight -1,0`` into ``--weight=-1,0`` so argparse
     does not mistake the leading minus for an option."""
-    flags = {"--weight", "--sigma", "--word", "--eval"}
+    flags = {"--weight", "--sigma", "--word"}
     out = []
     i = 0
     while i < len(argv):

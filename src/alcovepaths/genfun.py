@@ -125,7 +125,6 @@ def c_function(
     u: ExtAffineElt,
     w: ExtAffineElt,
     word=None,
-    reversed: bool = False,
 ) -> LaurentPoly:
     """Generating function over folded paths of the beta type of w.
 
@@ -136,7 +135,7 @@ def c_function(
         _, word = af.reduced_word_ext(datum, w)
     z0 = af.multiply(u, w)
     betas = af.beta_sequence(datum, word)
-    return LaurentPoly(pth.fold_terms(datum, graph, z0, betas, reversed))
+    return LaurentPoly(pth.fold_terms(datum, graph, z0, betas))
 
 
 def c_function_typed(

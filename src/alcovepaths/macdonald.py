@@ -73,7 +73,7 @@ def _e_inf_routes(datum: RootDatum, graph: QuantumBruhatGraph, t_lam, word=None)
     w0 = ExtAffineElt((0,) * datum.rank, wg.longest_element(datum))
     by_word = gf.w0_twist(datum, gf.c_function(datum, graph, w0, t_lam, word))
     by_reversal = gf.c_function(
-        datum, graph, af.ext_identity(datum), t_lam, word, reversed=True
+        datum, graph.reversed, af.ext_identity(datum), t_lam, word
     )
     return by_word, by_reversal
 

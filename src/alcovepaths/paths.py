@@ -58,18 +58,15 @@ def _fold_steps(datum: RootDatum, betas) -> list:
 
 
 def enumerate_paths(
-    datum: RootDatum,
-    graph: QuantumBruhatGraph,
-    z0: ExtAffineElt,
-    betas,
-    reversed: bool = False,
+    datum: RootDatum, graph: QuantumBruhatGraph, z0: ExtAffineElt, betas
 ):
     """Yield every admissible fold set, in lexicographic order on J.
 
     Admissibility is prefix-closed, so the search folds at position p only
-    when the step dir(z) -> dir(z) s_{|Re beta_p|} is an edge (of the
-    reversed graph when ``reversed`` is set); the subtree is pruned
-    otherwise.  The empty fold set is always admissible and comes first.
+    when the step dir(z) -> dir(z) s_{|Re beta_p|} is an edge of ``graph``
+    (pass ``graph.reversed`` to walk the edges backwards); the subtree is
+    pruned otherwise.  The empty fold set is always admissible and comes
+    first.
     """
     betas = tuple(betas)
     steps = _fold_steps(datum, betas)
@@ -78,7 +75,7 @@ def enumerate_paths(
         yield AlcovePath(z0, betas, folds, ends, qfolds)
         for p in range(pos, len(betas)):
             g, wt = steps[p]
-            kind = qbg.edge_kind(graph, z.dir, g, reversed=reversed)
+            kind = graph.edges.get((z.dir, g))
             if kind is None:
                 continue
             step = wg.act_weight(z.dir, wt)
@@ -90,11 +87,7 @@ def enumerate_paths(
 
 
 def fold_table(
-    datum: RootDatum,
-    graph: QuantumBruhatGraph,
-    starts,
-    betas,
-    reversed: bool = False,
+    datum: RootDatum, graph: QuantumBruhatGraph, starts, betas
 ) -> dict:
     """``{v: {(end weight, q-degree): count}}``, paths from t_0 v, v in starts.
 
@@ -108,7 +101,7 @@ def fold_table(
     for (g, wt), b in zip(_fold_steps(datum, betas), betas):
         here = {}
         for v in layers[-1]:
-            if kind := qbg.edge_kind(graph, v, g, reversed=reversed):
+            if kind := graph.edges.get((v, g)):
                 qdeg = b.deg if kind == qbg.QUANTUM else 0
                 here[v] = (graph.reflect[(v, g)], wg.act_weight(v, wt), qdeg)
         folds.append(here)
@@ -126,26 +119,18 @@ def fold_table(
 
 
 def fold_terms(
-    datum: RootDatum,
-    graph: QuantumBruhatGraph,
-    z0: ExtAffineElt,
-    betas,
-    reversed: bool = False,
+    datum: RootDatum, graph: QuantumBruhatGraph, z0: ExtAffineElt, betas
 ) -> dict:
     """``{(end weight, q-degree): number of paths}`` over all fold sets."""
-    terms = fold_table(datum, graph, (z0.dir,), betas, reversed)[z0.dir]
+    terms = fold_table(datum, graph, (z0.dir,), betas)[z0.dir]
     return {(add(wt, z0.wt), q): c for (wt, q), c in terms.items()}
 
 
 def count(
-    datum: RootDatum,
-    graph: QuantumBruhatGraph,
-    z0: ExtAffineElt,
-    betas,
-    reversed: bool = False,
+    datum: RootDatum, graph: QuantumBruhatGraph, z0: ExtAffineElt, betas
 ) -> int:
     """Number of admissible fold sets, without materializing the paths."""
-    return sum(fold_terms(datum, graph, z0, betas, reversed).values())
+    return sum(fold_terms(datum, graph, z0, betas).values())
 
 
 def end_weight(p: AlcovePath):

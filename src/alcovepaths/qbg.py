@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from .lattice import RootDatum, neg
 from . import weylgroup as wg
@@ -33,7 +34,18 @@ class QuantumBruhatGraph:
     datum: RootDatum
     vertices: tuple           # all WeylElt, sorted by (length, word)
     edges: dict               # (WeylElt, positive Coroot) -> BRUHAT | QUANTUM
-    reflect: dict             # (WeylElt, positive Coroot) -> w s_gamma vertex
+    reflect: dict             # the same keys -> the edge's end w s_gamma
+
+    @cached_property
+    def reversed(self) -> "QuantumBruhatGraph":
+        """The graph with every edge turned around, built on first use: the
+        edge ``w -> w s_gamma`` becomes ``w s_gamma -> w`` of the same kind."""
+        edges, reflect = {}, {}
+        for (w, gamma), kind in self.edges.items():
+            ws = self.reflect[(w, gamma)]
+            edges[(ws, gamma)] = kind
+            reflect[(ws, gamma)] = w
+        return QuantumBruhatGraph(self.datum, self.vertices, edges, reflect)
 
 
 def build(datum: RootDatum) -> QuantumBruhatGraph:
@@ -49,17 +61,16 @@ def build(datum: RootDatum) -> QuantumBruhatGraph:
     edges, reflect = {}, {}
     for w in vertices:
         for gamma, s, quantum_step in labels:
-            ws = reflect[(w, gamma)] = vertex[wg.multiply(w, s)]
+            ws = vertex[wg.multiply(w, s)]
             step = length[ws] - length[w]
-            if step == 1:
-                edges[(w, gamma)] = BRUHAT
-            elif step == quantum_step:
-                edges[(w, gamma)] = QUANTUM
+            if step == 1 or step == quantum_step:
+                edges[(w, gamma)] = BRUHAT if step == 1 else QUANTUM
+                reflect[(w, gamma)] = ws
     return QuantumBruhatGraph(datum, vertices, edges, reflect)
 
 
-def edge_kind(graph: QuantumBruhatGraph, w: WeylElt, gamma, reversed=False):
-    """Kind of the edge ``w -> w s_gamma`` (or ``w s_gamma -> w`` when reversed).
+def edge_kind(graph: QuantumBruhatGraph, w: WeylElt, gamma):
+    """Kind of the edge ``w -> w s_gamma``, or None if there is none.
 
     The label may be given with either sign; ``s_gamma = s_{-gamma}``.
     """
@@ -67,8 +78,7 @@ def edge_kind(graph: QuantumBruhatGraph, w: WeylElt, gamma, reversed=False):
     if not d.is_coroot(gamma):
         raise ValueError(f"not a coroot: {gamma!r}")
     g = tuple(gamma) if d.is_pos_coroot(gamma) else neg(gamma)
-    src = graph.reflect.get((w, g)) if reversed else w
-    return graph.edges.get((src, g))
+    return graph.edges.get((w, g))
 
 
 # ---------------------------------------------------------------------------

@@ -203,7 +203,9 @@ def test_08_length_zero_invariance():
                 assert lhs == rhs, (family, rank, pi, wg.reduced_word(d, u))
 
 
-@pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("C", 2), ("G", 2)])
+@pytest.mark.parametrize("family,rank", [
+    ("A", 1), ("A", 2), ("A", 3), ("C", 2), ("G", 2),
+])
 def test_08_w0_inversion(family, rank):
     assert list(ids.w0_inversion(*datum_and_graph(family, rank))) == []
 

@@ -88,7 +88,7 @@ def test_paths_need_weight_or_word(capsys):
     assert "need --weight or --word" in err
 
 
-def test_emac_table_and_eval(capsys):
+def test_emac_table(capsys):
     code, out, _ = run(capsys, "emac", "--type", "A1", "--weight", "-1")
     assert code == 0
     assert out.strip() == "x1^-1 + x1^1"
@@ -96,10 +96,6 @@ def test_emac_table_and_eval(capsys):
                        "--spec", "infinity")
     assert code == 0
     assert out.strip() == "x1^-1 + x1^1*q^1"
-    code, out, _ = run(capsys, "emac", "--type", "A2", "--weight", "-1,-1",
-                       "--eval", "1,1")
-    assert code == 0
-    assert out.strip() == "9"
 
 
 def test_emac_both_reports(capsys):
@@ -134,7 +130,7 @@ def test_weight_checked_before_graph(capsys, monkeypatch, argv):
     ("qbg", "csv"), ("beta", "csv"), ("beta", "dot"), ("paths", "dot"),
     ("emac", "csv"), ("emac", "dot"), ("char", "csv"), ("char", "dot"),
     ("dims", "table"), ("dims", "json"),
-    ("emac --spec both", "table"), ("emac --eval 1,1", "json"),
+    ("emac --spec both", "table"),
 ])
 def test_unimplemented_format_refused(capsys, monkeypatch, command, fmt):
     monkeypatch.setattr(qbg, "build", built)
@@ -146,12 +142,13 @@ def test_unimplemented_format_refused(capsys, monkeypatch, command, fmt):
     assert "--format" in err
 
 
-def test_emac_both_refuses_eval(capsys, monkeypatch):
+def test_emac_eval_is_not_an_option(capsys, monkeypatch):
+    # emac prints polynomials; their value at x = q = 1 is what dims prints
     monkeypatch.setattr(qbg, "build", built)
-    code, out, err = run(capsys, "emac", "--type", "A2", "--weight", "-1,0",
-                         "--spec", "both", "--eval", "1,1")
+    code, out, err = run(capsys, "emac", "--type", "A2", "--weight", "-1,-1",
+                         "--eval", "1,1")
     assert (code, out) == (2, "")
-    assert "--eval" in err
+    assert "unrecognized arguments: --eval 1,1" in err
 
 
 def test_char_and_dims(capsys):

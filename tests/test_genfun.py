@@ -162,12 +162,6 @@ def test_plain_translation_invariance_fails():
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("C", 2)])
-def test_recursion_identity(family, rank):
-    lams = [(0, 0), (-1, 0), (-1, -1)]
-    assert list(ids.recursion(*datum_and_graph(family, rank), lams)) == []
-
-
-@pytest.mark.parametrize("family,rank", [("A", 2), ("C", 2)])
 def test_recursion_derives_each_word_once(family, rank, monkeypatch):
     d = datum_of(family, rank)
     g = graph_of(family, rank)

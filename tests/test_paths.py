@@ -55,12 +55,12 @@ def test_count_matches_enumeration(family, rank, lam):
     assert folds == sorted(set(folds))
     assert folds[0] == ()
     # the memoized kernel against the unmemoized enumeration, both ways
-    for rev in (False, True):
+    for gr in (g, g.reversed):
         want = Counter(
             (pth.end_weight(p), pth.qwt_degree(p))
-            for p in pth.enumerate_paths(d, g, t, betas, reversed=rev)
+            for p in pth.enumerate_paths(d, gr, t, betas)
         )
-        assert pth.fold_terms(d, g, t, betas, reversed=rev) == dict(want)
+        assert pth.fold_terms(d, gr, t, betas) == dict(want)
 
 
 @pytest.mark.parametrize("family,rank,lam", [
@@ -73,8 +73,8 @@ def test_fold_table_matches_walks_from_each_start(family, rank, lam):
     # one table over every start against a single-start table and the
     # unmemoized enumeration, from t_0 v t_lam = t_{v(lam)} v for each v
     d, g, t, betas = _translation_input(family, rank, lam)
-    for rev in (False, True):
-        table = pth.fold_table(d, g, g.vertices, betas, reversed=rev)
+    for gr in (g, g.reversed):
+        table = pth.fold_table(d, gr, g.vertices, betas)
         assert set(table) == set(g.vertices)
         for v, terms in table.items():
             z0 = af.ExtAffineElt(wg.act_weight(v, lam), v)
@@ -82,12 +82,12 @@ def test_fold_table_matches_walks_from_each_start(family, rank, lam):
                 (tuple(x + y for x, y in zip(wt, z0.wt)), q): c
                 for (wt, q), c in terms.items()
             }
-            assert pth.fold_terms(d, g, z0, betas, reversed=rev) == shifted
+            assert pth.fold_terms(d, gr, z0, betas) == shifted
             want = Counter(
                 (pth.end_weight(p), pth.qwt_degree(p))
-                for p in pth.enumerate_paths(d, g, z0, betas, reversed=rev)
+                for p in pth.enumerate_paths(d, gr, z0, betas)
             )
-            assert shifted == dict(want), (v, rev)
+            assert shifted == dict(want), (v, gr is g)
 
 
 def test_enumeration_prefix_closed():
@@ -118,7 +118,7 @@ def test_path_invariants():
 def test_reversed_enumeration_swaps_edge_kinds():
     d, g, t, betas = _translation_input("A", 1, (-1,))
     fwd = list(pth.enumerate_paths(d, g, t, betas))
-    rev = list(pth.enumerate_paths(d, g, t, betas, reversed=True))
+    rev = list(pth.enumerate_paths(d, g.reversed, t, betas))
     assert [p.folds for p in fwd] == [(), (1,)]
     assert [p.folds for p in rev] == [(), (1,)]
     # forward, the fold at 1 rides a covering edge; reversed, a quantum one

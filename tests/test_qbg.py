@@ -46,17 +46,35 @@ def test_edge_length_conditions(family, rank):
 
 @pytest.mark.parametrize("family,rank", sorted(EDGE_COUNTS) + [("B", 3)])
 def test_reflect_table(family, rank):
-    # every w s_gamma is stored, and stored as the vertex object itself, so
-    # the table holds one WeylElt per element
+    # w s_gamma is stored for the edges only, in both directions, and as the
+    # vertex object itself, so the table holds one WeylElt per element
     d = datum_of(family, rank)
     g = graph_of(family, rank)
     vertex = {w: w for w in g.vertices}
-    assert len(g.reflect) == len(g.vertices) * len(d.pos_coroots)
-    for w in g.vertices:
-        for gamma in d.pos_coroots:
-            ws = wg.multiply(w, wg.reflection_of(d, gamma))
-            assert g.reflect[(w, gamma)] == ws
-            assert g.reflect[(w, gamma)] is vertex[ws]
+    for gr in (g, g.reversed):
+        assert gr.reflect.keys() == gr.edges.keys()
+        for (w, gamma), ws in gr.reflect.items():
+            assert ws == wg.multiply(w, wg.reflection_of(d, gamma))
+            assert ws is vertex[ws]
+
+
+@pytest.mark.parametrize("family,rank", sorted(EDGE_COUNTS))
+def test_reversed_graph(family, rank):
+    # the edge w -> w s_gamma of g is the edge w s_gamma -> w of g.reversed
+    g = graph_of(family, rank)
+    rev = g.reversed
+    assert len(rev.edges) == len(g.edges)
+    for (w, gamma), kind in g.edges.items():
+        assert rev.edges[(g.reflect[(w, gamma)], gamma)] == kind
+    assert rev.vertices is g.vertices
+    assert rev.reversed.edges == g.edges
+    assert rev.reversed.reflect == g.reflect
+
+
+def test_reversed_graph_built_once_on_demand():
+    g = qbg.build(datum_of("A", 2))
+    assert "reversed" not in vars(g)
+    assert g.reversed is g.reversed
 
 
 @pytest.mark.parametrize("family,rank", [
@@ -104,9 +122,11 @@ def test_edge_kind_lookup():
     assert qbg.edge_kind(g, e, (1, 0)) == qbg.BRUHAT
     # negative labels are normalized
     assert qbg.edge_kind(g, e, (-1, 0)) == qbg.BRUHAT
-    # reversed lookup: the edge INTO e along gamma starts at s_gamma
+    # on the reversed graph, the edge out of s_1 along alpha_1 is the cover
+    # e -> s_1 turned around, and the one out of e the quantum s_1 -> e
     s1 = wg.simple_reflection(d, 1)
-    assert qbg.edge_kind(g, s1, (1, 0), reversed=True) == g.edges.get((e, (1, 0)))
+    assert qbg.edge_kind(g.reversed, s1, (-1, 0)) == qbg.BRUHAT
+    assert qbg.edge_kind(g.reversed, e, (1, 0)) == qbg.QUANTUM
     with pytest.raises(ValueError):
         qbg.edge_kind(g, e, (5, 5))
 
