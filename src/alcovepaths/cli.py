@@ -20,7 +20,7 @@ import re
 import sys
 from dataclasses import dataclass
 
-from .lattice import build_datum
+from .lattice import RootDatum, build_datum
 from . import weylgroup as wg
 from . import affine as af
 from . import qbg
@@ -37,8 +37,7 @@ EXIT_IDENTITY = 4
 
 @dataclass
 class JobConfig:
-    family: str
-    rank: int
+    datum: RootDatum
     weight: tuple | None = None
     sigma: tuple = ()
     fmt: str = "table"
@@ -50,11 +49,14 @@ class CliError(Exception):
         self.code = code
 
 
-def _parse_type(s: str):
+def _parse_type(s: str) -> RootDatum:
     m = re.fullmatch(r"([A-G])(\d+)", s.strip())
     if not m:
         raise CliError(f"bad --type {s!r}; expected e.g. A2, C3, G2")
-    return m.group(1), int(m.group(2))
+    try:
+        return build_datum(m.group(1), int(m.group(2)))
+    except ValueError as exc:  # a letter and a rank of no simple type
+        raise CliError(str(exc)) from None
 
 
 def _parse_ints(s: str) -> tuple:
@@ -68,12 +70,8 @@ def _parse_ints(s: str) -> tuple:
 
 
 def _config(args) -> JobConfig:
-    family, rank = _parse_type(args.type)
-    cfg = JobConfig(
-        family=family,
-        rank=rank,
-        fmt=getattr(args, "format", "table"),
-    )
+    cfg = JobConfig(_parse_type(args.type), fmt=getattr(args, "format", "table"))
+    rank = cfg.datum.rank
     if getattr(args, "weight", None) is not None:
         cfg.weight = _parse_ints(args.weight)
         if len(cfg.weight) != rank:
@@ -96,8 +94,7 @@ def _antidominant_weight(cfg: JobConfig) -> tuple:
 
 
 def _datum_graph(cfg: JobConfig):
-    datum = build_datum(cfg.family, cfg.rank)
-    return datum, qbg.build(datum)
+    return cfg.datum, qbg.build(cfg.datum)
 
 
 def _print_poly(poly, fmt: str) -> None:
@@ -125,7 +122,7 @@ def cmd_qbg(args) -> int:
 def cmd_beta(args) -> int:
     cfg = _config(args)
     # the layout needs no graph, so this also works where W is too large
-    datum = build_datum(cfg.family, cfg.rank)
+    datum = cfg.datum
     i = args.index
     if not 1 <= i <= datum.rank:
         raise CliError(f"--index out of range for rank {datum.rank}")
@@ -147,6 +144,8 @@ def _paths_input(cfg: JobConfig, datum, args):
         if any(not 0 <= j <= datum.rank for j in word):
             raise CliError(f"word uses invalid affine indices: {word}")
         w = af.from_word_ext(datum, word)
+        if len(word) != af.length_ext(datum, w):
+            raise CliError(f"word is not reduced: {word}")
     else:
         if cfg.weight is None:
             raise CliError("need --weight or --word")
@@ -157,7 +156,7 @@ def _paths_input(cfg: JobConfig, datum, args):
 
 def cmd_paths(args) -> int:
     cfg = _config(args)
-    datum = build_datum(cfg.family, cfg.rank)
+    datum = cfg.datum
     z0, betas = _paths_input(cfg, datum, args)
     graph = qbg.build(datum)
     if args.reversed:

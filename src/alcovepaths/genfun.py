@@ -3,9 +3,9 @@ Exact Laurent polynomials in (x, q) and the path generating function.
 
 The generating function attached to a pair (u, w) of extended affine
 elements sums ``x^{wt(end)} q^{qwt-degree}`` over the admissible folded
-paths built from a reduced word of w, started at u*w.  A typed variant
-runs over the shifted beta sequence of a fundamental direction and feeds
-the one-step recursion that peels off one ``t_{-omega_i}`` factor.
+paths built from a reduced word of w, started at u*w.  The one-step
+recursion that peels off one ``t_{-omega_i}`` factor walks the typed
+paths, over the shifted beta sequence of a fundamental direction.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .qbg import QuantumBruhatGraph
 from . import paths as pth
 
 __all__ = [
-    "LaurentPoly", "c_function", "c_function_typed", "recursion_check",
+    "LaurentPoly", "c_function", "recursion_check",
     "shift", "w0_twist", "evaluate", "term_records", "to_json",
 ]
 
@@ -129,34 +129,16 @@ def c_function(
     """Generating function over folded paths of the beta type of w.
 
     The word is derived from w unless an explicit reduced word is passed;
-    the value is independent of the choice.
+    the value is independent of the choice.  The paths start at u*w and are
+    counted by ``paths.fold_table`` from its direction, then shifted by its
+    weight.
     """
     if word is None:
         _, word = af.reduced_word_ext(datum, w)
     z0 = af.multiply(u, w)
     betas = af.beta_sequence(datum, word)
-    return LaurentPoly(pth.fold_terms(datum, graph, z0, betas))
-
-
-def c_function_typed(
-    datum: RootDatum,
-    graph: QuantumBruhatGraph,
-    u: ExtAffineElt,
-    i: int,
-    lam,
-):
-    """Paths of the shifted fundamental type, started at u*t_{lam-omega_i}.
-
-    Returns one (path, q-degree, end) triple per admissible fold set.
-    """
-    betas = af.shifted_beta(datum, i, lam)
-    z0 = af.multiply(
-        u, af.translation(datum, sub(lam, datum.fundamental_weight(i)))
-    )
-    return [
-        (p, pth.qwt_degree(p), p.ends[-1])
-        for p in pth.enumerate_paths(datum, graph, z0, betas)
-    ]
+    terms = pth.fold_table(datum, graph, (z0.dir,), betas)[z0.dir]
+    return shift(LaurentPoly(terms), z0.wt)
 
 
 def recursion_check(
@@ -188,10 +170,13 @@ def recursion_check(
 
     # C_v^{t_mu} = x^{v(mu)} table(mu)[v]: its paths start at t_{v(mu)} v
     lam, mu = tuple(lam), sub(lam, datum.fundamental_weight(i))
-    lhs = shift(LaurentPoly(table(mu)[u]), wg.act_weight(u, mu))
-    u_ext = ExtAffineElt((0,) * datum.rank, u)
+    z0 = ExtAffineElt(wg.act_weight(u, mu), u)  # u t_mu
+    lhs = shift(LaurentPoly(table(mu)[u]), z0.wt)
+    # the typed paths walk the shifted fundamental betas from u t_mu
     terms: dict = {}
-    for _, qdeg, end in c_function_typed(datum, graph, u_ext, i, lam):
+    betas = af.shifted_beta(datum, i, lam)
+    for p in pth.enumerate_paths(datum, graph, z0, betas):
+        end, qdeg = p.ends[-1], pth.qwt_degree(p)
         for (wt, q), c in table(lam)[end.dir].items():
             key = (add(wt, end.wt), q + qdeg)
             terms[key] = terms.get(key, 0) + c

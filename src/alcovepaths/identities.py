@@ -10,12 +10,14 @@ nothing.  ``SUITES`` lists the small-rank cases of ``alcovepaths verify``.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 from .lattice import neg
 from . import weylgroup as wg
 from . import affine as af
 from .affine import ExtAffineElt
 from . import qbg
+from . import paths as pth
 from . import genfun as gf
 from . import macdonald as mac
 
@@ -32,14 +34,22 @@ def _word(datum, w) -> list:
 
 
 def shift(datum, graph, lam, mus):
-    """``C_{t_mu u}^{t_lam} = x^mu C_u^{t_lam}`` for every u in W and each mu."""
+    """``C_{t_mu u}^{t_lam} = x^mu C_u^{t_lam}`` for every u in W and each mu.
+
+    The left side sums ``x^{end wt} q^{qdeg}`` over the paths of
+    ``paths.enumerate_paths`` from ``t_mu u t_lam``, so it shares no code
+    with ``genfun.c_function`` on the right.
+    """
     mus, w = tuple(mus), af.translation(datum, lam)
     _, word = af.reduced_word_ext(datum, w)
+    betas = af.beta_sequence(datum, word)
     for u in graph.vertices:
         base = gf.c_function(datum, graph, ExtAffineElt((0,) * datum.rank, u), w, word)
         for mu in mus:
-            lhs = gf.c_function(datum, graph, ExtAffineElt(tuple(mu), u), w, word)
-            if lhs != gf.shift(base, mu):
+            z0 = af.multiply(ExtAffineElt(tuple(mu), u), w)
+            lhs = Counter((pth.end_weight(p), pth.qwt_degree(p))
+                          for p in pth.enumerate_paths(datum, graph, z0, betas))
+            if gf.LaurentPoly(lhs) != gf.shift(base, mu):
                 yield _failure(datum, lam=list(lam), u=_word(datum, u), mu=list(mu))
 
 

@@ -20,7 +20,6 @@ from .weylgroup import WeylElt
 from . import affine as af
 from .affine import ExtAffineElt
 from .qbg import QuantumBruhatGraph
-from . import paths as pth
 from . import genfun as gf
 from .genfun import LaurentPoly
 
@@ -63,10 +62,7 @@ class SpecializationReport:
 
 def e_zero(datum: RootDatum, graph: QuantumBruhatGraph, lam) -> LaurentPoly:
     """The t=0 specialization at anti-dominant lam."""
-    datum.check_antidominant(lam)
-    return gf.c_function(
-        datum, graph, af.ext_identity(datum), af.translation(datum, lam)
-    )
+    return weyl_character(datum, graph, wg.identity(datum), lam)
 
 
 def _e_inf_routes(datum: RootDatum, graph: QuantumBruhatGraph, t_lam, word=None):
@@ -129,9 +125,8 @@ def weyl_dimension(
 
 def fundamental_dim(datum: RootDatum, graph: QuantumBruhatGraph, i: int) -> int:
     """Path count for the fundamental translation, started at the identity."""
-    t = af.translation(datum, neg(datum.fundamental_weight(i)))
-    _, word = af.reduced_word_ext(datum, t)
-    return pth.count(datum, graph, t, af.beta_sequence(datum, word))
+    lam = neg(datum.fundamental_weight(i))
+    return weyl_dimension(datum, graph, wg.identity(datum), lam)
 
 
 def cominuscule_indices(datum: RootDatum) -> tuple:

@@ -24,9 +24,8 @@ from . import qbg
 from .qbg import QuantumBruhatGraph
 
 __all__ = [
-    "AlcovePath", "enumerate_paths", "fold_table", "fold_terms", "count",
-    "end_weight", "end_dir", "qwt_degree", "path_record", "export_json",
-    "export_csv",
+    "AlcovePath", "enumerate_paths", "fold_table", "end_weight", "end_dir",
+    "qwt_degree", "path_record", "export_json", "export_csv",
 ]
 
 
@@ -116,21 +115,6 @@ def fold_table(
                 terms[key] = terms.get(key, 0) + c
         below = table
     return below
-
-
-def fold_terms(
-    datum: RootDatum, graph: QuantumBruhatGraph, z0: ExtAffineElt, betas
-) -> dict:
-    """``{(end weight, q-degree): number of paths}`` over all fold sets."""
-    terms = fold_table(datum, graph, (z0.dir,), betas)[z0.dir]
-    return {(add(wt, z0.wt), q): c for (wt, q), c in terms.items()}
-
-
-def count(
-    datum: RootDatum, graph: QuantumBruhatGraph, z0: ExtAffineElt, betas
-) -> int:
-    """Number of admissible fold sets, without materializing the paths."""
-    return sum(fold_terms(datum, graph, z0, betas).values())
 
 
 def end_weight(p: AlcovePath):

@@ -169,6 +169,34 @@ def test_bad_type_is_parse_error(capsys):
     assert "bad --type" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("qbg", "--type", "D2"),
+    ("qbg", "--type", "A0"),
+    ("beta", "--type", "B1", "--index", "1"),
+    ("paths", "--type", "D3", "--weight", "-1,0,0"),
+    ("emac", "--type", "E5", "--weight", "-1,0,0,0,0"),
+    ("char", "--type", "G3", "--weight", "-1,0,0"),
+    ("dims", "--type", "F2", "--weight", "-1,0"),
+])
+def test_invalid_simple_type_is_usage_error(capsys, monkeypatch, argv):
+    # a letter A-G with digits that names no simple type: no group, no graph
+    from alcovepaths import weylgroup as wg
+    monkeypatch.setattr(qbg, "build", built)
+    monkeypatch.setattr(wg, "enumerate_group", built)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: invalid simple type {argv[2]}\n"
+
+
+@pytest.mark.parametrize("word", ["1,1", "1,2,1,2", "0,0", "1,2,1,2,1"])
+def test_paths_word_must_be_reduced(capsys, monkeypatch, word):
+    # in A2, s1 s1 is the identity and s1 s2 s1 s2 = s2 s1 has length 2
+    monkeypatch.setattr(qbg, "build", built)
+    code, out, err = run(capsys, "paths", "--type", "A2", "--word", word)
+    assert (code, out) == (2, "")
+    assert "not reduced" in err
+
+
 def test_bad_weight_length(capsys):
     code, _, err = run(capsys, "emac", "--type", "A2", "--weight", "-1")
     assert code == 2

@@ -7,6 +7,7 @@ from alcovepaths.lattice import sub
 from alcovepaths import weylgroup as wg
 from alcovepaths import affine as af
 from alcovepaths.affine import ExtAffineElt
+from alcovepaths import paths as pth
 from alcovepaths import genfun as gf
 from alcovepaths import identities as ids
 from alcovepaths.genfun import LaurentPoly
@@ -194,6 +195,12 @@ def test_recursion_derives_each_word_once(family, rank, monkeypatch):
         )
 
 
+def _typed_paths(d, g, i, lam):
+    """Paths over the shifted betas of omega_i, started at t_{lam - omega_i}."""
+    t = af.translation(d, sub(lam, d.fundamental_weight(i)))
+    return list(pth.enumerate_paths(d, g, t, af.shifted_beta(d, i, lam)))
+
+
 def test_recursion_collapses_at_zero():
     # at lam = 0 the right side reduces to the bare typed-path sum
     d = datum_of("A", 2)
@@ -201,18 +208,17 @@ def test_recursion_collapses_at_zero():
     u = wg.identity(d)
     lhs, rhs, ok = gf.recursion_check(d, g, u, 1, (0, 0))
     assert ok
-    typed = gf.c_function_typed(d, g, af.ext_identity(d), 1, (0, 0))
     direct = LaurentPoly()
-    for p, qdeg, end in typed:
-        direct = direct + LaurentPoly.monomial(end.wt, qdeg)
+    for p in _typed_paths(d, g, 1, (0, 0)):
+        direct = direct + LaurentPoly.monomial(pth.end_weight(p), pth.qwt_degree(p))
     assert direct == lhs
 
 
 def test_typed_paths_structure():
     d = datum_of("A", 2)
     g = graph_of("A", 2)
-    out = gf.c_function_typed(d, g, af.ext_identity(d), 1, (0, 0))
+    out = _typed_paths(d, g, 1, (0, 0))
     assert len(out) == 3
-    for p, qdeg, end in out:
-        assert end == p.ends[-1]
-        assert qdeg >= 0
+    for p in out:
+        assert p.start == af.translation(d, (-1, 0))
+        assert pth.qwt_degree(p) >= 0

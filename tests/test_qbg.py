@@ -110,11 +110,6 @@ def test_identity_edges_are_simple_covers():
         assert g.edges.get((w0, gamma)) == qbg.QUANTUM
 
 
-@pytest.mark.parametrize("family,rank", sorted(EDGE_COUNTS))
-def test_w0_duality_preserves_kind(family, rank):
-    assert list(ids.w0_inversion(*datum_and_graph(family, rank))) == []
-
-
 def test_edge_kind_lookup():
     d = datum_of("A", 2)
     g = graph_of("A", 2)
