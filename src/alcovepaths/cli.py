@@ -82,6 +82,8 @@ def _config(args) -> JobConfig:
         cfg.sigma = _parse_ints(args.sigma)
         if any(not 1 <= i <= rank for i in cfg.sigma):
             raise CliError(f"sigma word uses invalid indices: {cfg.sigma}")
+        if wg.length(cfg.datum, wg.from_word(cfg.datum, cfg.sigma)) != len(cfg.sigma):
+            raise CliError(f"sigma word is not reduced: {cfg.sigma}")
     return cfg
 
 
@@ -112,7 +114,7 @@ def cmd_qbg(args) -> int:
     elif cfg.fmt == "json":
         print(qbg.export_json(graph))
     else:
-        kinds = list(graph.edges.values())
+        kinds = [kind for kind, _ in graph.edges.values()]
         print(f"vertices: {len(graph.vertices)}")
         print(f"bruhat edges: {kinds.count(qbg.BRUHAT)}")
         print(f"quantum edges: {kinds.count(qbg.QUANTUM)}")
@@ -222,7 +224,9 @@ def cmd_dims(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    names = args.suites.split(",") if args.suites else sorted(ids.SUITES)
+    names = sorted(ids.SUITES)
+    if args.suites:  # each named suite runs once, in first-seen order
+        names = list(dict.fromkeys(args.suites.split(",")))
     for name in names:
         if name not in ids.SUITES:
             raise CliError(f"unknown suite {name!r}; have {sorted(ids.SUITES)}")

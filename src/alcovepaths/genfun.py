@@ -45,9 +45,6 @@ class LaurentPoly:
     def __eq__(self, other):
         return isinstance(other, LaurentPoly) and self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def __bool__(self):
         return bool(self.terms)
 

@@ -66,15 +66,15 @@ def recursion(datum, graph, lams):
 def w0_inversion(datum, graph):
     """``w -> w s_gamma`` is an edge iff ``w0 w s_gamma -> w0 w`` is, same kind.
 
-    ``w0 w s_gamma`` is multiplied out, not read from ``graph.reflect``, so
-    the check does not rest on the table the graph was built with.
+    ``w0 w s_gamma`` is multiplied out, not read from the graph, so the
+    check does not rest on the table the graph was built with.
     """
     w0 = wg.longest_element(datum)
     labels = [(g, wg.reflection_of(datum, g)) for g in datum.pos_coroots]
     for w in graph.vertices:
         for gamma, s in labels:
             dual = wg.multiply(w0, wg.multiply(w, s))
-            if graph.edges.get((w, gamma)) != graph.edges.get((dual, gamma)):
+            if qbg.edge_kind(graph, w, gamma) != qbg.edge_kind(graph, dual, gamma):
                 yield _failure(datum, w=_word(datum, w), gamma=list(gamma))
 
 
@@ -94,7 +94,7 @@ def lenart(datum, graph):
     labels = [(c, datum.coroot_of_root(root(datum, *c))) for c in cases]
     for w in graph.vertices:
         for case, label in labels:
-            if rule(datum, w, *case) != graph.edges.get((w, label)):
+            if rule(datum, w, *case) != qbg.edge_kind(graph, w, label):
                 yield _failure(datum, w=_word(datum, w), case=list(case))
 
 

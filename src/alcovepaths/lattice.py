@@ -273,7 +273,7 @@ def build_datum(family: str, rank: int) -> RootDatum:
     d = _symmetrizer(cartan)
 
     # generate the root system as the reflection orbit of the simple roots
-    def reflect(i, r):
+    def reflect_root(i, r):
         pairing = sum(cartan[i][j] * r[j] for j in range(n))
         out = list(r)
         out[i] -= pairing
@@ -285,7 +285,7 @@ def build_datum(family: str, rank: int) -> RootDatum:
     while todo:
         r = todo.pop()
         for i in range(n):
-            r2 = reflect(i, r)
+            r2 = reflect_root(i, r)
             if r2 not in seen:
                 seen.add(r2)
                 todo.append(r2)

@@ -74,11 +74,11 @@ def enumerate_paths(
         yield AlcovePath(z0, betas, folds, ends, qfolds)
         for p in range(pos, len(betas)):
             g, wt = steps[p]
-            kind = graph.edges.get((z.dir, g))
-            if kind is None:
+            edge = graph.edges.get((z.dir, g))
+            if edge is None:
                 continue
-            step = wg.act_weight(z.dir, wt)
-            z1 = ExtAffineElt(add(z.wt, step), graph.reflect[(z.dir, g)])
+            kind, ws = edge
+            z1 = ExtAffineElt(add(z.wt, wg.act_weight(z.dir, wt)), ws)
             q1 = qfolds + (p + 1,) if kind == qbg.QUANTUM else qfolds
             yield from walk(z1, p + 1, folds + (p + 1,), ends + (z1,), q1)
 
@@ -100,9 +100,10 @@ def fold_table(
     for (g, wt), b in zip(_fold_steps(datum, betas), betas):
         here = {}
         for v in layers[-1]:
-            if kind := graph.edges.get((v, g)):
+            if edge := graph.edges.get((v, g)):
+                kind, ws = edge
                 qdeg = b.deg if kind == qbg.QUANTUM else 0
-                here[v] = (graph.reflect[(v, g)], wg.act_weight(v, wt), qdeg)
+                here[v] = (ws, wg.act_weight(v, wt), qdeg)
         folds.append(here)
         layers.append(layers[-1] | {dest for dest, _, _ in here.values()})
     below = dict.fromkeys(layers.pop(), {((0,) * datum.rank, 0): 1})

@@ -33,40 +33,34 @@ QUANTUM = "quantum"
 class QuantumBruhatGraph:
     datum: RootDatum
     vertices: tuple           # all WeylElt, sorted by (length, word)
-    edges: dict               # (WeylElt, positive Coroot) -> BRUHAT | QUANTUM
-    reflect: dict             # the same keys -> the edge's end w s_gamma
+    edges: dict               # (WeylElt, positive Coroot) -> (kind, w s_gamma)
 
     @cached_property
     def reversed(self) -> "QuantumBruhatGraph":
         """The graph with every edge turned around, built on first use: the
         edge ``w -> w s_gamma`` becomes ``w s_gamma -> w`` of the same kind."""
-        edges, reflect = {}, {}
-        for (w, gamma), kind in self.edges.items():
-            ws = self.reflect[(w, gamma)]
-            edges[(ws, gamma)] = kind
-            reflect[(ws, gamma)] = w
-        return QuantumBruhatGraph(self.datum, self.vertices, edges, reflect)
+        edges = {(ws, g): (kind, w) for (w, g), (kind, ws) in self.edges.items()}
+        return QuantumBruhatGraph(self.datum, self.vertices, edges)
 
 
 def build(datum: RootDatum) -> QuantumBruhatGraph:
     vertices = tuple(wg.enumerate_group(datum))
     length = {w: wg.length(datum, w) for w in vertices}
-    # store each product as the vertex itself, not one WeylElt per entry
+    # store each end as the vertex itself, not one WeylElt per edge
     vertex = {w: w for w in vertices}
     # label, its reflection, and the length change of a quantum step
     labels = [
         (gamma, wg.reflection_of(datum, gamma), 1 - datum.two_rho_pair(gamma))
         for gamma in datum.pos_coroots
     ]
-    edges, reflect = {}, {}
+    edges = {}
     for w in vertices:
         for gamma, s, quantum_step in labels:
             ws = vertex[wg.multiply(w, s)]
             step = length[ws] - length[w]
             if step == 1 or step == quantum_step:
-                edges[(w, gamma)] = BRUHAT if step == 1 else QUANTUM
-                reflect[(w, gamma)] = ws
-    return QuantumBruhatGraph(datum, vertices, edges, reflect)
+                edges[(w, gamma)] = (BRUHAT if step == 1 else QUANTUM, ws)
+    return QuantumBruhatGraph(datum, vertices, edges)
 
 
 def edge_kind(graph: QuantumBruhatGraph, w: WeylElt, gamma):
@@ -78,7 +72,8 @@ def edge_kind(graph: QuantumBruhatGraph, w: WeylElt, gamma):
     if not d.is_coroot(gamma):
         raise ValueError(f"not a coroot: {gamma!r}")
     g = tuple(gamma) if d.is_pos_coroot(gamma) else neg(gamma)
-    return graph.edges.get((w, g))
+    edge = graph.edges.get((w, g))
+    return edge and edge[0]
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +331,7 @@ def export_json(graph: QuantumBruhatGraph) -> str:
     edges = sorted(
         (
             {"src": name[w], "label": list(g), "kind": kind}
-            for (w, g), kind in graph.edges.items()
+            for (w, g), (kind, _) in graph.edges.items()
         ),
         key=lambda e: (e["src"], e["label"], e["kind"]),
     )
@@ -349,8 +344,8 @@ def export_dot(graph: QuantumBruhatGraph) -> str:
     lines = ["digraph qbg {"]
     lines += [f'  "{v}";' for v in sorted(name.values())]
     items = sorted(
-        (name[w], list(g), kind, name[graph.reflect[(w, g)]])
-        for (w, g), kind in graph.edges.items()
+        (name[w], list(g), kind, name[ws])
+        for (w, g), (kind, ws) in graph.edges.items()
     )
     for src, label, kind, dst in items:
         style = ' style=dashed kind="quantum"' if kind == QUANTUM else ""

@@ -162,23 +162,10 @@ def reflection_of(datum: RootDatum, coroot) -> WeylElt:
 
 
 def group_order(datum: RootDatum) -> int:
-    """|W| = n! * prod(c_i) * det(C), from the classification.
-
-    C is the Cartan matrix and c_i are the coefficients of the highest
-    root.  The dual system has the same W and det(C^T) = det(C), so its
-    highest root, the highest coroot, serves as well.
-    """
-    # fraction-free (Bareiss) elimination; a Cartan matrix is positive
-    # definite, so no pivot is zero
-    m = [list(row) for row in datum.cartan]
-    prev = 1
-    for k in range(datum.rank - 1):
-        for i in range(k + 1, datum.rank):
-            for j in range(k + 1, datum.rank):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    c = datum.highest_dual_root()
-    return math.factorial(datum.rank) * math.prod(c) * m[-1][-1]
+    """|W| = prod over positive coroots of (ht + 1) / ht (Macdonald): the
+    Poincare series of W at t = 1.  The dual system has the same W."""
+    heights = [sum(g) for g in datum.pos_coroots]
+    return math.prod(h + 1 for h in heights) // math.prod(heights)
 
 
 def enumerate_group(datum: RootDatum):

@@ -262,9 +262,9 @@ def test_checkers_yield_one_record_per_failing_case(
     monkeypatch, name, patch, family, rank, inputs, cases
 ):
     d, g = datum_and_graph(family, rank)
-    if patch is None:  # the checker compares two lookups in the edge table
-        unequal = SimpleNamespace(get=lambda key: object())
-        g = SimpleNamespace(vertices=g.vertices, edges=unequal)
+    if patch is None:  # the checker compares two kind lookups in the edge table
+        unequal = SimpleNamespace(get=lambda key: (object(), None))
+        g = SimpleNamespace(datum=d, vertices=g.vertices, edges=unequal)
     else:
         monkeypatch.setattr(*patch)
     records = list(getattr(ids, name)(d, g, *inputs))

@@ -197,6 +197,17 @@ def test_paths_word_must_be_reduced(capsys, monkeypatch, word):
     assert "not reduced" in err
 
 
+@pytest.mark.parametrize("command", ["char", "dims", "paths"])
+@pytest.mark.parametrize("sigma", ["1,1", "1,2,1,2", "2,1,2,1"])
+def test_sigma_word_must_be_reduced(capsys, monkeypatch, command, sigma):
+    # in A2, s1 s1 is the identity; dims --sigma 1,1 used to print 9
+    monkeypatch.setattr(qbg, "build", built)
+    code, out, err = run(capsys, command, "--type", "A2", "--weight", "-1,-1",
+                         "--sigma", sigma)
+    assert (code, out) == (2, "")
+    assert "not reduced" in err
+
+
 def test_bad_weight_length(capsys):
     code, _, err = run(capsys, "emac", "--type", "A2", "--weight", "-1")
     assert code == 2
@@ -260,6 +271,18 @@ def test_verify_failure_names_suite_and_inputs(capsys, monkeypatch):
     failures = json.loads(out)["failures"]
     assert len(failures) == 5  # m = 1, 2 in A1 and m = 1 in A2, A2, C2
     assert failures[0] == {"suite": "twist", "type": "A1", "i": 1, "m": 1}
+
+
+def test_verify_runs_a_repeated_suite_once(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli.ids, "SUITES", {
+        name: (lambda d, g, name=name: calls.append(name) or (), [("A", 1)])
+        for name in ("shift", "beta")
+    })
+    code, out, _ = run(capsys, "verify", "--suites", "shift,beta,shift")
+    assert code == 0
+    assert json.loads(out)["suites"] == ["shift", "beta"]
+    assert calls == ["shift", "beta"]
 
 
 def test_verify_unknown_suite(capsys):

@@ -7,7 +7,6 @@ import pytest
 
 from alcovepaths import weylgroup as wg
 from alcovepaths import macdonald as mac
-from alcovepaths import identities as ids
 from alcovepaths.genfun import LaurentPoly
 from conftest import datum_and_graph, datum_of, graph_of, reflect_weight
 
@@ -160,13 +159,6 @@ def test_cominuscule_twist_rejects_other_indices():
     g = graph_of("C", 2)
     with pytest.raises(ValueError, match="not cominuscule"):
         mac.cominuscule_twist_check(d, g, 1, 1)
-
-
-@pytest.mark.parametrize("family,rank,i,mmax", [
-    ("A", 1, 1, 2), ("A", 2, 1, 2), ("A", 2, 2, 2), ("C", 2, 2, 1),
-])
-def test_cominuscule_twist(family, rank, i, mmax):
-    assert list(ids.twist(*datum_and_graph(family, rank), i, range(1, mmax + 1))) == []
 
 
 def test_mismatch_exception_payload():
