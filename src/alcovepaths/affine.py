@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import RootDatum, add, neg
+from .lattice import RootDatum, add, dot, neg
 from . import weylgroup as wg
 from .weylgroup import WeylElt
 
@@ -88,7 +88,7 @@ def inverse(a: ExtAffineElt) -> ExtAffineElt:
 
 def act_on_affine_coroot(datum: RootDatum, a: ExtAffineElt, c: AffineCoroot) -> AffineCoroot:
     vg = wg.act_coroot(a.dir, c.re)
-    return AffineCoroot(vg, c.deg - datum.pair(vg, a.wt))
+    return AffineCoroot(vg, c.deg - dot(vg, a.wt))
 
 
 def affine_reflection(datum: RootDatum, c: AffineCoroot) -> ExtAffineElt:
@@ -213,11 +213,7 @@ def _canonical_beta_build(datum: RootDatum, i: int) -> tuple:
     decomps, chains = _coroot_splits(datum)
     tail = tuple(j for j in range(1, datum.rank + 1) if j != i)
     omega = datum.fundamental_weight(i)
-    mult = {
-        g: datum.pair(g, omega)
-        for g in datum.pos_coroots
-        if datum.pair(g, omega) > 0
-    }
+    mult = {g: m for g in datum.pos_coroots if (m := dot(g, omega)) > 0}
     quads = [
         (t, e, add(t, e), add(t, add(e, e)))
         for t, e in chains
@@ -361,7 +357,7 @@ def shifted_beta(datum: RootDatum, i: int, lam) -> tuple:
     datum.check_antidominant(lam)
     out = []
     for b in canonical_beta_order(datum, i):
-        out.append(AffineCoroot(b.re, b.deg + datum.pair(b.re, lam)))
+        out.append(AffineCoroot(b.re, b.deg + dot(b.re, lam)))
     return tuple(out)
 
 

@@ -20,7 +20,8 @@ import re
 import sys
 from dataclasses import dataclass
 
-from .lattice import RootDatum, build_datum
+from . import lattice
+from .lattice import RootDatum
 from . import weylgroup as wg
 from . import affine as af
 from . import qbg
@@ -49,14 +50,20 @@ class CliError(Exception):
         self.code = code
 
 
-def _parse_type(s: str) -> RootDatum:
+def _parse_type(s: str, whole_group: bool) -> RootDatum:
+    """The root datum of ``--type``; with ``whole_group``, a type whose W is
+    over the group size cap is refused before its datum is built."""
     m = re.fullmatch(r"([A-G])(\d+)", s.strip())
     if not m:
         raise CliError(f"bad --type {s!r}; expected e.g. A2, C3, G2")
+    family, rank = m.group(1), int(m.group(2))
     try:
-        return build_datum(m.group(1), int(m.group(2)))
+        lattice.check_type(family, rank)
     except ValueError as exc:  # a letter and a rank of no simple type
         raise CliError(str(exc)) from None
+    if whole_group:
+        wg.check_group_size(family, rank)
+    return lattice.build_datum(family, rank)
 
 
 def _parse_ints(s: str) -> tuple:
@@ -69,8 +76,9 @@ def _parse_ints(s: str) -> tuple:
         raise CliError(f"bad integer list {s!r}") from None
 
 
-def _config(args) -> JobConfig:
-    cfg = JobConfig(_parse_type(args.type), fmt=getattr(args, "format", "table"))
+def _config(args, whole_group: bool = True) -> JobConfig:
+    cfg = JobConfig(_parse_type(args.type, whole_group),
+                    fmt=getattr(args, "format", "table"))
     rank = cfg.datum.rank
     if getattr(args, "weight", None) is not None:
         cfg.weight = _parse_ints(args.weight)
@@ -122,8 +130,8 @@ def cmd_qbg(args) -> int:
 
 
 def cmd_beta(args) -> int:
-    cfg = _config(args)
     # the layout needs no graph, so this also works where W is too large
+    cfg = _config(args, whole_group=False)
     datum = cfg.datum
     i = args.index
     if not 1 <= i <= datum.rank:
@@ -234,7 +242,7 @@ def cmd_verify(args) -> int:
     for name in names:
         checker, cases = ids.SUITES[name]
         for family, rank, *inputs in cases:
-            datum = build_datum(family, rank)
+            datum = lattice.build_datum(family, rank)
             for failure in checker(datum, qbg.build(datum), *inputs):
                 failures.append({"suite": name, **failure})
     print(json.dumps({

@@ -31,7 +31,8 @@ from fractions import Fraction
 from typing import NewType
 
 __all__ = [
-    "Weight", "Root", "Coroot", "RootDatum", "build_datum", "add", "sub", "neg",
+    "Weight", "Root", "Coroot", "RootDatum", "build_datum", "check_type", "add",
+    "sub", "neg",
 ]
 
 # coordinate vectors; the basis depends on the type alias
@@ -56,6 +57,12 @@ def neg(a):
     return tuple(-x for x in a)
 
 
+def dot(a, b) -> int:
+    """<a, b> with no length check, for vectors the program built itself;
+    ``RootDatum.pair`` is the checked pairing."""
+    return sum(map(operator.mul, a, b))
+
+
 def _highest(positives) -> tuple:
     """The member of an irreducible positive system that dominates all others.
 
@@ -67,12 +74,8 @@ def _highest(positives) -> tuple:
     return top
 
 
-def _cartan_matrix(family: str, rank: int) -> list[list[int]]:
-    """Bourbaki-numbered Cartan matrix ``cartan[i][j] = <alpha_i^vee, alpha_j>``.
-
-    In type G2 the numbering is fixed so that alpha_1 is the long simple
-    root (the highest coroot is then 3*alpha_1^vee + 2*alpha_2^vee).
-    """
+def check_type(family: str, rank: int) -> None:
+    """Raise ValueError unless ``family`` and ``rank`` name a simple type."""
     n = rank
     ok = (
         (family == "A" and n >= 1)
@@ -86,6 +89,15 @@ def _cartan_matrix(family: str, rank: int) -> list[list[int]]:
     if not ok:
         raise ValueError(f"invalid simple type {family}{n}")
 
+
+def _cartan_matrix(family: str, rank: int) -> list[list[int]]:
+    """Bourbaki-numbered Cartan matrix ``cartan[i][j] = <alpha_i^vee, alpha_j>``.
+
+    In type G2 the numbering is fixed so that alpha_1 is the long simple
+    root (the highest coroot is then 3*alpha_1^vee + 2*alpha_2^vee).
+    """
+    check_type(family, rank)
+    n = rank
     c = [[2 * (i == j) for j in range(n)] for i in range(n)]
 
     def bond(i, j, cij=-1, cji=-1):
@@ -182,11 +194,11 @@ class RootDatum:
         """<c, w> for a coroot c and a weight w."""
         self.check_rank(c)
         self.check_rank(w)
-        return sum(ci * wi for ci, wi in zip(c, w))
+        return dot(c, w)
 
     def two_rho_pair(self, c: Coroot) -> int:
         """<2*rho, c> where 2*rho is the sum of the positive roots."""
-        return self.pair(c, self.two_rho)
+        return dot(c, self.two_rho)
 
     def root_to_weight(self, r: Root) -> Weight:
         """Coordinates of a root vector in the fundamental-weight basis."""

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import operator
 from dataclasses import dataclass
 
 from .lattice import RootDatum, add, neg
@@ -93,29 +94,58 @@ def fold_table(
     A forward sweep finds the directions and folds at each position; a
     backward sweep builds T(v, p), the terms of folds at positions >= p, as
     T(v, p + 1) plus, if v folds at p, T(v s_p, p + 1) shifted by v(wt_p)
-    and deg_p.  Unfolded directions share dicts: do not mutate the result.
+    and deg_p.  Inside the sweeps a term key is one integer, the weight and
+    q-degree as balanced digits in base ``2 * bound + 1``: ``bound`` sums
+    each position's largest absolute shift coordinate or degree, so every
+    partial sum lies in ``[-bound, bound]`` and no digit carries.  Unfolded
+    directions share dicts: do not mutate the result.
     """
     betas = tuple(betas)
-    layers, folds = [set(starts)], []
+    starts = dict.fromkeys(starts)
+    reached, folds, bound = set(starts), [], 0
     for (g, wt), b in zip(_fold_steps(datum, betas), betas):
-        here = {}
-        for v in layers[-1]:
+        here, top = {}, 0
+        for v in reached:
             if edge := graph.edges.get((v, g)):
                 kind, ws = edge
                 qdeg = b.deg if kind == qbg.QUANTUM else 0
-                here[v] = (ws, wg.act_weight(v, wt), qdeg)
+                shift = wg.act_weight(v, wt) + (qdeg,)
+                here[v] = (ws, shift)
+                top = max(top, *map(abs, shift))
         folds.append(here)
-        layers.append(layers[-1] | {dest for dest, _, _ in here.values()})
-    below = dict.fromkeys(layers.pop(), {((0,) * datum.rank, 0): 1})
-    while folds:
-        table = {v: below[v] for v in layers.pop()}
-        for v, (dest, shift, qdeg) in folds.pop().items():
-            terms = table[v] = dict(below[v])
-            for (w, q), c in below[dest].items():
-                key = (add(w, shift), q + qdeg)
-                terms[key] = terms.get(key, 0) + c
-        below = table
-    return below
+        reached.update(ws for ws, _ in here.values())
+        bound += top
+    base = 2 * bound + 1
+    digits = [base ** i for i in range(datum.rank + 1)]
+    below = dict.fromkeys(reached, {0: 1})
+    # T(u, p + 1) = T(u, p) for every u that does not fold at p, so only
+    # the folded directions get new dicts
+    for here in reversed(folds):
+        new = {}
+        for v, (dest, shift) in here.items():
+            s = sum(map(operator.mul, shift, digits))
+            terms = new[v] = dict(below[v])
+            for k, c in below[dest].items():
+                k += s
+                terms[k] = terms.get(k, 0) + c
+        below.update(new)
+    # decode each distinct key once, and each distinct shared dict once
+    shared = {id(below[v]): below[v] for v in starts}
+    keys = {k: _unpack(k, base, bound, datum.rank)
+            for k in set().union(*shared.values())}
+    tables = {i: {keys[k]: c for k, c in terms.items()}
+              for i, terms in shared.items()}
+    return {v: tables[id(below[v])] for v in starts}
+
+
+def _unpack(key: int, base: int, bound: int, rank: int) -> tuple:
+    """``(weight, q)`` from ``sum_i w_i base^i + q base^rank``, every digit
+    in ``[-bound, bound]``."""
+    wt = []
+    for _ in range(rank):
+        key, d = divmod(key + bound, base)
+        wt.append(d - bound)
+    return tuple(wt), key
 
 
 def end_weight(p: AlcovePath):

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 
-from .lattice import RootDatum, neg
+from .lattice import RootDatum, dot, neg
 from . import weylgroup as wg
 from .weylgroup import WeylElt
 
@@ -266,7 +266,7 @@ def _criterion_support(datum: RootDatum, gamma) -> tuple:
     groot_wt = datum.coroot_weight(gamma)
     pairs = []
     for alpha in datum.pos_coroots:
-        c = datum.pair(alpha, groot_wt)
+        c = dot(alpha, groot_wt)
         # beta = -s_gamma(alpha); alpha is in S when beta is positive
         beta = tuple(c * gi - ai for gi, ai in zip(gamma, alpha))
         if alpha != gamma and datum.is_pos_coroot(beta):

@@ -27,13 +27,14 @@ import math
 import operator
 from dataclasses import dataclass, field
 
-from .lattice import RootDatum
+from .lattice import RootDatum, dot
 
 __all__ = [
     "WeylElt", "identity", "simple_reflection", "multiply", "inverse",
     "act_weight", "act_coroot", "length", "is_right_descent", "reduced_word",
-    "from_word", "longest_element", "reflection_of", "group_order",
-    "enumerate_group", "GROUP_SIZE_CAP", "GroupSizeCapExceeded",
+    "from_word", "longest_element", "reflection_of", "type_order",
+    "group_order", "check_group_size", "enumerate_group", "GROUP_SIZE_CAP",
+    "GroupSizeCapExceeded",
 ]
 
 # refuse to enumerate groups larger than W(E6)
@@ -46,9 +47,20 @@ class GroupSizeCapExceeded(RuntimeError):
 
 @dataclass(frozen=True, slots=True)
 class WeylElt:
-    """A Weyl group element; ``perm[k]`` is the index of ``w(datum.coroots[k])``."""
+    """A Weyl group element; ``perm[k]`` is the index of ``w(datum.coroots[k])``.
+
+    ``hash(perm)`` is computed once, at construction, because walks probe
+    dicts keyed by elements far more often than they build elements.
+    """
     perm: tuple
     datum: RootDatum = field(compare=False, repr=False)
+    _hash: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(self.perm))
+
+    def __hash__(self):
+        return self._hash
 
 
 def identity(datum: RootDatum) -> WeylElt:
@@ -154,18 +166,40 @@ def reflection_of(datum: RootDatum, coroot) -> WeylElt:
         images = []
         for c in datum.coroots:
             # s_gamma(c) = c - <c, alpha_gamma> gamma
-            m = datum.pair(c, root_wt)
+            m = dot(c, root_wt)
             image = tuple(ci - m * gi for ci, gi in zip(c, gamma))
             images.append(datum.coroot_index[image])
         memo[k] = WeylElt(tuple(images), datum)
     return memo[k]
 
 
+def type_order(family: str, rank: int) -> int:
+    """|W| of a valid simple type from its family and rank alone, by the
+    classification; no root datum is built."""
+    if family == "A":
+        return math.factorial(rank + 1)
+    if family in "BC":
+        return 2 ** rank * math.factorial(rank)
+    if family == "D":
+        return 2 ** (rank - 1) * math.factorial(rank)
+    return {("E", 6): 51840, ("E", 7): 2903040, ("E", 8): 696729600,
+            ("F", 4): 1152, ("G", 2): 12}[family, rank]
+
+
 def group_order(datum: RootDatum) -> int:
-    """|W| = prod over positive coroots of (ht + 1) / ht (Macdonald): the
-    Poincare series of W at t = 1.  The dual system has the same W."""
-    heights = [sum(g) for g in datum.pos_coroots]
-    return math.prod(h + 1 for h in heights) // math.prod(heights)
+    """|W| of the datum's type, by ``type_order``."""
+    return type_order(datum.family, datum.rank)
+
+
+def check_group_size(family: str, rank: int) -> None:
+    """Raise GroupSizeCapExceeded when |W| of a valid simple type exceeds
+    ``GROUP_SIZE_CAP``."""
+    order = type_order(family, rank)
+    if order > GROUP_SIZE_CAP:
+        raise GroupSizeCapExceeded(
+            f"|W({family}{rank})| = {order} exceeds the group "
+            f"size cap {GROUP_SIZE_CAP}"
+        )
 
 
 def enumerate_group(datum: RootDatum):
@@ -174,12 +208,7 @@ def enumerate_group(datum: RootDatum):
     Raises GroupSizeCapExceeded before enumerating when |W| exceeds
     ``GROUP_SIZE_CAP``.
     """
-    order = group_order(datum)
-    if order > GROUP_SIZE_CAP:
-        raise GroupSizeCapExceeded(
-            f"|W({datum.family}{datum.rank})| = {order} exceeds the group "
-            f"size cap {GROUP_SIZE_CAP}"
-        )
+    check_group_size(datum.family, datum.rank)
     gens = [simple_reflection(datum, i) for i in range(1, datum.rank + 1)]
     e = identity(datum)
     seen = {e: ()}

@@ -240,6 +240,24 @@ def test_group_cap_refused_before_enumeration(capsys, monkeypatch):
     assert "2903040" in err and "cap" in err
 
 
+@pytest.mark.parametrize("command", ["qbg", "paths", "emac", "char", "dims"])
+@pytest.mark.parametrize("type_", ["A80", "B40", "D40"])
+def test_group_cap_refused_before_the_datum(capsys, monkeypatch, command, type_):
+    # |W| comes from the family and rank alone, so no root datum is built
+    from alcovepaths import lattice
+
+    def datum_built(*args):
+        raise AssertionError("the root datum was built")
+
+    monkeypatch.setattr(lattice, "build_datum", datum_built)
+    argv = [command, "--type", type_]
+    if command != "qbg":
+        argv += ["--weight", "-1"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert f"|W({type_})| = " in err and "cap" in err
+
+
 def test_beta_builds_no_graph(capsys):
     # W(E7) is above the group size cap, but the layout never reads W
     code, out, _ = run(capsys, "beta", "--type", "E7", "--index", "1")

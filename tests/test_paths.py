@@ -2,6 +2,7 @@
 
 import csv
 import io
+import itertools
 import json
 from collections import Counter
 
@@ -32,6 +33,27 @@ def _kernel_terms(d, g, z0, betas):
 
 def _kernel_count(d, g, z0, betas):
     return sum(pth.fold_table(d, g, (z0.dir,), betas)[z0.dir].values())
+
+
+def _walk_terms(d, g, z0, betas):
+    """The terms of the unmemoized enumeration from z0."""
+    return dict(Counter(
+        (pth.end_weight(p), pth.qwt_degree(p))
+        for p in pth.enumerate_paths(d, g, z0, betas)
+    ))
+
+
+def _assert_table_matches_walks(d, g, starts, betas):
+    """One table over ``starts``, and one table per start, against the
+    enumeration from each t_0 v, on the graph and on its reversal.  A
+    single start gives the kernel its tightest digit bound."""
+    for gr in (g, g.reversed):
+        table = pth.fold_table(d, gr, starts, betas)
+        assert set(table) == set(starts)
+        for v in starts:
+            want = _walk_terms(d, gr, af.ExtAffineElt((0,) * d.rank, v), betas)
+            assert table[v] == want, (v, gr is g)
+            assert pth.fold_table(d, gr, (v,), betas)[v] == want, (v, gr is g)
 
 
 def test_g2_fundamental_counts():
@@ -67,11 +89,7 @@ def test_count_matches_enumeration(family, rank, lam):
     assert folds[0] == ()
     # the memoized kernel against the unmemoized enumeration, both ways
     for gr in (g, g.reversed):
-        want = Counter(
-            (pth.end_weight(p), pth.qwt_degree(p))
-            for p in pth.enumerate_paths(d, gr, t, betas)
-        )
-        assert _kernel_terms(d, gr, t, betas) == dict(want)
+        assert _kernel_terms(d, gr, t, betas) == _walk_terms(d, gr, t, betas)
 
 
 @pytest.mark.parametrize("family,rank,lam", [
@@ -90,11 +108,38 @@ def test_fold_table_matches_walks_from_each_start(family, rank, lam):
         for v, terms in table.items():
             assert pth.fold_table(d, gr, (v,), betas)[v] == terms
             z0 = af.ExtAffineElt(wg.act_weight(v, lam), v)
-            want = Counter(
-                (pth.end_weight(p), pth.qwt_degree(p))
-                for p in pth.enumerate_paths(d, gr, z0, betas)
-            )
-            assert _kernel_terms(d, gr, z0, betas) == dict(want), (v, gr is g)
+            want = _walk_terms(d, gr, z0, betas)
+            assert _kernel_terms(d, gr, z0, betas) == want, (v, gr is g)
+
+
+# The kernel packs each (weight, q-degree) into one integer whose digits
+# must never carry; these inputs push the digits to their extremes.
+
+@pytest.mark.parametrize("m", range(1, 5))
+def test_fold_table_at_the_digit_bound_in_a1(m):
+    # the end weights of t_{-m omega} span [-2m, 2m], both ends reached
+    d, g, t, betas = _translation_input("A", 1, (-m,))
+    _assert_table_matches_walks(d, g, g.vertices, betas)
+    weights = {wt for terms in pth.fold_table(d, g, g.vertices, betas).values()
+               for (wt,), _ in terms}
+    assert {-2 * m, 2 * m} <= weights
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("C", 2), ("G", 2)])
+def test_fold_table_on_degree_shifted_betas(family, rank):
+    # the typed betas of genfun.recursion_check, whose degrees are raised
+    # by <Re beta, lam>, from every start
+    d, g = datum_of(family, rank), graph_of(family, rank)
+    for lam in itertools.product((0, -1, -2), repeat=rank):
+        for i in range(1, rank + 1):
+            _assert_table_matches_walks(
+                d, g, g.vertices, af.shifted_beta(d, i, lam))
+
+
+def test_fold_table_f4_omega2():
+    d, g, t, betas = _translation_input("F", 4, (0, -1, 0, 0))
+    assert _kernel_count(d, g, t, betas) == 1703
+    _assert_table_matches_walks(d, g, (t.dir,), betas)
 
 
 def test_enumeration_prefix_closed():

@@ -1,10 +1,12 @@
 """Finite Weyl group arithmetic: words, lengths, actions, enumeration."""
 
+import dataclasses
+
 import pytest
 
 from alcovepaths.lattice import neg
 from alcovepaths import weylgroup as wg
-from conftest import datum_of, reflect_weight
+from conftest import datum_of, graph_of, reflect_weight
 
 GROUP_ORDERS = {
     ("A", 1): 2, ("A", 2): 6, ("A", 3): 24, ("B", 2): 8, ("C", 2): 8,
@@ -173,3 +175,38 @@ def test_actions_match_cartan_formulas(family, rank):
         for i in range(1, rank + 1):
             assert wg.is_right_descent(d, w, i) == negative[d.simple_coroot(i)]
     assert len(images) == wg.group_order(d)
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 3), ("G", 2)])
+def test_equal_elements_hash_equal_and_find_each_other(family, rank):
+    # elements built by four routes are separate objects with one perm;
+    # they must be ==, hash alike, and find each other as graph.edges keys
+    d, g = datum_of(family, rank), graph_of(family, rank)
+    for v in g.vertices:
+        word = wg.reduced_word(d, v)
+        built = [
+            wg.from_word(d, word),
+            wg.multiply(wg.identity(d), v),
+            wg.inverse(wg.inverse(v)),
+            wg.inverse(wg.from_word(d, word[::-1])),
+        ]
+        out = {gamma: g.edges[v, gamma]
+               for gamma in d.pos_coroots if (v, gamma) in g.edges}
+        assert out
+        for w in built:
+            assert w is not v
+            assert w == v and hash(w) == hash(v) == hash(v.perm)
+            assert {gamma: g.edges[w, gamma] for gamma in out} == out
+
+
+def test_cached_hash_is_not_compared_or_shown():
+    d = datum_of("A", 2)
+    w = wg.from_word(d, (1, 2))
+    fields = {f.name: f for f in dataclasses.fields(wg.WeylElt)}
+    assert [name for name, f in fields.items() if f.compare] == ["perm"]
+    assert [name for name, f in fields.items() if f.repr] == ["perm"]
+    assert repr(w) == f"WeylElt(perm={w.perm!r})"
+    # equality reads only perm: a wrong cached hash does not make it unequal
+    twin = wg.from_word(d, (1, 2))
+    object.__setattr__(twin, "_hash", hash(w.perm) + 1)
+    assert twin == w
