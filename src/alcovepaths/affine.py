@@ -87,6 +87,7 @@ def inverse(a: ExtAffineElt) -> ExtAffineElt:
 
 
 def act_on_affine_coroot(datum: RootDatum, a: ExtAffineElt, c: AffineCoroot) -> AffineCoroot:
+    datum.check_rank(a.wt)
     vg = wg.act_coroot(a.dir, c.re)
     return AffineCoroot(vg, c.deg - dot(vg, a.wt))
 

@@ -129,11 +129,10 @@ def fold_table(
                 k += s
                 terms[k] = terms.get(k, 0) + c
         below.update(new)
-    # decode each distinct key once, and each distinct shared dict once
+    # decode each distinct shared dict once
     shared = {id(below[v]): below[v] for v in starts}
-    keys = {k: _unpack(k, base, bound, datum.rank)
-            for k in set().union(*shared.values())}
-    tables = {i: {keys[k]: c for k, c in terms.items()}
+    tables = {i: {_unpack(k, base, bound, datum.rank): c
+                  for k, c in terms.items()}
               for i, terms in shared.items()}
     return {v: tables[id(below[v])] for v in starts}
 

@@ -187,8 +187,10 @@ def type_order(family: str, rank: int) -> int:
 
 
 def group_order(datum: RootDatum) -> int:
-    """|W| of the datum's type, by ``type_order``."""
-    return type_order(datum.family, datum.rank)
+    """|W| = prod over positive coroots of (ht + 1) / ht (Macdonald): the
+    Poincare series of W at t = 1.  The dual system has the same W."""
+    heights = [sum(g) for g in datum.pos_coroots]
+    return math.prod(h + 1 for h in heights) // math.prod(heights)
 
 
 def check_group_size(family: str, rank: int) -> None:

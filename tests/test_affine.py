@@ -118,6 +118,14 @@ def test_action_respects_multiplication(family, rank):
             ) == af.act_on_affine_coroot(d, a, af.act_on_affine_coroot(d, b, c))
 
 
+def test_action_refuses_a_weight_of_the_wrong_length():
+    d = datum_of("A", 2)
+    c = AffineCoroot(d.simple_coroot(1), 1)
+    for wt in ((-1,), (-1, 0, 0)):
+        with pytest.raises(ValueError, match="length-2"):
+            af.act_on_affine_coroot(d, ExtAffineElt(wt, wg.identity(d)), c)
+
+
 @pytest.mark.parametrize("family,rank", [("A", 2), ("C", 2), ("G", 2)])
 def test_affine_reflection_involution(family, rank):
     d = datum_of(family, rank)

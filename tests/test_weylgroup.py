@@ -132,6 +132,17 @@ def test_group_order_without_enumeration(family, rank, order):
     assert wg.group_order(datum_of(family, rank)) == order
 
 
+@pytest.mark.parametrize("family,rank", [
+    *(("A", r) for r in range(1, 9)), *(("B", r) for r in range(2, 8)),
+    *(("C", r) for r in range(2, 8)), *(("D", r) for r in range(4, 8)),
+    ("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2),
+])
+def test_type_order_matches_the_height_formula(family, rank):
+    # the classification table the CLI reads before building a datum,
+    # against the product over the datum's positive coroots
+    assert wg.type_order(family, rank) == wg.group_order(datum_of(family, rank))
+
+
 def test_descents():
     d = datum_of("A", 2)
     s1 = wg.simple_reflection(d, 1)
