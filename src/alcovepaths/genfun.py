@@ -38,10 +38,6 @@ class LaurentPoly:
     def monomial(cls, weight, qexp: int = 0, coeff: int = 1) -> "LaurentPoly":
         return cls({(tuple(weight), qexp): coeff})
 
-    @classmethod
-    def one(cls, rank: int) -> "LaurentPoly":
-        return cls.monomial((0,) * rank)
-
     def __eq__(self, other):
         return isinstance(other, LaurentPoly) and self.terms == other.terms
 

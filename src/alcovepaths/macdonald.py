@@ -164,17 +164,20 @@ def cominuscule_twist_check(
     -m*omega_i + beta with beta in the non-negative root cone; multiplying
     it by q^(coefficient of alpha_i in beta) must give the t=infinity
     specialization.  The anchoring at the anti-dominant extreme is fixed by
-    the rank-one brute-force cases.
+    the rank-one brute-force cases.  Both values come from one
+    ``specialization_report``; the check fails if its two t=infinity routes
+    disagree.
     """
     if i not in cominuscule_indices(datum):
         raise ValueError(f"index {i} is not cominuscule in {datum.family}{datum.rank}")
     lam = tuple(-m * x for x in datum.fundamental_weight(i))
-    a = e_zero(datum, graph, lam)
-    b = e_infinity(datum, graph, lam)
+    report = specialization_report(datum, graph, lam)
+    if not report.agree:
+        return False
     twisted: dict = {}
-    for (w, q), c in a.terms.items():
+    for (w, q), c in report.e_zero.terms.items():
         beta = _weight_to_root_coords(datum, sub(w, lam))
         if beta is None or any(x < 0 for x in beta):
             return False
         twisted[(w, q + beta[i - 1])] = twisted.get((w, q + beta[i - 1]), 0) + c
-    return LaurentPoly(twisted) == b
+    return LaurentPoly(twisted) == report.e_inf_word

@@ -97,8 +97,8 @@ def fold_table(
     and deg_p.  Inside the sweeps a term key is one integer, the weight and
     q-degree as balanced digits in base ``2 * bound + 1``: ``bound`` sums
     each position's largest absolute shift coordinate or degree, so every
-    partial sum lies in ``[-bound, bound]`` and no digit carries.  Unfolded
-    directions share dicts: do not mutate the result.
+    partial sum lies in ``[-bound, bound]`` and no digit carries.  Each
+    start gets its own decoded table.
     """
     betas = tuple(betas)
     starts = dict.fromkeys(starts)
@@ -129,12 +129,9 @@ def fold_table(
                 k += s
                 terms[k] = terms.get(k, 0) + c
         below.update(new)
-    # decode each distinct shared dict once
-    shared = {id(below[v]): below[v] for v in starts}
-    tables = {i: {_unpack(k, base, bound, datum.rank): c
-                  for k, c in terms.items()}
-              for i, terms in shared.items()}
-    return {v: tables[id(below[v])] for v in starts}
+    return {v: {_unpack(k, base, bound, datum.rank): c
+                for k, c in below[v].items()}
+            for v in starts}
 
 
 def _unpack(key: int, base: int, bound: int, rank: int) -> tuple:

@@ -205,59 +205,19 @@ def typeC_root(datum: RootDatum, cls: int, i: int, j: int = 0) -> tuple:
 # Obstruction-based existence test
 
 
-def _rank2_subsystems(datum: RootDatum):
-    """All sets of positive coroots closed under the rank-2 span of a pair.
-
-    Built once per datum.
-    """
-    def build():
-        out = []
-        pos = list(datum.pos_coroots)
-        seen = set()
-        for a in pos:
-            for b in pos:
-                if a >= b:
-                    continue
-                # span test: collect positive coroots that are rational combos
-                sub = tuple(
-                    g for g in pos
-                    if _in_rational_span(a, b, g)
-                )
-                if sub not in seen:
-                    seen.add(sub)
-                    out.append(sub)
-        return out
-    return datum.memoized("rank2_subsystems", build)
-
-
-def _in_rational_span(a, b, g):
-    # g = x a + y b over Q: solve via two independent coordinates
-    n = len(a)
-    for p in range(n):
-        for q in range(p + 1, n):
-            det = a[p] * b[q] - a[q] * b[p]
-            if det != 0:
-                x_num = g[p] * b[q] - g[q] * b[p]
-                y_num = a[p] * g[q] - a[q] * g[p]
-                return all(
-                    det * g[r] == x_num * a[r] + y_num * b[r] for r in range(n)
-                )
-    return False
-
-
 def _quantum_excluded(datum: RootDatum, gamma) -> bool:
-    """Whether gamma can never label a quantum edge: it is a short
-    non-simple member of some rank-2 subsystem, "short" measured through
-    the underlying roots (another member has a strictly longer root)."""
-    glen = datum.root_length2(datum.root_of_coroot(gamma))
-    for sub in _rank2_subsystems(datum):
-        if gamma not in sub or gamma in _rank2_simples(sub):
-            continue
-        if any(
-            datum.root_length2(datum.root_of_coroot(g)) > glen for g in sub
-        ):
-            return True
-    return False
+    """Whether gamma can never label a quantum edge: its root is shorter
+    than the longest simple root and has a long simple root in its support.
+
+    This is the Brenti–Fomin–Postnikov condition ``l(s_gamma) = <2 rho,
+    gamma> - 1`` read off the root datum, without the group;
+    ``test_qbg.test_exclusion_rule_is_the_bfp_condition`` checks the two
+    agree on every positive coroot through E8.
+    """
+    root, long = datum.root_of_coroot(gamma), max(datum.d)
+    return datum.root_length2(root) < 2 * long and any(
+        c and di == long for c, di in zip(root, datum.d)
+    )
 
 
 def _criterion_support(datum: RootDatum, gamma) -> tuple:
@@ -298,22 +258,6 @@ def criterion_edge(datum: RootDatum, sigma: WeylElt, gamma) -> bool:
     if excluded:
         return False
     return not any(perm[a] < n for a, _ in pairs)
-
-
-def _rank2_simples(sub):
-    """The two indecomposable members of a rank-2 positive system."""
-    s = set(sub)
-    out = []
-    for g in sub:
-        dec = False
-        for a in sub:
-            b = tuple(x - y for x, y in zip(g, a))
-            if b in s:
-                dec = True
-                break
-        if not dec:
-            out.append(g)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

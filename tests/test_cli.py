@@ -291,6 +291,23 @@ def test_verify_failure_names_suite_and_inputs(capsys, monkeypatch):
     assert failures[0] == {"suite": "twist", "type": "A1", "i": 1, "m": 1}
 
 
+def test_verify_twist_reports_disagreeing_routes(capsys, monkeypatch):
+    # the twist check reads the report, so a route mismatch is one failing
+    # case, not a SpecializationMismatch out of main
+    routes = mac._e_inf_routes
+
+    def disagree(*args, **kwargs):
+        by_word, by_reversal = routes(*args, **kwargs)
+        return by_word, by_reversal + by_reversal
+    monkeypatch.setattr(mac, "_e_inf_routes", disagree)
+    code, out, _ = run(capsys, "verify", "--suites", "twist")
+    assert code == 4
+    failures = json.loads(out)["failures"]
+    assert [(f["type"], f["i"], f["m"]) for f in failures] == [
+        ("A1", 1, 1), ("A1", 1, 2), ("A2", 1, 1), ("A2", 2, 1), ("C2", 2, 1),
+    ]
+
+
 def test_verify_runs_a_repeated_suite_once(capsys, monkeypatch):
     calls = []
     monkeypatch.setattr(cli.ids, "SUITES", {

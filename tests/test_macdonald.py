@@ -46,7 +46,7 @@ def test_a2_fixtures():
 def test_specializations_at_zero_weight():
     d = datum_of("A", 2)
     g = graph_of("A", 2)
-    one = LaurentPoly.one(2)
+    one = LaurentPoly.monomial((0, 0))
     assert mac.e_zero(d, g, (0, 0)) == one
     assert mac.e_infinity(d, g, (0, 0)) == one
 
@@ -163,7 +163,7 @@ def test_cominuscule_twist_rejects_other_indices():
 
 def test_mismatch_exception_payload():
     exc = mac.SpecializationMismatch(
-        (-1,), LaurentPoly.one(1), LaurentPoly(),
+        (-1,), LaurentPoly.monomial((0,)), LaurentPoly(),
     )
     assert exc.lam == (-1,)
     assert "disagree" in str(exc)

@@ -142,6 +142,21 @@ def test_fold_table_f4_omega2():
     _assert_table_matches_walks(d, g, (t.dir,), betas)
 
 
+def test_fold_table_gives_each_start_its_own_table():
+    # with no betas, or the single a_0 that 3 of the 6 starts cannot fold
+    # at, several starts have the same terms; each still gets its own dict
+    d, g = datum_of("A", 2), graph_of("A", 2)
+    for betas in ((), (af.affine_simple_coroot(d, 0),)):
+        for gr in (g, g.reversed):
+            table = pth.fold_table(d, gr, gr.vertices, betas)
+            assert len({id(terms) for terms in table.values()}) == len(table)
+            first, *rest = gr.vertices
+            table[first].clear()
+            for v in rest:
+                z0 = af.ExtAffineElt((0, 0), v)
+                assert table[v] == _walk_terms(d, gr, z0, betas), (v, betas)
+
+
 def test_enumeration_prefix_closed():
     d, g, t, betas = _translation_input("C", 2, (-1, -1))
     folds = {p.folds for p in pth.enumerate_paths(d, g, t, betas)}

@@ -96,6 +96,25 @@ def test_quantum_labels_are_quantum_roots(family, rank):
     assert labels
 
 
+EXCLUSION_TYPES = (
+    [("A", r) for r in range(1, 9)] + [("B", r) for r in range(2, 9)]
+    + [("C", r) for r in range(2, 9)] + [("D", r) for r in range(4, 9)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+
+@pytest.mark.parametrize("family,rank", EXCLUSION_TYPES)
+def test_exclusion_rule_is_the_bfp_condition(family, rank):
+    # at sigma = s_gamma the obstruction criterion asks only whether gamma
+    # is excluded, and s_gamma -> e is quantum iff the Brenti-Fomin-Postnikov
+    # condition holds; no group or graph is built, so E6-E8 are in reach
+    d = datum_of(family, rank)
+    for gamma in d.pos_coroots:
+        s = wg.reflection_of(d, gamma)
+        bfp = wg.length(d, s) == d.two_rho_pair(gamma) - 1
+        assert qbg.criterion_edge(d, s, gamma) == bfp, gamma
+
+
 def test_identity_edges_are_simple_covers():
     # from the identity, exactly the simple coroots give (covering) edges
     d = datum_of("A", 2)
