@@ -146,11 +146,6 @@ def test_edge_kind_lookup():
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_lenart_type_a_exhaustive(n):
-    assert list(ids.lenart(*datum_and_graph("A", n))) == []
-
-
-@pytest.mark.parametrize("n", [2, 3])
 def test_lenart_type_c_exhaustive(n):
     assert list(ids.lenart(*datum_and_graph("C", n))) == []
 
