@@ -11,8 +11,7 @@ import pytest
 
 from alcovepaths import weylgroup as wg
 from alcovepaths import qbg
-from alcovepaths import identities as ids
-from conftest import datum_and_graph, datum_of, graph_of
+from conftest import datum_of, graph_of
 
 EDGE_COUNTS = {
     ("A", 1): (1, 1),
@@ -143,11 +142,6 @@ def test_edge_kind_lookup():
     assert qbg.edge_kind(g.reversed, e, (1, 0)) == qbg.QUANTUM
     with pytest.raises(ValueError):
         qbg.edge_kind(g, e, (5, 5))
-
-
-@pytest.mark.parametrize("n", [2, 3])
-def test_lenart_type_c_exhaustive(n):
-    assert list(ids.lenart(*datum_and_graph("C", n))) == []
 
 
 def test_one_line_notation():
