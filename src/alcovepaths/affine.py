@@ -139,9 +139,14 @@ def length_ext(datum: RootDatum, a: ExtAffineElt) -> int:
 
 
 def is_right_descent_ext(datum: RootDatum, a: ExtAffineElt, i: int) -> bool:
-    """l(a s_i) < l(a), i.e. a sends the simple affine coroot a_i negative."""
-    img = act_on_affine_coroot(datum, a, affine_simple_coroot(datum, i))
-    return not img.is_positive()
+    """l(a s_i) < l(a), i.e. ``t_mu v`` sends ``a_i = gamma + d delta`` to
+    ``v(gamma) + m delta`` with ``m = d - <v(gamma), mu>`` negative, or zero
+    and ``v(gamma)``, the coroot at ``v.perm[index of gamma]``, negative."""
+    datum.check_rank(a.wt)
+    c = affine_simple_coroot(datum, i)
+    k = a.dir.perm[datum.coroot_index[c.re]]
+    m = c.deg - dot(datum.coroots[k], a.wt)
+    return m < 0 or (m == 0 and k >= len(datum.pos_coroots))
 
 
 def reduced_word_ext(datum: RootDatum, a: ExtAffineElt):

@@ -11,6 +11,7 @@ paths, over the shifted beta sequence of a fundamental direction.
 from __future__ import annotations
 
 import json
+import operator
 
 from .lattice import RootDatum, add, sub
 from . import weylgroup as wg
@@ -170,8 +171,9 @@ def recursion_check(
     betas = af.shifted_beta(datum, i, lam)
     for p in pth.enumerate_paths(datum, graph, z0, betas):
         end, qdeg = p.ends[-1], pth.qwt_degree(p)
+        ewt = end.wt  # both weights are the program's own: no length check
         for (wt, q), c in table(lam)[end.dir].items():
-            key = (add(wt, end.wt), q + qdeg)
+            key = (tuple(map(operator.add, wt, ewt)), q + qdeg)
             terms[key] = terms.get(key, 0) + c
     rhs = LaurentPoly(terms)
     return lhs, rhs, lhs == rhs

@@ -14,10 +14,9 @@ from __future__ import annotations
 import csv
 import io
 import json
-import operator
 from dataclasses import dataclass
 
-from .lattice import RootDatum, add, neg
+from .lattice import RootDatum, add, dot, neg
 from . import weylgroup as wg
 from . import affine as af
 from .affine import ExtAffineElt
@@ -46,15 +45,15 @@ class AlcovePath:
     quantum_folds: tuple
 
 
-def _fold_steps(datum: RootDatum, betas) -> list:
-    """Per position: beta's positive label and its reflection's translation."""
+def _fold_labels(datum: RootDatum, betas) -> list:
+    """Per position: the positive coroot that labels beta's QBG edges."""
     for b in betas:
         if not any(b.re):
             raise ValueError(f"beta with zero real part: {b!r}")
         if not datum.is_coroot(b.re):
             raise ValueError(f"beta real part is not a coroot: {b!r}")
     pos = lambda g: g if datum.is_pos_coroot(g) else neg(g)  # noqa: E731
-    return [(pos(b.re), af.affine_reflection(datum, b).wt) for b in betas]
+    return [pos(b.re) for b in betas]
 
 
 def enumerate_paths(
@@ -69,17 +68,17 @@ def enumerate_paths(
     first.
     """
     betas = tuple(betas)
-    steps = _fold_steps(datum, betas)
+    labels = _fold_labels(datum, betas)
+    wts = [af.affine_reflection(datum, b).wt for b in betas]
 
     def walk(z, pos, folds, ends, qfolds):
         yield AlcovePath(z0, betas, folds, ends, qfolds)
         for p in range(pos, len(betas)):
-            g, wt = steps[p]
-            edge = graph.edges.get((z.dir, g))
+            edge = graph.edges.get((z.dir, labels[p]))
             if edge is None:
                 continue
             kind, ws = edge
-            z1 = ExtAffineElt(add(z.wt, wg.act_weight(z.dir, wt)), ws)
+            z1 = ExtAffineElt(add(z.wt, wg.act_weight(z.dir, wts[p])), ws)
             q1 = qfolds + (p + 1,) if kind == qbg.QUANTUM else qfolds
             yield from walk(z1, p + 1, folds + (p + 1,), ends + (z1,), q1)
 
@@ -94,43 +93,49 @@ def fold_table(
     A forward sweep finds the directions and folds at each position; a
     backward sweep builds T(v, p), the terms of folds at positions >= p, as
     T(v, p + 1) plus, if v folds at p, T(v s_p, p + 1) shifted by v(wt_p)
-    and deg_p.  Inside the sweeps a term key is one integer, the weight and
-    q-degree as balanced digits in base ``2 * bound + 1``: ``bound`` sums
-    each position's largest absolute shift coordinate or degree, so every
-    partial sum lies in ``[-bound, bound]`` and no digit carries.  Each
-    start gets its own decoded table.
+    and deg_p.  At ``beta_p = gamma + deg_p delta``, v(wt_p) is ``-deg_p``
+    times the root weight of v(gamma), read at ``v.perm[index of gamma]``.
+    Inside the sweeps a term key is one integer, the weight and q-degree as
+    balanced digits in base ``2 * bound + 1``: ``bound`` is ``sum_p |deg_p|``
+    times the largest root-weight coordinate, so every partial sum lies in
+    ``[-bound, bound]`` and no digit carries.  Each start gets its own
+    decoded table.
     """
     betas = tuple(betas)
+    labels = _fold_labels(datum, betas)
+    rootwt = datum.memoized(
+        "root_weights", lambda: tuple(map(datum.coroot_weight, datum.coroots)))
+    top = max(map(max, rootwt))  # rootwt holds each weight and its negative
+    bound = top * sum(abs(b.deg) for b in betas)
+    base = 2 * bound + 1
+    digits = [base ** i for i in range(datum.rank + 1)]
+    packed = [dot(wt, digits) for wt in rootwt]
     starts = dict.fromkeys(starts)
-    reached, folds, bound = set(starts), [], 0
-    for (g, wt), b in zip(_fold_steps(datum, betas), betas):
-        here, top = {}, 0
+    reached, folds = set(starts), []
+    for g, b in zip(labels, betas):
+        k, deg, here = datum.coroot_index[b.re], b.deg, {}
         for v in reached:
             if edge := graph.edges.get((v, g)):
                 kind, ws = edge
-                qdeg = b.deg if kind == qbg.QUANTUM else 0
-                shift = wg.act_weight(v, wt) + (qdeg,)
+                shift = -deg * packed[v.perm[k]]
+                if kind == qbg.QUANTUM:
+                    shift += deg * digits[-1]
                 here[v] = (ws, shift)
-                top = max(top, *map(abs, shift))
         folds.append(here)
         reached.update(ws for ws, _ in here.values())
-        bound += top
-    base = 2 * bound + 1
-    digits = [base ** i for i in range(datum.rank + 1)]
     below = dict.fromkeys(reached, {0: 1})
     # T(u, p + 1) = T(u, p) for every u that does not fold at p, so only
     # the folded directions get new dicts
     for here in reversed(folds):
         new = {}
-        for v, (dest, shift) in here.items():
-            s = sum(map(operator.mul, shift, digits))
+        for v, (dest, s) in here.items():
             terms = new[v] = dict(below[v])
-            for k, c in below[dest].items():
-                k += s
-                terms[k] = terms.get(k, 0) + c
+            for key, c in below[dest].items():
+                key += s
+                terms[key] = terms.get(key, 0) + c
         below.update(new)
-    return {v: {_unpack(k, base, bound, datum.rank): c
-                for k, c in below[v].items()}
+    return {v: {_unpack(key, base, bound, datum.rank): c
+                for key, c in below[v].items()}
             for v in starts}
 
 

@@ -168,6 +168,27 @@ def test_right_descent_matches_length_rule(family, rank):
             assert af.from_word_ext(d, word, pi) == a
 
 
+@pytest.mark.parametrize("family,rank", [("D", 4), ("F", 4)])
+def test_right_descent_matches_affine_action(family, rank):
+    # oracle: a sends a_i to a negative affine coroot under the public action
+    d = datum_of(family, rank)
+    mus = [(0,) * rank] + [
+        f(d.fundamental_weight(i)) for i in range(1, rank + 1)
+        for f in (tuple, neg)
+    ]
+    simples = [af.affine_simple_coroot(d, i) for i in range(rank + 1)]
+    for v in wg.enumerate_group(d):
+        for mu in mus:
+            a = ExtAffineElt(mu, v)
+            for i, c in enumerate(simples):
+                img = af.act_on_affine_coroot(d, a, c)
+                assert af.is_right_descent_ext(d, a, i) == (
+                    not img.is_positive()), (mu, v, i)
+    for wt in ((0,) * (rank - 1), (0,) * (rank + 1)):
+        with pytest.raises(ValueError, match=f"length-{rank}"):
+            af.is_right_descent_ext(d, ExtAffineElt(wt, wg.identity(d)), 0)
+
+
 @pytest.mark.parametrize("family,rank", [("A", 2), ("C", 2), ("G", 2)])
 def test_beta_sequence_is_inversion_set(family, rank):
     # the betas of a reduced word are exactly the positive affine coroots

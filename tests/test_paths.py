@@ -125,6 +125,31 @@ def test_fold_table_at_the_digit_bound_in_a1(m):
     assert {-2 * m, 2 * m} <= weights
 
 
+@pytest.mark.parametrize("m", (1, 2))
+def test_fold_table_at_the_digit_bound_in_g2(m):
+    # G2 is the one type whose root weights have a coordinate of size 3
+    d, g, t, betas = _translation_input("G", 2, (-m, 0))
+    assert max(abs(x) for c in d.coroots for x in d.coroot_weight(c)) == 3
+    _assert_table_matches_walks(d, g, g.vertices, betas)
+
+
+@pytest.mark.parametrize("family,rank", [
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
+    ("C", 2), ("C", 3), ("C", 4), ("D", 4), ("F", 4), ("G", 2),
+])
+def test_fold_shift_is_a_root_weight(family, rank):
+    # the kernel's shift v(wt) at gamma + k delta is -k times the root
+    # weight of the coroot v(gamma)
+    d = datum_of(family, rank)
+    for v in wg.enumerate_group(d):
+        for c in d.coroots:
+            for k in (1, -2):
+                wt = af.affine_reflection(d, AffineCoroot(c, k)).wt
+                assert wg.act_weight(v, wt) == tuple(
+                    -k * x for x in d.coroot_weight(wg.act_coroot(v, c))
+                ), (v, c, k)
+
+
 @pytest.mark.parametrize("family,rank", [("A", 2), ("C", 2), ("G", 2)])
 def test_fold_table_on_degree_shifted_betas(family, rank):
     # the typed betas of genfun.recursion_check, whose degrees are raised
