@@ -14,7 +14,6 @@ import pytest
 from alcovepaths.lattice import add, build_datum, neg
 from alcovepaths import weylgroup as wg
 from alcovepaths import affine as af
-from alcovepaths import identities as ids
 from alcovepaths import qbg
 from alcovepaths.affine import AffineCoroot, ExtAffineElt
 from conftest import chain_parses, datum_of
@@ -202,15 +201,6 @@ def test_beta_sequence_is_inversion_set(family, rank):
     for b in betas:
         assert b.is_positive()
         assert not af.act_on_affine_coroot(d, t, b).is_positive()
-
-
-@pytest.mark.parametrize("family,rank", ALL_TYPES)
-def test_canonical_beta_multiset(family, rank):
-    d = datum_of(family, rank)
-    assert list(ids.beta(d)) == []
-    for i in range(1, rank + 1):
-        first = af.canonical_beta_order(d, i)[0]
-        assert first == AffineCoroot(neg(d.simple_coroot(i)), 1)
 
 
 @pytest.mark.parametrize("family,rank", ALL_TYPES + E_TYPES)
