@@ -11,7 +11,9 @@ alters a single byte fails here.
 The graph exports (``qbg`` as JSON for G2/C4/D4/F4 and as DOT for
 G2/C4/D4) and every ``beta --index`` of E6-E8/F4/G2 were recorded from
 the implementation that still summed both lengths for every edge and
-every affine descent, before each length was computed once.
+every affine descent, before each length was computed once.  Every
+``beta --index`` of A4/B4/C4/D4 was recorded from the implementation that
+still re-sorted the canonical layout's candidates at every step.
 """
 
 import hashlib
@@ -192,6 +194,38 @@ GOLDEN = {
         "164dc09f2122c44c35b85f2d2b5f361d6f27c2a7e941dde440960d204f9962dc",
     "qbg --type D4 --format dot":
         "bf454b3b3301a344aa82137a51d1eb8b4808474b8a39819226c02e45e8f9c29d",
+    "beta --type A4 --index 1":
+        "5cc3a09e138ff0e7b24d44a09bc9ef589b08fef14c0e4fbf2c82818bf3e78d9d",
+    "beta --type A4 --index 2":
+        "b33b059d98a0dd68da2bf5a479f4e9f0351fb9662902bca3d9441e3968636e65",
+    "beta --type A4 --index 3":
+        "b22689958de86ee6359532d6ac5f4347cf35ba301ede2d2bc63989fd635a5fc7",
+    "beta --type A4 --index 4":
+        "33b7a7f6aef18a40f5c101e9d7e0897e3c1a13f9585615f0e0f05750b8ed226c",
+    "beta --type B4 --index 1":
+        "f8ed16cf75f6c9a6c912bef3dca53418a684d5b1f161c08c27bae96bdcfa6830",
+    "beta --type B4 --index 2":
+        "6e37bb16920b69bc5a1341f405c8f919cab24bd7c9ead2855f6390f0bc20c220",
+    "beta --type B4 --index 3":
+        "93d467aa863d48e1f3a91941711486501742529eee376ea87e4ddba17c57dd72",
+    "beta --type B4 --index 4":
+        "8ed421171c14605e7b1bfe9b3044d2929367eef45dfcc92241f6ad30a7526a8a",
+    "beta --type C4 --index 1":
+        "5fa3c12261a2085cb258f43e3adb7d47eb1f8ba32e373395d273aa386713be8c",
+    "beta --type C4 --index 2":
+        "a9a08f7e9f021809928dbe29741e04d114374984b22f037f6fda451a16004626",
+    "beta --type C4 --index 3":
+        "75d692623e6dab8575c33763a52839dfa2cb465d6eb41885f8ac89340658f65c",
+    "beta --type C4 --index 4":
+        "bdbebdfc3fd3e2e0303fa1daed90f56b644a188e4e80b6c3bafcbf0d158138ef",
+    "beta --type D4 --index 1":
+        "5f34275a5b86f3d1a34019ba4056581e88888294a151cc3d12d66ad273bbfac0",
+    "beta --type D4 --index 2":
+        "18f507301a108373d2141615f54517498d8f9ae7b1b4abf2ad8387d8c7e2a190",
+    "beta --type D4 --index 3":
+        "4868e4fc693385fbab5a0b93a34e5f1ef10f8ad6210d3d26bdcd38d1ac0d046a",
+    "beta --type D4 --index 4":
+        "0166f3fb1937e87820972c15226f682ff313cd0d09efd1963f5bb20140f7818e",
     "beta --type E6 --index 1":
         "f2f58b2c155b12805b48394491831563862ea08a12cda1285e048a4e96bbc26b",
     "beta --type E6 --index 2":
