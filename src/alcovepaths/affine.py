@@ -153,11 +153,14 @@ def reduced_word_ext(datum: RootDatum, a: ExtAffineElt):
     """Normal form ``a = pi * s_{i_1} ... s_{i_l}`` with ``pi`` of length zero.
 
     Returns ``(pi, word)`` where the word is the lexicographically smallest
-    one obtained by repeatedly peeling the smallest right descent.
+    one obtained by repeatedly peeling the smallest right descent.  The
+    peeling stops after ``N + sum_g |<g, mu>|`` letters, a bound on
+    ``l(t_mu v)``, so a wrong descent answer raises instead of looping.
     """
+    cap = len(datum.pos_coroots) + sum(abs(dot(g, a.wt)) for g in datum.pos_coroots)
     word = []
     cur = a
-    while True:
+    while len(word) <= cap:
         for i in range(datum.rank + 1):
             if is_right_descent_ext(datum, cur, i):
                 word.append(i)
@@ -165,8 +168,8 @@ def reduced_word_ext(datum: RootDatum, a: ExtAffineElt):
                 break
         else:
             break
-    if length_ext(datum, cur) != 0:
-        raise AssertionError("positive length element with no descent")
+    if len(word) > cap or length_ext(datum, cur) != 0:
+        raise AssertionError("descents do not peel the element to length zero")
     word.reverse()
     return cur, tuple(word)
 
@@ -231,18 +234,18 @@ def _canonical_beta_build(datum: RootDatum, i: int) -> tuple:
         for g in quad:
             quads_of.setdefault(g, []).append(k)
 
-    def pref_key(g, k):
+    def pref_key(entry):
         # crossing order of g with k copies placed: decreasing
         # deg/<g, omega_i>, then coordinate ratios
+        g, k = entry
         ai = g[i - 1]
         head = -Fraction(mult[g] - k, ai)
         return (head,) + tuple(Fraction(g[j - 1], ai) for j in tail)
 
-    # dense integer ranks of the exact keys, equal keys sharing a rank, so a
-    # stable sort by rank orders the candidates as a sort by key would
-    keys = {(g, k): pref_key(g, k) for g in mult for k in range(mult[g])}
-    position = {key: n for n, key in enumerate(sorted(set(keys.values())))}
-    ranks = {g: [position[keys[g, k]] for k in range(mult[g])] for g in mult}
+    # every entry in crossing order, sorted once: g's key rises with k and no
+    # two keys tie, so the entries with placed[g] == k are the candidates of
+    # a step, in order
+    order = sorted(((g, k) for g in mult for k in range(mult[g])), key=pref_key)
 
     placed = {g: 0 for g in mult}
     states = [()] * len(quads)  # expected tail of the current chain block
@@ -273,11 +276,8 @@ def _canonical_beta_build(datum: RootDatum, i: int) -> tuple:
         nonlocal states
         if len(seq) == total:
             return all(st == () for st in states)
-        for g in sorted(
-            (g for g in mult if placed[g] < mult[g]),
-            key=lambda g: ranks[g][placed[g]],
-        ):
-            if not seq and g != first:
+        for g, k in order:
+            if placed[g] != k or (not seq and g != first):
                 continue
             if any(
                 placed[g] + 1 != placed.get(t, 0) + placed.get(e, 0)

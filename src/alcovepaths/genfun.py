@@ -92,10 +92,13 @@ def shift(poly: LaurentPoly, mu) -> LaurentPoly:
 
 
 def w0_twist(datum: RootDatum, poly: LaurentPoly) -> LaurentPoly:
-    """Apply the longest element to every x-exponent, leaving q alone."""
+    """Apply the longest element to every x-exponent, leaving q alone: w0
+    sends omega_j to -omega_sigma(j), sigma an involution as w0 is."""
     w0 = wg.longest_element(datum)
+    sigma = [wg.act_weight(w0, datum.fundamental_weight(j)).index(-1)
+             for j in range(1, datum.rank + 1)]
     return LaurentPoly(
-        {(wg.act_weight(w0, w), q): c for (w, q), c in poly.terms.items()}
+        {(tuple(-w[s] for s in sigma), q): c for (w, q), c in poly.terms.items()}
     )
 
 

@@ -7,10 +7,12 @@ so the pairing of a coroot with a weight is a plain dot product.
 The invariant form is normalized so that short roots have squared
 length 2; coroots are 2*alpha/(alpha,alpha) in that normalization.
 ``coroots`` lists the positive coroots and then their negatives, and
-``coroot_index`` gives each one's position there.  Tables derived from
-the datum alone (the reflections, the highest coroot, the root weight of
-each coroot, the affine simple coroots, the canonical layouts) are built
-on first use and kept in the datum, so each is built once per datum.
+``coroot_index`` gives each one's position there; ``roots`` and
+``root_weights`` hold the root of each coroot, in root and in weight
+coordinates, at the same positions.  Tables derived from the datum alone
+(the reflections, the highest coroot, the affine simple coroots, the
+canonical layouts) are built on first use and kept in ``memo``, so each
+is built once per datum.
 
 >>> d = build_datum("A", 2)
 >>> d.cartan
@@ -165,12 +167,10 @@ class RootDatum:
     coroots: tuple = field(repr=False)        # pos_coroots, then their negatives
     coroot_index: dict = field(repr=False)    # coroot -> its index in coroots
     simple_index: tuple = field(repr=False)   # index of alpha_i^vee, i = 1..rank
-    _root_by_coroot: dict = field(repr=False)
-    _coroot_by_root: dict = field(repr=False)
+    roots: tuple = field(repr=False)          # Root of coroots[k] is roots[k]
+    root_weights: tuple = field(repr=False)   # roots[k] as a Weight
     two_rho: tuple = field(repr=False)   # Weight, sum of all positive roots
-    # positive coroot index -> s_gamma, filled by weylgroup.reflection_of
-    reflection_memo: dict = field(default_factory=dict, repr=False, compare=False)
-    # the other tables, keyed by a table name and its argument; see memoized
+    # tables built on first use, keyed by a table name and its argument
     memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     def memoized(self, key, build):
@@ -216,21 +216,14 @@ class RootDatum:
         return self.coroot_index.get(tuple(c), n) < n
 
     def coroot_of_root(self, r: Root) -> Coroot:
-        if tuple(r) in self._coroot_by_root:
-            return self._coroot_by_root[tuple(r)]
-        return neg(self._coroot_by_root[neg(r)])
+        return self.coroots[self.roots.index(tuple(r))]
 
     def root_of_coroot(self, c: Coroot) -> Root:
-        if tuple(c) in self._root_by_coroot:
-            return self._root_by_coroot[tuple(c)]
-        return neg(self._root_by_coroot[neg(c)])
+        return self.roots[self.coroot_index[tuple(c)]]
 
     def coroot_weight(self, c: Coroot) -> Weight:
         """The root of the coroot c, as a weight vector."""
-        c = tuple(c)
-        return self.memoized(
-            ("coroot_weight", c), lambda: self.root_to_weight(self.root_of_coroot(c))
-        )
+        return self.root_weights[self.coroot_index[tuple(c)]]
 
     def simple_root(self, i: int) -> Root:
         """Simple root alpha_i, 1-based index."""
@@ -284,25 +277,18 @@ def build_datum(family: str, rank: int) -> RootDatum:
     n = rank
     d = _symmetrizer(cartan)
 
-    # generate the root system as the reflection orbit of the simple roots
-    def reflect_root(i, r):
-        pairing = sum(cartan[i][j] * r[j] for j in range(n))
-        out = list(r)
-        out[i] -= pairing
-        return tuple(out)
-
+    # generate the root system as the reflection orbit of the simple roots;
+    # the pairings <alpha_i^vee, r> that reflect r are r's weight
     simples = [tuple(int(j == i) for j in range(n)) for i in range(n)]
-    seen = set(simples)
+    weight = {}
     todo = list(simples)
     while todo:
         r = todo.pop()
-        for i in range(n):
-            r2 = reflect_root(i, r)
-            if r2 not in seen:
-                seen.add(r2)
-                todo.append(r2)
-    pos = sorted(r for r in seen if all(x >= 0 for x in r))
-    assert len(pos) * 2 == len(seen)
+        if r not in weight:
+            weight[r] = wt = tuple(dot(row, r) for row in cartan)
+            todo.extend(r[:i] + (r[i] - m,) + r[i + 1:] for i, m in enumerate(wt))
+    pos = sorted(r for r in weight if all(x >= 0 for x in r))
+    assert len(pos) * 2 == len(weight)
     if len(pos) != _EXPECTED_COUNTS[family](rank):
         raise AssertionError(f"positive root count mismatch for {family}{rank}")
 
@@ -321,10 +307,8 @@ def build_datum(family: str, rank: int) -> RootDatum:
 
     all_coroots = tuple(coroots) + tuple(map(neg, coroots))
     coroot_index = {c: k for k, c in enumerate(all_coroots)}
-    two_rho = tuple(
-        sum(sum(cartan[i][j] * r[j] for j in range(n)) for r in pos)
-        for i in range(n)
-    )
+    roots = tuple(pos) + tuple(map(neg, pos))
+    root_weights = tuple(map(weight.__getitem__, roots))
     return RootDatum(
         family=family,
         rank=rank,
@@ -336,8 +320,8 @@ def build_datum(family: str, rank: int) -> RootDatum:
         coroot_index=coroot_index,
         # alpha_i^vee is the same unit vector as alpha_i
         simple_index=tuple(coroot_index[s] for s in simples),
-        _root_by_coroot=dict(zip(coroots, pos)),
-        _coroot_by_root=dict(zip(pos, coroots)),
-        two_rho=two_rho,
+        roots=roots,
+        root_weights=root_weights,
+        two_rho=tuple(map(sum, zip(*root_weights[:len(pos)]))),
     )
 

@@ -103,13 +103,12 @@ def fold_table(
     """
     betas = tuple(betas)
     labels = _fold_labels(datum, betas)
-    rootwt = datum.memoized(
-        "root_weights", lambda: tuple(map(datum.coroot_weight, datum.coroots)))
-    top = max(map(max, rootwt))  # rootwt holds each weight and its negative
+    # root_weights holds each root weight and its negative
+    top = max(map(max, datum.root_weights))
     bound = top * sum(abs(b.deg) for b in betas)
     base = 2 * bound + 1
     digits = [base ** i for i in range(datum.rank + 1)]
-    packed = [dot(wt, digits) for wt in rootwt]
+    packed = [dot(wt, digits) for wt in datum.root_weights]
     starts = dict.fromkeys(starts)
     reached, folds = set(starts), []
     for g, b in zip(labels, betas):

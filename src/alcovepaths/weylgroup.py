@@ -159,18 +159,17 @@ def reflection_of(datum: RootDatum, coroot) -> WeylElt:
     if k is None:
         raise ValueError(f"not a coroot: {coroot!r}")
     k %= len(datum.pos_coroots)
-    memo = datum.reflection_memo
-    if k not in memo:
-        gamma = datum.pos_coroots[k]
-        root_wt = datum.coroot_weight(gamma)
+
+    def build():
+        gamma, root_wt = datum.coroots[k], datum.root_weights[k]
         images = []
         for c in datum.coroots:
             # s_gamma(c) = c - <c, alpha_gamma> gamma
             m = dot(c, root_wt)
             image = tuple(ci - m * gi for ci, gi in zip(c, gamma))
             images.append(datum.coroot_index[image])
-        memo[k] = WeylElt(tuple(images), datum)
-    return memo[k]
+        return WeylElt(tuple(images), datum)
+    return datum.memoized(("reflection", k), build)
 
 
 def type_order(family: str, rank: int) -> int:

@@ -167,6 +167,17 @@ def test_right_descent_matches_length_rule(family, rank):
             assert af.from_word_ext(d, word, pi) == a
 
 
+def test_reduced_word_ext_stops_on_a_wrong_descent(monkeypatch):
+    # a descent test that always answers yes at i = 0 would peel forever;
+    # the letter bound turns that into an error
+    d = datum_of("D", 4)
+    right = af.is_right_descent_ext
+    monkeypatch.setattr(
+        af, "is_right_descent_ext", lambda d, a, i: i == 0 or right(d, a, i))
+    with pytest.raises(AssertionError, match="length zero"):
+        af.reduced_word_ext(d, af.translation(d, neg(d.fundamental_weight(1))))
+
+
 @pytest.mark.parametrize("family,rank", [("D", 4), ("F", 4)])
 def test_right_descent_matches_affine_action(family, rank):
     # oracle: a sends a_i to a negative affine coroot under the public action
@@ -342,8 +353,9 @@ def test_memo_belongs_to_its_datum():
         af.reduced_word_ext(d, af.translation(d, (-1, 0)))
         for gamma in d.pos_coroots:
             qbg.criterion_edge(d, wg.identity(d), gamma)
-    for memo_a, memo_b in [(a.memo, b.memo), (a.reflection_memo, b.reflection_memo)]:
-        assert memo_a is not memo_b
-        assert memo_a.keys() == memo_b.keys()
-        assert not {id(v) for v in memo_a.values()} & {id(v) for v in memo_b.values()}
+            wg.reflection_of(d, gamma)
+    assert {("reflection", k) for k in range(len(a.pos_coroots))} <= a.memo.keys()
+    assert a.memo is not b.memo
+    assert a.memo.keys() == b.memo.keys()
+    assert not {id(v) for v in a.memo.values()} & {id(v) for v in b.memo.values()}
     assert af.canonical_beta_order(a, 1) == af.canonical_beta_order(b, 1)

@@ -75,6 +75,24 @@ def test_w0_twist_involution():
     assert gf.w0_twist(d, LaurentPoly.monomial((1, 0))) == LaurentPoly.monomial((0, -1))
 
 
+@pytest.mark.parametrize("family,rank", [
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
+    ("C", 2), ("C", 3), ("C", 4), ("D", 4), ("D", 5), ("E", 6), ("E", 7),
+    ("E", 8), ("F", 4), ("G", 2),
+])
+def test_w0_twist_matches_the_weyl_action(family, rank):
+    # oracle: w0 acting on each weight through the coroot permutation
+    d = datum_of(family, rank)
+    w0 = wg.longest_element(d)
+    weights = [(1,) * rank, tuple(range(rank)), tuple(j % 3 - 1 for j in range(rank))]
+    for j in range(1, rank + 1):
+        omega = d.fundamental_weight(j)
+        weights += [omega, tuple(-x for x in omega)]
+    p = LaurentPoly({(w, q): q + 1 for q, w in enumerate(weights)})
+    assert gf.w0_twist(d, p) == LaurentPoly(
+        {(wg.act_weight(w0, w), q): q + 1 for q, w in enumerate(weights)})
+
+
 # --- the path generating function ----------------------------------------
 
 def test_c_function_a1_fixtures():

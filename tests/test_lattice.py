@@ -65,9 +65,13 @@ def test_invalid_types_rejected():
             build_datum(family, rank)
 
 
-@pytest.mark.parametrize("family,rank", ALL_TYPES)
+@pytest.mark.parametrize("family,rank", ALL_TYPES + [("E", 6), ("E", 7), ("E", 8)])
 def test_coroot_duality(family, rank):
     d = datum_of(family, rank)
+    for k in range(len(d.coroots)):
+        assert d.root_weights[k] == d.root_to_weight(d.roots[k])
+        assert d.coroot_of_root(d.roots[k]) == d.coroots[k]
+        assert d.root_of_coroot(d.coroots[k]) == d.roots[k]
     for r, c in zip(d.pos_roots, d.pos_coroots):
         assert d.coroot_of_root(r) == c
         assert d.root_of_coroot(c) == r
