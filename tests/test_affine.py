@@ -1,10 +1,10 @@
 """Extended affine Weyl group: lengths, words, beta sequences.
 
 The rank-two beta sequences of the fundamental translations are pinned
-verbatim as fixtures; the structural properties of the canonical layout
-(chain factorization, word validity) are checked across every type of rank
-at most four plus G2, and word validity on E6-E8 too; count additivity is
-checked in ``test_acceptance::test_07_beta_suite``.
+verbatim as fixtures; word validity of the canonical layout is checked
+across every type of rank at most four plus G2 and on E6-E8; count
+additivity and chain factorization are checked in
+``test_acceptance::test_07_beta_suite``.
 The tables each datum memoizes are checked against fresh computations.
 """
 
@@ -12,12 +12,12 @@ import itertools
 
 import pytest
 
-from alcovepaths.lattice import add, build_datum, neg
+from alcovepaths.lattice import build_datum, neg
 from alcovepaths import weylgroup as wg
 from alcovepaths import affine as af
 from alcovepaths import qbg
 from alcovepaths.affine import AffineCoroot, ExtAffineElt
-from conftest import chain_parses, datum_of
+from conftest import datum_of
 
 ALL_TYPES = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
@@ -223,20 +223,6 @@ def test_canonical_beta_word_valid(family, rank):
         betas = af.canonical_beta_order(d, i)
         elt, word = af.word_from_beta(d, betas)
         assert af.beta_sequence(d, word) == betas
-
-
-@pytest.mark.parametrize("family,rank", ALL_TYPES)
-def test_canonical_beta_chain_factorization(family, rank):
-    d = datum_of(family, rank)
-    pos = set(d.pos_coroots)
-    for i in range(1, rank + 1):
-        res = [neg(b.re) for b in af.canonical_beta_order(d, i)]
-        for tau in pos:
-            for eta in pos:
-                if add(tau, eta) in pos and add(tau, add(eta, eta)) in pos:
-                    group = {tau, eta, add(tau, eta), add(tau, add(eta, eta))}
-                    seq = [g for g in res if g in group]
-                    assert chain_parses(seq, tau, eta), (i, tau, eta)
 
 
 @pytest.mark.parametrize("family,rank", ALL_TYPES)
