@@ -46,6 +46,10 @@ __all__ = [
     "shifted_beta", "word_for_translation",
 ]
 
+# placements the layout search may undo before it gives up; the most any
+# shipped layout needs is 1014 (F4, index 2), every other one needs none
+MAX_BACKTRACKS = 10_000
+
 
 @dataclass(frozen=True)
 class AffineCoroot:
@@ -252,6 +256,7 @@ def _canonical_beta_build(datum: RootDatum, i: int) -> tuple:
     seq: list = []
     total = sum(mult.values())
     first = datum.simple_coroot(i)
+    backtracks = 0
 
     def advance(g):
         if g not in quads_of:
@@ -273,7 +278,7 @@ def _canonical_beta_build(datum: RootDatum, i: int) -> tuple:
         return new
 
     def dfs():
-        nonlocal states
+        nonlocal states, backtracks
         if len(seq) == total:
             return all(st == () for st in states)
         for g, k in order:
@@ -296,6 +301,13 @@ def _canonical_beta_build(datum: RootDatum, i: int) -> tuple:
             seq.pop()
             placed[g] -= 1
             states = save
+            backtracks += 1
+            if backtracks > MAX_BACKTRACKS:
+                raise ValueError(
+                    f"beta layout search for index {i} in "
+                    f"{datum.family}{datum.rank} gave up after "
+                    f"{MAX_BACKTRACKS} backtracks"
+                )
         return False
 
     if not dfs():
@@ -326,7 +338,9 @@ def canonical_beta_order(datum: RootDatum, i: int) -> tuple:
       ``(eta, tau+2eta, tau+eta, tau+2eta)`` and ``(tau, tau+eta, tau+2eta)``.
 
     The result is always the beta sequence of an actual reduced word of
-    ``t_{-omega_i}`` and matches the hand-computed rank-two sequences.
+    ``t_{-omega_i}`` and matches the hand-computed rank-two sequences.  The
+    search raises ValueError once it has undone ``MAX_BACKTRACKS``
+    placements, rather than searching on.
     """
     if not 1 <= i <= datum.rank:
         raise ValueError(f"fundamental index out of range: {i}")

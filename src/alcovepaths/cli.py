@@ -15,6 +15,7 @@ Exit codes: 0 success, 2 argument/parse error, 3 size-cap exceeded,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -263,6 +264,7 @@ def _add_common(p, formats=("table", "json"), weight=True, sigma=False):
                        help="reduced word of the finite twist, e.g. 1,2")
 
 
+@functools.cache  # built once per process; parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="alcovepaths",

@@ -11,7 +11,6 @@ to cross-validate each other.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -45,19 +44,20 @@ class QuantumBruhatGraph:
 
 def build(datum: RootDatum) -> QuantumBruhatGraph:
     vertices = tuple(wg.enumerate_group(datum))
-    length = {w: wg.length(datum, w) for w in vertices}
-    # store each end as the vertex itself, not one WeylElt per edge
-    vertex = {w: w for w in vertices}
+    # each vertex and its length by permutation, so an edge test looks up
+    # w s_gamma instead of building a WeylElt for it
+    by_perm = {w.perm: (w, wg.length(datum, w)) for w in vertices}
     # label, its reflection, and the length change of a quantum step
     labels = [
-        (gamma, wg.reflection_of(datum, gamma), 1 - datum.two_rho_pair(gamma))
+        (gamma, wg.reflection_of(datum, gamma).perm, 1 - datum.two_rho_pair(gamma))
         for gamma in datum.pos_coroots
     ]
     edges = {}
     for w in vertices:
+        at, lw = w.perm.__getitem__, by_perm[w.perm][1]
         for gamma, s, quantum_step in labels:
-            ws = vertex[wg.multiply(w, s)]
-            step = length[ws] - length[w]
+            ws, lws = by_perm[tuple(map(at, s))]
+            step = lws - lw
             if step == 1 or step == quantum_step:
                 edges[(w, gamma)] = (BRUHAT if step == 1 else QUANTUM, ws)
     return QuantumBruhatGraph(datum, vertices, edges)
@@ -264,35 +264,55 @@ def criterion_edge(datum: RootDatum, sigma: WeylElt, gamma) -> bool:
 # Export
 
 
-def _word_str(datum: RootDatum, w: WeylElt) -> str:
-    word = wg.reduced_word(datum, w)
-    return ",".join(map(str, word)) if word else "e"
+def _names(graph: QuantumBruhatGraph) -> dict:
+    """Each vertex's smallest reduced word, written ``"1,2,1"`` (``"e"`` for
+    the identity), read off the simple edges.
+
+    The smallest reduced word of ``w`` is the least ``word(w s_i) + (i,)``
+    over the right descents ``i``, and ``i`` is one exactly when the simple
+    edge ``w -> w s_i`` is quantum (it goes down by one).  The vertices come
+    in length order, so each ``w s_i`` is named before ``w``.
+    """
+    simples = [(i, graph.datum.simple_coroot(i))
+               for i in range(1, graph.datum.rank + 1)]
+    word = {}
+    for w in graph.vertices:
+        down = (word[ws] + (i,) for i, g in simples
+                for kind, ws in [graph.edges[(w, g)]] if kind == QUANTUM)
+        word[w] = min(down, default=())
+    return {w: ",".join(map(str, x)) if x else "e" for w, x in word.items()}
 
 
 def export_json(graph: QuantumBruhatGraph) -> str:
-    d = graph.datum
-    name = {w: _word_str(d, w) for w in graph.vertices}
-    edges = sorted(
-        (
-            {"src": name[w], "label": list(g), "kind": kind}
-            for (w, g), (kind, _) in graph.edges.items()
-        ),
-        key=lambda e: (e["src"], e["label"], e["kind"]),
-    )
-    return json.dumps({"vertices": sorted(name.values()), "edges": edges}, indent=1)
+    """The bytes of ``json.dumps({"vertices": [...], "edges": [...]},
+    indent=1)``, with the names sorted and one ``{"src", "label", "kind"}``
+    record per edge sorted by those fields, written from fixed templates:
+    the stdlib encoder is pure Python once ``indent`` is set."""
+    name = _names(graph)
+    # everything of a record after its source name, by label and kind
+    tail = {}
+    for g in graph.datum.pos_coroots:
+        label = ",\n".join(f"    {x}" for x in g)
+        for kind in (BRUHAT, QUANTUM):
+            tail[g, kind] = (f'",\n   "label": [\n{label}\n   ],\n'
+                             f'   "kind": "{kind}"\n  }}')
+    items = sorted((name[w], g, kind) for (w, g), (kind, _) in graph.edges.items())
+    vertices = ",\n".join(f'  "{v}"' for v in sorted(name.values()))
+    edges = ",\n".join(f'  {{\n   "src": "{src}{tail[g, kind]}'
+                        for src, g, kind in items)
+    return f'{{\n "vertices": [\n{vertices}\n ],\n "edges": [\n{edges}\n ]\n}}'
 
 
 def export_dot(graph: QuantumBruhatGraph) -> str:
-    d = graph.datum
-    name = {w: _word_str(d, w) for w in graph.vertices}
+    name = _names(graph)
+    label = {g: str(list(g)) for g in graph.datum.pos_coroots}
     lines = ["digraph qbg {"]
     lines += [f'  "{v}";' for v in sorted(name.values())]
     items = sorted(
-        (name[w], list(g), kind, name[ws])
-        for (w, g), (kind, ws) in graph.edges.items()
+        (name[w], g, kind, name[ws]) for (w, g), (kind, ws) in graph.edges.items()
     )
-    for src, label, kind, dst in items:
+    for src, g, kind, dst in items:
         style = ' style=dashed kind="quantum"' if kind == QUANTUM else ""
-        lines.append(f'  "{src}" -> "{dst}" [label="{label}"{style}];')
+        lines.append(f'  "{src}" -> "{dst}" [label="{label[g]}"{style}];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -179,6 +179,14 @@ def test_reduced_word_ext_stops_on_a_wrong_descent(monkeypatch):
         af.reduced_word_ext(d, af.translation(d, neg(d.fundamental_weight(1))))
 
 
+def test_canonical_beta_search_gives_up(monkeypatch):
+    # F4 index 2 undoes 1014 placements on its way to its layout; with a
+    # smaller bound the search raises, naming the type and index
+    monkeypatch.setattr(af, "MAX_BACKTRACKS", 100)
+    with pytest.raises(ValueError, match="index 2 in F4 gave up"):
+        af.canonical_beta_order(build_datum("F", 4), 2)
+
+
 @pytest.mark.parametrize("family,rank", [("D", 4), ("F", 4)])
 def test_right_descent_matches_affine_action(family, rank):
     # oracle: a sends a_i to a negative affine coroot under the public action

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -37,6 +38,22 @@ def test_qbg_dot(capsys):
     code, out, _ = run(capsys, "qbg", "--type", "A1", "--format", "dot")
     assert code == 0
     assert out.startswith("digraph qbg {")
+
+
+def test_parser_is_built_once(capsys):
+    # the parser is cached for the process, so a usage error must leave
+    # nothing behind that a later invocation could see
+    assert cli.build_parser() is cli.build_parser()
+    argv = ("qbg", "--type", "A2", "--format", "json")
+    code, before, _ = run(capsys, *argv)
+    assert code == 0
+    code, out, err = run(capsys, "qbg")
+    assert (code, out) == (2, "")
+    assert "--type" in err
+    assert run(capsys, *argv) == (0, before, "")
+    # the digest the benchmark's oracle pins for this invocation
+    assert hashlib.sha256(before.encode()).hexdigest() == (
+        "e1a52dc4cfc9d1cb5d4a707dfeac21a0a1be5faae3d98b5bb6d46d92d87b513b")
 
 
 def test_beta_table(capsys):

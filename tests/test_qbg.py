@@ -179,3 +179,40 @@ def test_export_dot():
     assert out.startswith("digraph qbg {")
     assert out.count("->") == 2
     assert 'style=dashed kind="quantum"' in out
+
+
+NAME_TYPES = [
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
+    ("C", 2), ("C", 3), ("C", 4), ("D", 4), ("F", 4), ("G", 2),
+]
+
+
+def word_names(d, g):
+    # oracle: reduced_word peels left descents, so it shares no code with
+    # the exports, which read each name off the simple edges
+    return {w: ",".join(map(str, wg.reduced_word(d, w))) or "e"
+            for w in g.vertices}
+
+
+@pytest.mark.parametrize("family,rank", NAME_TYPES)
+def test_names_are_smallest_reduced_words(family, rank):
+    d = datum_of(family, rank)
+    g = graph_of(family, rank)
+    assert qbg._names(g) == word_names(d, g)
+
+
+@pytest.mark.parametrize("family,rank",
+                         [("A", 1), ("A", 2), ("B", 2), ("C", 3), ("G", 2)])
+def test_export_json_is_the_stdlib_encoding(family, rank):
+    # oracle: the stdlib encoder on one dict per edge
+    d = datum_of(family, rank)
+    g = graph_of(family, rank)
+    name = word_names(d, g)
+    edges = sorted(
+        ({"src": name[w], "label": list(gamma), "kind": kind}
+         for (w, gamma), (kind, _) in g.edges.items()),
+        key=lambda e: (e["src"], e["label"], e["kind"]),
+    )
+    expected = json.dumps(
+        {"vertices": sorted(name.values()), "edges": edges}, indent=1)
+    assert qbg.export_json(g) == expected
