@@ -11,7 +11,6 @@ paths, over the shifted beta sequence of a fundamental direction.
 from __future__ import annotations
 
 import json
-import operator
 
 from .lattice import RootDatum, add, sub
 from . import weylgroup as wg
@@ -34,6 +33,14 @@ class LaurentPoly:
 
     def __init__(self, terms=None):
         self.terms = {k: v for k, v in (terms or {}).items() if v != 0}
+
+    @classmethod
+    def _adopt(cls, terms: dict) -> "LaurentPoly":
+        """The polynomial with the dict ``terms`` itself, not a filtered
+        copy: every coefficient in it must be nonzero."""
+        poly = cls.__new__(cls)
+        poly.terms = terms
+        return poly
 
     @classmethod
     def monomial(cls, weight, qexp: int = 0, coeff: int = 1) -> "LaurentPoly":
@@ -93,10 +100,13 @@ def shift(poly: LaurentPoly, mu) -> LaurentPoly:
 
 def w0_twist(datum: RootDatum, poly: LaurentPoly) -> LaurentPoly:
     """Apply the longest element to every x-exponent, leaving q alone: w0
-    sends omega_j to -omega_sigma(j), sigma an involution as w0 is."""
-    w0 = wg.longest_element(datum)
-    sigma = [wg.act_weight(w0, datum.fundamental_weight(j)).index(-1)
-             for j in range(1, datum.rank + 1)]
+    sends omega_j to -omega_sigma(j), sigma an involution as w0 is; sigma
+    is built once per datum."""
+    def build():
+        w0 = wg.longest_element(datum)
+        return tuple(wg.act_weight(w0, datum.fundamental_weight(j)).index(-1)
+                     for j in range(1, datum.rank + 1))
+    sigma = datum.memoized("w0_sigma", build)
     return LaurentPoly(
         {(tuple(-w[s] for s in sigma), q): c for (w, q), c in poly.terms.items()}
     )
@@ -127,15 +137,15 @@ def c_function(
 
     The word is derived from w unless an explicit reduced word is passed;
     the value is independent of the choice.  The paths start at u*w and are
-    counted by ``paths.fold_table`` from its direction, then shifted by its
-    weight.
+    counted by ``paths.fold_table`` from the start ``{dir(u*w): wt(u*w)}``,
+    whose table is the polynomial as it comes out of the walk.
     """
     if word is None:
         _, word = af.reduced_word_ext(datum, w)
     z0 = af.multiply(u, w)
     betas = af.beta_sequence(datum, word)
-    terms = pth.fold_table(datum, graph, (z0.dir,), betas)[z0.dir]
-    return shift(LaurentPoly(terms), z0.wt)
+    terms = pth.fold_table(datum, graph, {z0.dir: z0.wt}, betas)[z0.dir]
+    return LaurentPoly._adopt(terms)
 
 
 def recursion_check(
@@ -152,8 +162,10 @@ def recursion_check(
     paths, of q^{deg} * C^{t_lam}_{dir(end)} * x^{wt(end) - dir(end)(lam)}.
     Returns (lhs, rhs, equal).
 
-    ``cache`` maps mu to ``paths.fold_table`` over every vertex v for one
-    word of t_mu, the terms of x^{-v(mu)} C_v^{t_mu}; a miss fills all v.
+    ``cache`` maps mu to ``{v: C_v^{t_mu}}`` over every vertex v, one
+    ``paths.fold_table`` for one word of t_mu from the starts
+    ``{v: v(mu)}`` (the paths of C_v^{t_mu} start at v t_mu = t_{v(mu)} v);
+    a miss fills all v.  The returned sides share no dict with the cache.
     """
     if cache is None:
         cache = {}
@@ -162,21 +174,25 @@ def recursion_check(
         if mu not in cache:
             _, word = af.reduced_word_ext(datum, af.translation(datum, mu))
             betas = af.beta_sequence(datum, word)
-            cache[mu] = pth.fold_table(datum, graph, graph.vertices, betas)
+            starts = {v: wg.act_weight(v, mu) for v in graph.vertices}
+            cache[mu] = pth.fold_table(datum, graph, starts, betas)
         return cache[mu]
 
-    # C_v^{t_mu} = x^{v(mu)} table(mu)[v]: its paths start at t_{v(mu)} v
     lam, mu = tuple(lam), sub(lam, datum.fundamental_weight(i))
     z0 = ExtAffineElt(wg.act_weight(u, mu), u)  # u t_mu
-    lhs = shift(LaurentPoly(table(mu)[u]), z0.wt)
-    # the typed paths walk the shifted fundamental betas from u t_mu
+    lhs = LaurentPoly._adopt(dict(table(mu)[u]))
+    # the typed paths walk the shifted fundamental betas from u t_mu; each
+    # adds its offset and q-degree to C_{dir(end)}^{t_lam} column by column
     terms: dict = {}
-    betas = af.shifted_beta(datum, i, lam)
+    betas, c_lam = af.shifted_beta(datum, i, lam), table(lam)
     for p in pth.enumerate_paths(datum, graph, z0, betas):
         end, qdeg = p.ends[-1], pth.qwt_degree(p)
-        ewt = end.wt  # both weights are the program's own: no length check
-        for (wt, q), c in table(lam)[end.dir].items():
-            key = (tuple(map(operator.add, wt, ewt)), q + qdeg)
-            terms[key] = terms.get(key, 0) + c
-    rhs = LaurentPoly(terms)
+        c = c_lam[end.dir]
+        wts, qs = zip(*c)
+        offset = sub(end.wt, wg.act_weight(end.dir, lam))
+        cols = [[x + o for x in col] for col, o in zip(zip(*wts), offset)]
+        keys = zip(zip(*cols), [q + qdeg for q in qs])
+        for key, n in zip(keys, c.values()):
+            terms[key] = terms.get(key, 0) + n
+    rhs = LaurentPoly._adopt(terms)
     return lhs, rhs, lhs == rhs

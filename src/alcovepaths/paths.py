@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .lattice import RootDatum, add, dot, neg
@@ -88,8 +89,10 @@ def enumerate_paths(
 def fold_table(
     datum: RootDatum, graph: QuantumBruhatGraph, starts, betas
 ) -> dict:
-    """``{v: {(end weight, q-degree): count}}``, paths from t_0 v, v in starts.
+    """``{v: {(end weight, q-degree): count}}``, the paths from t_mu v.
 
+    ``starts`` is a mapping ``{v: mu}`` or an iterable of directions v, each
+    then at mu = 0; the table of v is the terms of the paths from t_mu v.
     A forward sweep finds the directions and folds at each position; a
     backward sweep builds T(v, p), the terms of folds at positions >= p, as
     T(v, p + 1) plus, if v folds at p, T(v s_p, p + 1) shifted by v(wt_p)
@@ -98,8 +101,9 @@ def fold_table(
     Inside the sweeps a term key is one integer, the weight and q-degree as
     balanced digits in base ``2 * bound + 1``: ``bound`` is ``sum_p |deg_p|``
     times the largest root-weight coordinate, so every partial sum lies in
-    ``[-bound, bound]`` and no digit carries.  Each start gets its own
-    decoded table.
+    ``[-bound, bound]`` and no digit carries.  Each start's table is decoded
+    in one pass per digit, with mu added as the digits are read, into a
+    dict of its own.
     """
     betas = tuple(betas)
     labels = _fold_labels(datum, betas)
@@ -109,7 +113,8 @@ def fold_table(
     base = 2 * bound + 1
     digits = [base ** i for i in range(datum.rank + 1)]
     packed = [dot(wt, digits) for wt in datum.root_weights]
-    starts = dict.fromkeys(starts)
+    if not isinstance(starts, Mapping):
+        starts = dict.fromkeys(starts, (0,) * datum.rank)
     reached, folds = set(starts), []
     for g, b in zip(labels, betas):
         k, deg, here = datum.coroot_index[b.re], b.deg, {}
@@ -133,19 +138,19 @@ def fold_table(
                 key += s
                 terms[key] = terms.get(key, 0) + c
         below.update(new)
-    return {v: {_unpack(key, base, bound, datum.rank): c
-                for key, c in below[v].items()}
-            for v in starts}
-
-
-def _unpack(key: int, base: int, bound: int, rank: int) -> tuple:
-    """``(weight, q)`` from ``sum_i w_i base^i + q base^rank``, every digit
-    in ``[-bound, bound]``."""
-    wt = []
-    for _ in range(rank):
-        key, d = divmod(key + bound, base)
-        wt.append(d - bound)
-    return tuple(wt), key
+    # adding bound to every weight digit leaves each in [0, 2 * bound], so
+    # digit i is a plain remainder and the q-degree what is left at the top
+    lift = bound * sum(digits[:-1])
+    out = {}
+    for v, mu in starts.items():
+        datum.check_rank(mu)
+        keys, cols = [key + lift for key in below[v]], []
+        for m in mu:
+            low = m - bound
+            cols.append([key % base + low for key in keys])
+            keys = [key // base for key in keys]
+        out[v] = dict(zip(zip(zip(*cols), keys), below[v].values()))
+    return out
 
 
 def end_weight(p: AlcovePath):

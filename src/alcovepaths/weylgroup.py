@@ -138,16 +138,18 @@ def reduced_word(datum: RootDatum, a: WeylElt) -> tuple:
 
 
 def longest_element(datum: RootDatum) -> WeylElt:
-    """w_0, found by greedy length ascent."""
-    cur = identity(datum)
-    while True:
-        for i in range(1, datum.rank + 1):
-            if not is_right_descent(datum, cur, i):
-                nxt = multiply(cur, simple_reflection(datum, i))
-                break
-        else:
-            return cur
-        cur = nxt
+    """w_0, found by greedy length ascent once per datum."""
+    def build():
+        cur = identity(datum)
+        while True:
+            for i in range(1, datum.rank + 1):
+                if not is_right_descent(datum, cur, i):
+                    nxt = multiply(cur, simple_reflection(datum, i))
+                    break
+            else:
+                return cur
+            cur = nxt
+    return datum.memoized("longest_element", build)
 
 
 def reflection_of(datum: RootDatum, coroot) -> WeylElt:

@@ -16,6 +16,7 @@ from alcovepaths.lattice import build_datum, neg
 from alcovepaths import weylgroup as wg
 from alcovepaths import affine as af
 from alcovepaths import qbg
+from alcovepaths import genfun as gf
 from alcovepaths.affine import AffineCoroot, ExtAffineElt
 from conftest import datum_of
 
@@ -333,7 +334,10 @@ def test_memo_belongs_to_its_datum():
         for gamma in d.pos_coroots:
             qbg.criterion_edge(d, wg.identity(d), gamma)
             wg.reflection_of(d, gamma)
+        gf.w0_twist(d, gf.LaurentPoly.monomial((1, 0)))
     assert {("reflection", k) for k in range(len(a.pos_coroots))} <= a.memo.keys()
+    assert {"longest_element", "w0_sigma"} <= a.memo.keys()
+    assert wg.longest_element(a) is a.memo["longest_element"]
     assert a.memo is not b.memo
     assert a.memo.keys() == b.memo.keys()
     assert not {id(v) for v in a.memo.values()} & {id(v) for v in b.memo.values()}

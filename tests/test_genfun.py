@@ -1,5 +1,8 @@
 """Generating functions over folded paths and the Laurent polynomial ring."""
 
+import itertools
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -211,6 +214,28 @@ def test_recursion_derives_each_word_once(family, rank, monkeypatch):
         assert lhs == gf.c_function(
             d, g, ExtAffineElt(zero, u), af.translation(d, mu)
         )
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("C", 2), ("G", 2)])
+def test_recursion_lhs_is_the_c_function(family, rank):
+    # the left side against the unmemoized walk from u t_mu; clearing a
+    # returned side must leave the cache, and so a repeated call, as it was
+    d, g = datum_of(family, rank), graph_of(family, rank)
+    cache = {}
+    for lam in itertools.product((0, -1), repeat=rank):
+        for i in range(1, rank + 1):
+            t_mu = af.translation(d, sub(lam, d.fundamental_weight(i)))
+            betas = af.beta_sequence(d, af.reduced_word_ext(d, t_mu)[1])
+            for u in g.vertices:
+                z0 = af.multiply(ExtAffineElt((0,) * rank, u), t_mu)
+                want = Counter((pth.end_weight(p), pth.qwt_degree(p))
+                               for p in pth.enumerate_paths(d, g, z0, betas))
+                lhs, rhs, ok = gf.recursion_check(d, g, u, i, lam, cache)
+                assert ok and lhs.terms == want, (lam, i, u)
+                lhs.terms.clear()
+                rhs.terms.clear()
+                again = gf.recursion_check(d, g, u, i, lam, cache)
+                assert again[2] and again[0].terms == want, (lam, i, u)
 
 
 def _typed_paths(d, g, i, lam):

@@ -25,10 +25,8 @@ def _translation_input(family, rank, lam):
 
 
 def _kernel_terms(d, g, z0, betas):
-    """The kernel's terms from z0, shifted as ``genfun.c_function`` does."""
-    terms = pth.fold_table(d, g, (z0.dir,), betas)[z0.dir]
-    return {(tuple(x + y for x, y in zip(wt, z0.wt)), q): c
-            for (wt, q), c in terms.items()}
+    """The kernel's terms from z0, read as ``genfun.c_function`` reads them."""
+    return pth.fold_table(d, g, {z0.dir: z0.wt}, betas)[z0.dir]
 
 
 def _kernel_count(d, g, z0, betas):
@@ -120,9 +118,16 @@ def test_fold_table_at_the_digit_bound_in_a1(m):
     # the end weights of t_{-m omega} span [-2m, 2m], both ends reached
     d, g, t, betas = _translation_input("A", 1, (-m,))
     _assert_table_matches_walks(d, g, g.vertices, betas)
-    weights = {wt for terms in pth.fold_table(d, g, g.vertices, betas).values()
-               for (wt,), _ in terms}
+    plain = pth.fold_table(d, g, g.vertices, betas)
+    weights = {wt for terms in plain.values() for (wt,), _ in terms}
     assert {-2 * m, 2 * m} <= weights
+    # a start weight is added to the decoded digits, never packed, so one
+    # far outside [-bound, bound] gets the weight-zero table shifted
+    far, near = g.vertices
+    table = pth.fold_table(d, g, {far: (10 ** 6,), near: (0,)}, betas)
+    assert table[far] == {((x + 10 ** 6,), q): c
+                          for ((x,), q), c in plain[far].items()}
+    assert table[near] == plain[near]
 
 
 @pytest.mark.parametrize("m", (1, 2))
@@ -180,6 +185,24 @@ def test_fold_table_gives_each_start_its_own_table():
             for v in rest:
                 z0 = af.ExtAffineElt((0, 0), v)
                 assert table[v] == _walk_terms(d, gr, z0, betas), (v, betas)
+
+
+@pytest.mark.parametrize("family,rank,lam", [
+    ("A", 2, (-1, -1)), ("C", 2, (-1, -1)), ("G", 2, (-1, -1)),
+    ("B", 3, (0, -1, 0)),
+])
+def test_fold_table_start_weights(family, rank, lam):
+    # the start {v: v(lam)} is t_{v(lam)} v, the start of C_v^{t_lam}
+    d, g, t, betas = _translation_input(family, rank, lam)
+    starts = {v: wg.act_weight(v, lam) for v in g.vertices}
+    for gr in (g, g.reversed):
+        table = pth.fold_table(d, gr, starts, betas)
+        assert set(table) == set(starts)
+        for v, mu in starts.items():
+            z0 = af.ExtAffineElt(mu, v)
+            assert table[v] == _walk_terms(d, gr, z0, betas), (v, gr is g)
+    with pytest.raises(ValueError, match="length"):
+        pth.fold_table(d, g, {t.dir: (0,) * (rank + 1)}, betas)
 
 
 def test_enumeration_prefix_closed():
