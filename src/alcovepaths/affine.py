@@ -16,6 +16,12 @@ and the reflection in ``gamma + N*delta`` is ``t_{-N*alpha_gamma} s_gamma``
 
 The affine simple coroots and reflections, the splittings of the positive
 coroots and each canonical layout are built once per datum, on first use.
+So is the simple-step table (per affine simple ``i``: the index of
+``Re a_i``, ``deg a_i`` and the permutation of ``s_i``), through which
+reduced words and beta sequences are derived on plain ``(wt, perm)``
+pairs; only a returned element is built.  ``word_from_beta`` applies
+``p^{-1}`` for ``p = t_mu v`` directly:
+``p^{-1}(gamma + m*delta) = v^{-1}(gamma) + (m + <gamma, mu>)*delta``.
 
 >>> from alcovepaths.lattice import build_datum
 >>> d = build_datum("A", 2)
@@ -142,15 +148,58 @@ def length_ext(datum: RootDatum, a: ExtAffineElt) -> int:
     return total
 
 
+def _simple_steps(datum: RootDatum) -> tuple:
+    """Per affine simple ``i = 0..n``: ``(index of Re a_i, deg a_i, perm of
+    s_i)``; the translation part of ``s_i`` is ``-deg a_i`` times the root
+    weight at that index."""
+    def build():
+        return tuple(
+            (datum.coroot_index[c.re], c.deg, s.dir.perm)
+            for c, s in zip(*_affine_simples(datum))
+        )
+    return datum.memoized("simple_steps", build)
+
+
+def _descends(datum: RootDatum, wt, perm, step) -> bool:
+    """The right descent rule at the step of ``i``: ``t_wt v`` sends
+    ``a_i = gamma + d delta`` to ``v(gamma) + m delta`` with
+    ``m = d - <v(gamma), wt>`` negative, or zero and ``v(gamma)``, the
+    coroot at ``perm[index of gamma]``, negative."""
+    k, deg, _ = step
+    j = perm[k]
+    m = deg - dot(datum.coroots[j], wt)
+    return m < 0 or (m == 0 and j >= len(datum.pos_coroots))
+
+
+def _times_simple(datum: RootDatum, wt, perm, step) -> tuple:
+    """``(wt, perm)`` of ``t_wt v s_i`` from the step of ``i``: ``v`` of the
+    translation part of ``s_i`` is ``-deg a_i`` times the root weight at
+    ``perm[index of Re a_i]``."""
+    k, deg, s = step
+    if deg:
+        wt = tuple(x - deg * y for x, y in zip(wt, datum.root_weights[perm[k]]))
+    return wt, tuple(map(perm.__getitem__, s))
+
+
+def _preimage_letter(datum: RootDatum, wt, perm, re, deg):
+    """The ``j`` with ``p^{-1}(re + deg delta) = a_j`` for ``p = t_wt v``, or
+    None if there is none; ``v^{-1}(re)`` is the coroot at
+    ``perm.index(index of re)``."""
+    k = datum.coroot_index.get(tuple(re))
+    if k is None:
+        return None
+    letters = datum.memoized("simple_letters", lambda: {
+        (kj, dj): j for j, (kj, dj, _) in enumerate(_simple_steps(datum))
+    })
+    return letters.get((perm.index(k), deg + dot(datum.coroots[k], wt)))
+
+
 def is_right_descent_ext(datum: RootDatum, a: ExtAffineElt, i: int) -> bool:
-    """l(a s_i) < l(a), i.e. ``t_mu v`` sends ``a_i = gamma + d delta`` to
-    ``v(gamma) + m delta`` with ``m = d - <v(gamma), mu>`` negative, or zero
-    and ``v(gamma)``, the coroot at ``v.perm[index of gamma]``, negative."""
+    """l(a s_i) < l(a), i.e. ``t_mu v`` sends ``a_i`` to a negative affine
+    coroot; the rule itself is ``_descends``."""
     datum.check_rank(a.wt)
-    c = affine_simple_coroot(datum, i)
-    k = a.dir.perm[datum.coroot_index[c.re]]
-    m = c.deg - dot(datum.coroots[k], a.wt)
-    return m < 0 or (m == 0 and k >= len(datum.pos_coroots))
+    _check_affine_index(datum, i)
+    return _descends(datum, a.wt, a.dir.perm, _simple_steps(datum)[i])
 
 
 def reduced_word_ext(datum: RootDatum, a: ExtAffineElt):
@@ -161,21 +210,24 @@ def reduced_word_ext(datum: RootDatum, a: ExtAffineElt):
     peeling stops after ``N + sum_g |<g, mu>|`` letters, a bound on
     ``l(t_mu v)``, so a wrong descent answer raises instead of looping.
     """
+    datum.check_rank(a.wt)
     cap = len(datum.pos_coroots) + sum(abs(dot(g, a.wt)) for g in datum.pos_coroots)
+    steps = _simple_steps(datum)
     word = []
-    cur = a
+    wt, perm = tuple(a.wt), a.dir.perm
     while len(word) <= cap:
-        for i in range(datum.rank + 1):
-            if is_right_descent_ext(datum, cur, i):
+        for i, step in enumerate(steps):
+            if _descends(datum, wt, perm, step):
                 word.append(i)
-                cur = multiply(cur, affine_simple_reflection(datum, i))
+                wt, perm = _times_simple(datum, wt, perm, step)
                 break
         else:
             break
-    if len(word) > cap or length_ext(datum, cur) != 0:
+    pi = ExtAffineElt(wt, WeylElt(perm, datum))
+    if len(word) > cap or length_ext(datum, pi) != 0:
         raise AssertionError("descents do not peel the element to length zero")
     word.reverse()
-    return cur, tuple(word)
+    return pi, tuple(word)
 
 
 def from_word_ext(datum: RootDatum, word, pi: ExtAffineElt | None = None) -> ExtAffineElt:
@@ -187,13 +239,17 @@ def from_word_ext(datum: RootDatum, word, pi: ExtAffineElt | None = None) -> Ext
 
 def beta_sequence(datum: RootDatum, word) -> tuple:
     """beta_k = s_{i_l} ... s_{i_{k+1}} (a_{i_k}) for a reduced word (i_1..i_l)."""
+    for i in word:
+        _check_affine_index(datum, i)
+    steps = _simple_steps(datum)
     out = [None] * len(word)
-    p = ext_identity(datum)
+    wt, perm = (0,) * datum.rank, tuple(range(len(datum.coroots)))
     for k in range(len(word) - 1, -1, -1):
-        out[k] = act_on_affine_coroot(
-            datum, p, affine_simple_coroot(datum, word[k])
-        )
-        p = multiply(p, affine_simple_reflection(datum, word[k]))
+        step = steps[word[k]]
+        # the image of a_i = gamma + d delta under t_wt v
+        g = datum.coroots[perm[step[0]]]
+        out[k] = AffineCoroot(g, step[1] - dot(g, wt))
+        wt, perm = _times_simple(datum, wt, perm, step)
     return tuple(out)
 
 
@@ -351,21 +407,22 @@ def canonical_beta_order(datum: RootDatum, i: int) -> tuple:
 
 def word_from_beta(datum: RootDatum, betas):
     """Recover ``(s_{i_1} ... s_{i_l}, (i_1, ..., i_l))`` from a beta
-    sequence; raises if it is not one."""
+    sequence; raises ValueError if it is not one."""
+    steps = _simple_steps(datum)
     l = len(betas)
     word = [0] * l
-    p = ext_identity(datum)
-    simples = [affine_simple_coroot(datum, j) for j in range(datum.rank + 1)]
+    wt, perm = (0,) * datum.rank, tuple(range(len(datum.coroots)))
     for k in range(l - 1, -1, -1):
-        c = act_on_affine_coroot(datum, inverse(p), betas[k])
-        try:
-            word[k] = simples.index(c)
-        except ValueError:
+        # p = s_{i_l} ... s_{i_{k+1}} sends a_{i_k} to beta_k
+        b = betas[k]
+        j = _preimage_letter(datum, wt, perm, b.re, b.deg)
+        if j is None:
             raise ValueError(
                 f"not a valid beta sequence: step {k + 1} is not simple"
-            ) from None
-        p = multiply(p, affine_simple_reflection(datum, word[k]))
-    return inverse(p), tuple(word)
+            )
+        word[k] = j
+        wt, perm = _times_simple(datum, wt, perm, steps[j])
+    return inverse(ExtAffineElt(wt, WeylElt(perm, datum))), tuple(word)
 
 
 def shifted_beta(datum: RootDatum, i: int, lam) -> tuple:
@@ -383,13 +440,10 @@ def shifted_beta(datum: RootDatum, i: int, lam) -> tuple:
 
 def _conjugation_table(datum: RootDatum, pi: ExtAffineElt) -> dict:
     """j -> c with pi^{-1} s_j pi = s_c, for a length-zero pi."""
-    simples = [affine_simple_coroot(datum, j) for j in range(datum.rank + 1)]
-    pi_inv = inverse(pi)
-    table = {}
-    for j in range(datum.rank + 1):
-        c = act_on_affine_coroot(datum, pi_inv, simples[j])
-        table[j] = simples.index(c)
-    return table
+    return {
+        j: _preimage_letter(datum, pi.wt, pi.dir.perm, datum.coroots[k], deg)
+        for j, (k, deg, _) in enumerate(_simple_steps(datum))
+    }
 
 
 def word_for_translation(datum: RootDatum, lam, lead_index=None):

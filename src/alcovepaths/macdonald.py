@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import RootDatum, sub, neg
+from .lattice import RootDatum, sub
 from . import weylgroup as wg
 from .weylgroup import WeylElt
 from . import affine as af
@@ -26,7 +26,7 @@ from .genfun import LaurentPoly
 __all__ = [
     "SpecializationReport", "SpecializationMismatch", "e_zero", "e_infinity",
     "specialization_report", "weyl_character", "weyl_dimension",
-    "fundamental_dim", "cominuscule_indices", "cominuscule_twist_check",
+    "cominuscule_indices", "cominuscule_twist_check",
 ]
 
 
@@ -121,12 +121,6 @@ def weyl_dimension(
     datum: RootDatum, graph: QuantumBruhatGraph, sigma: WeylElt, lam
 ) -> int:
     return gf.evaluate(weyl_character(datum, graph, sigma, lam))
-
-
-def fundamental_dim(datum: RootDatum, graph: QuantumBruhatGraph, i: int) -> int:
-    """Path count for the fundamental translation, started at the identity."""
-    lam = neg(datum.fundamental_weight(i))
-    return weyl_dimension(datum, graph, wg.identity(datum), lam)
 
 
 def cominuscule_indices(datum: RootDatum) -> tuple:

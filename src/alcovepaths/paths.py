@@ -17,9 +17,8 @@ import json
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from .lattice import RootDatum, add, dot, neg
+from .lattice import RootDatum, dot, neg
 from . import weylgroup as wg
-from . import affine as af
 from .affine import ExtAffineElt
 from . import qbg
 from .qbg import QuantumBruhatGraph
@@ -70,7 +69,7 @@ def enumerate_paths(
     """
     betas = tuple(betas)
     labels = _fold_labels(datum, betas)
-    wts = [af.affine_reflection(datum, b).wt for b in betas]
+    index = [datum.coroot_index[b.re] for b in betas]
 
     def walk(z, pos, folds, ends, qfolds):
         yield AlcovePath(z0, betas, folds, ends, qfolds)
@@ -79,7 +78,10 @@ def enumerate_paths(
             if edge is None:
                 continue
             kind, ws = edge
-            z1 = ExtAffineElt(add(z.wt, wg.act_weight(z.dir, wts[p])), ws)
+            # z s_{beta_p} = t_{wt + shift} ws with shift = -deg_p times the
+            # root weight of z.dir(Re beta_p), as in fold_table
+            deg, shift = betas[p].deg, datum.root_weights[z.dir.perm[index[p]]]
+            z1 = ExtAffineElt(tuple(x - deg * y for x, y in zip(z.wt, shift)), ws)
             q1 = qfolds + (p + 1,) if kind == qbg.QUANTUM else qfolds
             yield from walk(z1, p + 1, folds + (p + 1,), ends + (z1,), q1)
 

@@ -40,8 +40,9 @@ def test_01_g2_fundamental_counts():
     start = time.monotonic()
     d = datum_of("G", 2)
     g = graph_of("G", 2)
-    assert mac.fundamental_dim(d, g, 1) == 15
-    assert mac.fundamental_dim(d, g, 2) == 7
+    e = wg.identity(d)
+    assert mac.weyl_dimension(d, g, e, neg(d.fundamental_weight(1))) == 15
+    assert mac.weyl_dimension(d, g, e, neg(d.fundamental_weight(2))) == 7
     assert time.monotonic() - start < 1.0
 
 

@@ -9,6 +9,7 @@ The tables each datum memoizes are checked against fresh computations.
 """
 
 import itertools
+import random
 
 import pytest
 
@@ -169,13 +170,56 @@ def test_right_descent_matches_length_rule(family, rank):
             assert af.from_word_ext(d, word, pi) == a
 
 
+def _reference_fold(d, word):
+    """The betas of a word and ``s_{i_l} ... s_{i_1}``, element by element
+    through the public multiply and affine action."""
+    betas = [None] * len(word)
+    p = af.ext_identity(d)
+    for k in range(len(word) - 1, -1, -1):
+        betas[k] = af.act_on_affine_coroot(d, p, af.affine_simple_coroot(d, word[k]))
+        p = af.multiply(p, af.affine_simple_reflection(d, word[k]))
+    return tuple(betas), p
+
+
+def _check_word_kernel(d, a):
+    pi, word = af.reduced_word_ext(d, a)
+    assert af.from_word_ext(d, word, pi) == a
+    betas, p = _reference_fold(d, word)
+    assert af.beta_sequence(d, word) == betas
+    assert af.word_from_beta(d, betas) == (af.inverse(p), word)
+
+
+@pytest.mark.parametrize("family,rank", [
+    ("A", 1), ("A", 2), ("A", 3), ("B", 2), ("C", 2), ("G", 2), ("B", 3),
+    ("D", 4),
+])
+def test_word_kernel_matches_the_element_reference(family, rank):
+    # every t_mu v with v in W and mu in {-1, 0, 1}^r: the words and betas
+    # derived on (wt, perm) pairs against the per-element reference
+    d = datum_of(family, rank)
+    for v in wg.enumerate_group(d):
+        for mu in itertools.product((-1, 0, 1), repeat=rank):
+            _check_word_kernel(d, ExtAffineElt(mu, v))
+
+
+@pytest.mark.parametrize("family,rank", [("F", 4), ("E", 6)])
+def test_word_kernel_matches_the_element_reference_sampled(family, rank):
+    d = datum_of(family, rank)
+    rng = random.Random(17)
+    for _ in range(60):
+        v = wg.from_word(d, [rng.randint(1, rank) for _ in range(40)])
+        mu = tuple(rng.choice((-1, 0, 1)) for _ in range(rank))
+        _check_word_kernel(d, ExtAffineElt(mu, v))
+
+
 def test_reduced_word_ext_stops_on_a_wrong_descent(monkeypatch):
     # a descent test that always answers yes at i = 0 would peel forever;
     # the letter bound turns that into an error
     d = datum_of("D", 4)
-    right = af.is_right_descent_ext
+    right, a_0 = af._descends, af._simple_steps(d)[0]
     monkeypatch.setattr(
-        af, "is_right_descent_ext", lambda d, a, i: i == 0 or right(d, a, i))
+        af, "_descends",
+        lambda d, wt, perm, step: step is a_0 or right(d, wt, perm, step))
     with pytest.raises(AssertionError, match="length zero"):
         af.reduced_word_ext(d, af.translation(d, neg(d.fundamental_weight(1))))
 
@@ -281,6 +325,19 @@ def test_word_from_beta_rejects_garbage():
         af.word_from_beta(d, bad)
 
 
+@pytest.mark.parametrize("bad", [
+    (AffineCoroot((2, 1), 1), AffineCoroot((1, 0), 0)),
+    (AffineCoroot((1, 0), 1), AffineCoroot((-1, -1, 0), 1)),
+    # the layout of index 1 with its first beta repeated
+    (AffineCoroot((-1, 0), 1), AffineCoroot((-1, 0), 1),
+     AffineCoroot((-1, -1), 1)),
+], ids=["not-a-coroot", "wrong-rank", "too-long"])
+def test_word_from_beta_rejects_a_bad_beta(bad):
+    d = datum_of("A", 2)
+    with pytest.raises(ValueError, match="not a valid beta sequence"):
+        af.word_from_beta(d, bad)
+
+
 @pytest.mark.parametrize("family,rank", [("A", 2), ("C", 2), ("G", 2)])
 def test_word_for_translation(family, rank):
     d = datum_of(family, rank)
@@ -336,7 +393,7 @@ def test_memo_belongs_to_its_datum():
             wg.reflection_of(d, gamma)
         gf.w0_twist(d, gf.LaurentPoly.monomial((1, 0)))
     assert {("reflection", k) for k in range(len(a.pos_coroots))} <= a.memo.keys()
-    assert {"longest_element", "w0_sigma"} <= a.memo.keys()
+    assert {"longest_element", "w0_sigma", "simple_steps"} <= a.memo.keys()
     assert wg.longest_element(a) is a.memo["longest_element"]
     assert a.memo is not b.memo
     assert a.memo.keys() == b.memo.keys()

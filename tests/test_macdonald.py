@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from alcovepaths.lattice import neg
 from alcovepaths import weylgroup as wg
 from alcovepaths import macdonald as mac
 from alcovepaths.genfun import LaurentPoly
@@ -121,17 +122,19 @@ def test_dimension_independent_of_twist(family, rank, lam):
 
 
 def test_fundamental_dims():
-    assert mac.fundamental_dim(datum_of("G", 2), graph_of("G", 2), 1) == 15
-    assert mac.fundamental_dim(datum_of("G", 2), graph_of("G", 2), 2) == 7
-    assert mac.fundamental_dim(datum_of("C", 2), graph_of("C", 2), 1) == 4
-    assert mac.fundamental_dim(datum_of("C", 2), graph_of("C", 2), 2) == 5
-    # in type A_n the fundamental counts are binomial coefficients
+    # the path count of t_{-omega_i} started at the identity
     import math
-    for n in (1, 2, 3):
-        d = datum_of("A", n)
-        g = graph_of("A", n)
-        for i in range(1, n + 1):
-            assert mac.fundamental_dim(d, g, i) == math.comb(n + 1, i)
+    expected = {("G", 2): (15, 7), ("C", 2): (4, 5)}
+    # in type A_n the fundamental counts are binomial coefficients
+    expected.update(
+        {("A", n): tuple(math.comb(n + 1, i) for i in range(1, n + 1))
+         for n in (1, 2, 3)}
+    )
+    for (family, rank), dims in expected.items():
+        d, g = datum_and_graph(family, rank)
+        for i, dim in enumerate(dims, start=1):
+            lam = neg(d.fundamental_weight(i))
+            assert mac.weyl_dimension(d, g, wg.identity(d), lam) == dim
 
 
 def test_dimension_multiplicativity():
