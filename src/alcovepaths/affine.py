@@ -14,13 +14,14 @@ coroot and ``m`` an integer.  The element ``t_mu * v`` acts by
 and the reflection in ``gamma + N*delta`` is ``t_{-N*alpha_gamma} s_gamma``
 (with ``alpha_gamma`` the root of ``gamma`` written as a weight).
 
-The affine simple coroots and reflections, the splittings of the positive
-coroots and each canonical layout are built once per datum, on first use.
-So is the simple-step table (per affine simple ``i``: the index of
-``Re a_i``, ``deg a_i`` and the permutation of ``s_i``), through which
-reduced words and beta sequences are derived on plain ``(wt, perm)``
-pairs; only a returned element is built.  ``word_from_beta`` applies
-``p^{-1}`` for ``p = t_mu v`` directly:
+The canonical layout of ``t_{-omega_i}`` is Lenart–Postnikov's
+lexicographic lambda-chain, one sort of its entries.  The affine simple
+coroots and reflections and each canonical layout are built once per
+datum, on first use.  So is the simple-step table (per affine simple
+``i``: the index of ``Re a_i``, ``deg a_i`` and the permutation of
+``s_i``), through which reduced words and beta sequences are derived on
+plain ``(wt, perm)`` pairs; only a returned element is built.
+``word_from_beta`` applies ``p^{-1}`` for ``p = t_mu v`` directly:
 ``p^{-1}(gamma + m*delta) = v^{-1}(gamma) + (m + <gamma, mu>)*delta``.
 
 >>> from alcovepaths.lattice import build_datum
@@ -51,11 +52,6 @@ __all__ = [
     "beta_sequence", "canonical_beta_order", "word_from_beta",
     "shifted_beta", "word_for_translation",
 ]
-
-# placements the layout search may undo before it gives up; the most any
-# shipped layout needs is 1014 (F4, index 2), every other one needs none
-MAX_BACKTRACKS = 10_000
-
 
 @dataclass(frozen=True)
 class AffineCoroot:
@@ -253,156 +249,29 @@ def beta_sequence(datum: RootDatum, word) -> tuple:
     return tuple(out)
 
 
-def _coroot_splits(datum: RootDatum) -> tuple:
-    """``(decomps, chains)`` from one pass over pairs of positive coroots.
-
-    ``decomps[g]`` lists the pairs ``(t, e)`` of positive coroots with
-    ``t + e = g`` and ``t <= e``; ``chains`` lists, in sorted order, the
-    pairs ``(t, e)`` with ``t + e`` and ``t + 2e`` positive coroots too.
-    Built once per datum.
-    """
-    def build():
-        pos = sorted(datum.pos_coroots)
-        is_pos = set(pos)
-        decomps = {g: [] for g in pos}
-        chains = []
-        for t in pos:
-            for e in pos:
-                te = add(t, e)
-                if te in is_pos:
-                    if t <= e:
-                        decomps[te].append((t, e))
-                    if add(te, e) in is_pos:
-                        chains.append((t, e))
-        return decomps, chains
-    return datum.memoized("coroot_splits", build)
-
-
-def _canonical_beta_build(datum: RootDatum, i: int) -> tuple:
-    decomps, chains = _coroot_splits(datum)
-    tail = tuple(j for j in range(1, datum.rank + 1) if j != i)
-    omega = datum.fundamental_weight(i)
-    mult = {g: m for g in datum.pos_coroots if (m := dot(g, omega)) > 0}
-    quads = [
-        (t, e, add(t, e), add(t, add(e, e)))
-        for t, e in chains
-        if any(x in mult for x in (t, e, add(t, e), add(t, add(e, e))))
-    ]
-    # the quadruples each coroot belongs to, by position in quads
-    quads_of: dict = {}
-    for k, quad in enumerate(quads):
-        for g in quad:
-            quads_of.setdefault(g, []).append(k)
-
-    def pref_key(entry):
-        # crossing order of g with k copies placed: decreasing
-        # deg/<g, omega_i>, then coordinate ratios
-        g, k = entry
-        ai = g[i - 1]
-        head = -Fraction(mult[g] - k, ai)
-        return (head,) + tuple(Fraction(g[j - 1], ai) for j in tail)
-
-    # every entry in crossing order, sorted once: g's key rises with k and no
-    # two keys tie, so the entries with placed[g] == k are the candidates of
-    # a step, in order
-    order = sorted(((g, k) for g in mult for k in range(mult[g])), key=pref_key)
-
-    placed = {g: 0 for g in mult}
-    states = [()] * len(quads)  # expected tail of the current chain block
-    seq: list = []
-    total = sum(mult.values())
-    first = datum.simple_coroot(i)
-    backtracks = 0
-
-    def advance(g):
-        if g not in quads_of:
-            return states
-        new = list(states)
-        for k in quads_of[g]:
-            t, e, te, t2e = quads[k]
-            st = new[k]
-            if st:
-                if st[0] != g:
-                    return None
-                new[k] = st[1:]
-            elif g == e:
-                new[k] = (t2e, te, t2e)
-            elif g == t:
-                new[k] = (te, t2e)
-            else:
-                return None
-        return new
-
-    def dfs():
-        nonlocal states, backtracks
-        if len(seq) == total:
-            return all(st == () for st in states)
-        for g, k in order:
-            if placed[g] != k or (not seq and g != first):
-                continue
-            if any(
-                placed[g] + 1 != placed.get(t, 0) + placed.get(e, 0)
-                for t, e in decomps[g]
-            ):
-                continue
-            new_states = advance(g)
-            if new_states is None:
-                continue
-            save = states
-            states = new_states
-            placed[g] += 1
-            seq.append(AffineCoroot(neg(g), mult[g] - placed[g] + 1))
-            if dfs():
-                return True
-            seq.pop()
-            placed[g] -= 1
-            states = save
-            backtracks += 1
-            if backtracks > MAX_BACKTRACKS:
-                raise ValueError(
-                    f"beta layout search for index {i} in "
-                    f"{datum.family}{datum.rank} gave up after "
-                    f"{MAX_BACKTRACKS} backtracks"
-                )
-        return False
-
-    if not dfs():
-        raise ValueError(
-            f"no admissible beta layout for index {i} in "
-            f"{datum.family}{datum.rank}"
-        )
-    return tuple(seq)
-
-
 def canonical_beta_order(datum: RootDatum, i: int) -> tuple:
-    """The beta sequence of ``t_{-omega_i}`` in its canonical reduced word.
+    """The beta sequence of ``t_{-omega_i}`` along Lenart–Postnikov's
+    lexicographic lambda-chain (arXiv math/0309207).
 
-    The underlying multiset is ``{-gamma + k*delta}`` over positive coroots
-    gamma with ``<gamma, omega_i> > 0`` and ``1 <= k <= <gamma, omega_i>``.
-    It is laid out greedily in decreasing order of the wall-crossing
-    parameter ``deg / <gamma, omega_i>`` (ties broken by the coordinate
-    ratios ``gamma_j / gamma_i`` over the remaining indices in increasing
-    order), backtracking where necessary to keep two structural properties:
-
-    - count additivity: whenever ``-gamma`` is placed and ``gamma`` splits
-      as ``tau + eta`` with both summands positive coroots, the numbers of
-      earlier ``tau``- and ``eta``-entries add up to the number of
-      ``gamma``-entries placed so far;
-    - chain factorization: for positive coroots ``tau, eta`` with
-      ``tau + 2*eta`` also a coroot, the entries drawn from
-      ``{tau, eta, tau+eta, tau+2eta}`` factor into blocks
-      ``(eta, tau+2eta, tau+eta, tau+2eta)`` and ``(tau, tau+eta, tau+2eta)``.
-
-    The result is always the beta sequence of an actual reduced word of
-    ``t_{-omega_i}`` and matches the hand-computed rank-two sequences.  The
-    search raises ValueError once it has undone ``MAX_BACKTRACKS``
-    placements, rather than searching on.
+    The entries are ``-gamma + k*delta`` over positive coroots gamma with
+    ``h = <gamma, omega_i> > 0`` and ``1 <= k <= h``, sorted increasing by
+    the exact tuple ``((h - k)/h, gamma_1/h, ..., gamma_r/h)``: decreasing
+    wall-crossing parameter ``k/h``, ties broken by the coordinates.  The
+    result is the beta sequence of a reduced word of ``t_{-omega_i}``.
     """
     if not 1 <= i <= datum.rank:
         raise ValueError(f"fundamental index out of range: {i}")
-    return datum.memoized(
-        ("canonical_beta", i), lambda: _canonical_beta_build(datum, i)
-    )
+
+    def key(entry):
+        g, k = entry
+        h = g[i - 1]  # <g, omega_i>
+        return (Fraction(h - k, h),) + tuple(Fraction(x, h) for x in g)
+
+    def build():
+        entries = [(g, k) for g in datum.pos_coroots
+                   for k in range(1, g[i - 1] + 1)]
+        return tuple(AffineCoroot(neg(g), k) for g, k in sorted(entries, key=key))
+    return datum.memoized(("canonical_beta", i), build)
 
 
 def word_from_beta(datum: RootDatum, betas):
@@ -462,10 +331,9 @@ def word_for_translation(datum: RootDatum, lam, lead_index=None):
         order.insert(0, lead_index)
     pieces = []
     for i in order:
-        target = translation(datum, neg(datum.fundamental_weight(i)))
-        pi_i, w_i = reduced_word_ext(datum, target)
-        for _ in range(-lam[i - 1]):
-            pieces.append((pi_i, w_i))
+        if lam[i - 1]:
+            target = translation(datum, neg(datum.fundamental_weight(i)))
+            pieces += [reduced_word_ext(datum, target)] * -lam[i - 1]
     pi_tot = ext_identity(datum)
     word_tot: list = []
     for pi_i, w_i in pieces:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 
-from .lattice import neg
+from .lattice import add, neg
 from . import weylgroup as wg
 from . import affine as af
 from .affine import ExtAffineElt
@@ -22,7 +22,7 @@ from . import genfun as gf
 from . import macdonald as mac
 
 __all__ = ["shift", "recursion", "w0_inversion", "lenart", "beta",
-           "dual_route", "twist", "SUITES"]
+           "word_choice", "dual_route", "twist", "SUITES"]
 
 
 def _failure(datum, **inputs) -> dict:
@@ -113,6 +113,40 @@ def beta(datum, graph=None):
             yield _failure(datum, i=i)
 
 
+def word_choice(datum, graph, lams):
+    """``C_u^{t_lam}`` is the same for every u whichever reduced word of
+    ``t_lam`` its paths are built from.
+
+    Each word gets one ``paths.fold_table`` from the starts ``{v: v(lam)}``
+    over every vertex.  Against the word of ``reduced_word_ext`` go, for
+    each j with ``lam_j < 0``, ``word_for_translation`` led by j and the
+    lexicographic chain ``shifted_beta(j, lam + omega_j)`` followed by the
+    betas of ``t_{lam + omega_j}``.  A failure names the word's source and
+    the first u whose table differs.
+    """
+    def betas(mu):
+        return af.beta_sequence(
+            datum, af.reduced_word_ext(datum, af.translation(datum, mu))[1])
+    for lam in map(tuple, lams):
+        starts = {v: wg.act_weight(v, lam) for v in graph.vertices}
+        want = pth.fold_table(datum, graph, starts, betas(lam))
+        sources = []
+        for j in range(1, datum.rank + 1):
+            if lam[j - 1]:
+                _, lead = af.word_for_translation(datum, lam, lead_index=j)
+                up = add(lam, datum.fundamental_weight(j))
+                sources += [
+                    (f"lead_index={j}", af.beta_sequence(datum, lead)),
+                    (f"lex_chain={j}", af.shifted_beta(datum, j, up) + betas(up)),
+                ]
+        for source, seq in sources:
+            got = pth.fold_table(datum, graph, starts, seq)
+            u = next((v for v in graph.vertices if got[v] != want[v]), None)
+            if u is not None:
+                yield _failure(datum, lam=list(lam), source=source,
+                               u=_word(datum, u))
+
+
 def dual_route(datum, graph, lams):
     """The two ``t = infinity`` routes of ``specialization_report`` agree."""
     for lam in lams:
@@ -134,6 +168,9 @@ SUITES = {
     "w0_inversion": (w0_inversion, [("A", 2), ("C", 2)]),
     "lenart": (lenart, [("A", 2), ("A", 3), ("C", 2)]),
     "beta": (beta, [("A", 2), ("C", 2), ("G", 2)]),
+    "word_choice": (word_choice, [
+        (f, 2, list(itertools.product((0, -1), repeat=2))) for f in "ACG"
+    ]),
     "dual_route": (dual_route, [
         ("A", r, list(itertools.product((-1, 0), repeat=r))) for r in (1, 2)
     ]),

@@ -5,7 +5,7 @@ from functools import lru_cache
 
 import pytest
 
-from alcovepaths.lattice import add, build_datum, neg
+from alcovepaths.lattice import build_datum, neg
 from alcovepaths import weylgroup as wg
 from alcovepaths import affine as af
 from alcovepaths import qbg
@@ -41,24 +41,6 @@ def reflect_weight(datum, i, lam):
     """``s_i(lam) = lam - lam_i alpha_i`` from the Cartan matrix alone;
     coordinate j of alpha_i is ``<alpha_j^vee, alpha_i> = cartan[j][i - 1]``."""
     return tuple(x - lam[i - 1] * row[i - 1] for x, row in zip(lam, datum.cartan))
-
-
-def chain_parses(seq, tau, eta):
-    """``seq`` splits into the blocks ``(eta, tau+2eta, tau+eta, tau+2eta)``
-    and ``(tau, tau+eta, tau+2eta)`` of a non-simply-laced rank-two chain."""
-    te, t2e = add(tau, eta), add(tau, add(eta, eta))
-    pat_a = (eta, t2e, te, t2e)
-    pat_b = (tau, te, t2e)
-
-    def rec(k):
-        if k == len(seq):
-            return True
-        for pat in (pat_a, pat_b):
-            if tuple(seq[k:k + len(pat)]) == pat and rec(k + len(pat)):
-                return True
-        return False
-
-    return rec(0)
 
 
 @pytest.fixture

@@ -295,7 +295,8 @@ def test_verify_runs_every_suite(capsys):
     assert code == 0
     assert out == (
         '{"suites": ["beta", "dual_route", "lenart", "recursion", "shift", '
-        '"twist", "w0_inversion"], "ok": true, "failures": []}\n'
+        '"twist", "w0_inversion", "word_choice"], "ok": true, '
+        '"failures": []}\n'
     )
 
 
