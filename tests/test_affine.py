@@ -31,7 +31,7 @@ E_TYPES = [("E", 6), ("E", 7), ("E", 8)]
 # written as ((gamma_1, gamma_2), k).  Both follow decreasing wall-crossing
 # parameter k / gamma_i, ties broken by the coordinates; at i=1 the ratio
 # 1/1 of ((1, 1), 1) comes before the ratio 2/3 of ((3, 1), 2) (positions
-# 5/6), which an earlier layout had the other way round.
+# 5/6).
 G2_BETA_1 = (
     ((1, 0), 1), ((3, 1), 3), ((2, 1), 2), ((3, 2), 3), ((1, 1), 1),
     ((3, 1), 2), ((3, 2), 2), ((2, 1), 1), ((3, 1), 1), ((3, 2), 1),
