@@ -15,12 +15,14 @@ and the reflection in ``gamma + N*delta`` is ``t_{-N*alpha_gamma} s_gamma``
 (with ``alpha_gamma`` the root of ``gamma`` written as a weight).
 
 The canonical layout of ``t_{-omega_i}`` is Lenart–Postnikov's
-lexicographic lambda-chain, one sort of its entries.  The affine simple
-coroots and reflections and each canonical layout are built once per
-datum, on first use.  So is the simple-step table (per affine simple
-``i``: the index of ``Re a_i``, ``deg a_i`` and the permutation of
-``s_i``), through which reduced words and beta sequences are derived on
-plain ``(wt, perm)`` pairs; only a returned element is built.
+lexicographic lambda-chain, one sort of its entries; the word of any
+anti-dominant translation is read off the degree-shifted layouts of its
+fundamental factors, joined end to end.  Each canonical layout is built
+once per datum, on first use.  So is the simple-step table (per affine
+simple ``i``: the index of ``Re a_i``, ``deg a_i`` and the permutation of
+``s_i``), which the affine simple coroots and reflections are read from,
+and through which reduced words and beta sequences are derived on plain
+``(wt, perm)`` pairs; only a returned element is built.
 ``word_from_beta`` applies ``p^{-1}`` for ``p = t_mu v`` directly:
 ``p^{-1}(gamma + m*delta) = v^{-1}(gamma) + (m + <gamma, mu>)*delta``.
 
@@ -38,7 +40,7 @@ True
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+import math
 
 from .lattice import RootDatum, add, dot, neg
 from . import weylgroup as wg
@@ -107,17 +109,6 @@ def affine_reflection(datum: RootDatum, c: AffineCoroot) -> ExtAffineElt:
     )
 
 
-def _affine_simples(datum: RootDatum) -> tuple:
-    """``((a_0, ..., a_n), (s_0, ..., s_n))``, built once per datum."""
-    def build():
-        coroots = (AffineCoroot(neg(datum.highest_dual_root()), 1),) + tuple(
-            AffineCoroot(datum.simple_coroot(i), 0)
-            for i in range(1, datum.rank + 1)
-        )
-        return coroots, tuple(affine_reflection(datum, c) for c in coroots)
-    return datum.memoized("affine_simples", build)
-
-
 def _check_affine_index(datum: RootDatum, i: int) -> None:
     if not 0 <= i <= datum.rank:
         raise ValueError(f"affine simple index out of range: {i}")
@@ -126,12 +117,13 @@ def _check_affine_index(datum: RootDatum, i: int) -> None:
 def affine_simple_coroot(datum: RootDatum, i: int) -> AffineCoroot:
     """a_i for i = 1..n; a_0 = -theta + delta with theta the highest coroot."""
     _check_affine_index(datum, i)
-    return _affine_simples(datum)[0][i]
+    k, deg, _ = _simple_steps(datum)[i]
+    return AffineCoroot(datum.coroots[k], deg)
 
 
 def affine_simple_reflection(datum: RootDatum, i: int) -> ExtAffineElt:
-    _check_affine_index(datum, i)
-    return _affine_simples(datum)[1][i]
+    """s_i, the reflection in ``a_i``."""
+    return affine_reflection(datum, affine_simple_coroot(datum, i))
 
 
 def length_ext(datum: RootDatum, a: ExtAffineElt) -> int:
@@ -146,12 +138,16 @@ def length_ext(datum: RootDatum, a: ExtAffineElt) -> int:
 
 def _simple_steps(datum: RootDatum) -> tuple:
     """Per affine simple ``i = 0..n``: ``(index of Re a_i, deg a_i, perm of
-    s_i)``; the translation part of ``s_i`` is ``-deg a_i`` times the root
-    weight at that index."""
+    s_i)``, with ``a_0 = -theta + delta`` and ``a_i`` the simple coroots; the
+    translation part of ``s_i`` is ``-deg a_i`` times the root weight at that
+    index."""
     def build():
+        simples = [(neg(datum.highest_dual_root()), 1)] + [
+            (datum.simple_coroot(i), 0) for i in range(1, datum.rank + 1)
+        ]
         return tuple(
-            (datum.coroot_index[c.re], c.deg, s.dir.perm)
-            for c, s in zip(*_affine_simples(datum))
+            (datum.coroot_index[g], deg, wg.reflection_of(datum, g).perm)
+            for g, deg in simples
         )
     return datum.memoized("simple_steps", build)
 
@@ -175,19 +171,6 @@ def _times_simple(datum: RootDatum, wt, perm, step) -> tuple:
     if deg:
         wt = tuple(x - deg * y for x, y in zip(wt, datum.root_weights[perm[k]]))
     return wt, tuple(map(perm.__getitem__, s))
-
-
-def _preimage_letter(datum: RootDatum, wt, perm, re, deg):
-    """The ``j`` with ``p^{-1}(re + deg delta) = a_j`` for ``p = t_wt v``, or
-    None if there is none; ``v^{-1}(re)`` is the coroot at
-    ``perm.index(index of re)``."""
-    k = datum.coroot_index.get(tuple(re))
-    if k is None:
-        return None
-    letters = datum.memoized("simple_letters", lambda: {
-        (kj, dj): j for j, (kj, dj, _) in enumerate(_simple_steps(datum))
-    })
-    return letters.get((perm.index(k), deg + dot(datum.coroots[k], wt)))
 
 
 def is_right_descent_ext(datum: RootDatum, a: ExtAffineElt, i: int) -> bool:
@@ -255,21 +238,23 @@ def canonical_beta_order(datum: RootDatum, i: int) -> tuple:
 
     The entries are ``-gamma + k*delta`` over positive coroots gamma with
     ``h = <gamma, omega_i> > 0`` and ``1 <= k <= h``, sorted increasing by
-    the exact tuple ``((h - k)/h, gamma_1/h, ..., gamma_r/h)``: decreasing
-    wall-crossing parameter ``k/h``, ties broken by the coordinates.  The
-    result is the beta sequence of a reduced word of ``t_{-omega_i}``.
+    ``((h - k)/h, gamma_1/h, ..., gamma_r/h)`` times the lcm of the ``h``, in
+    integers: decreasing wall-crossing parameter ``k/h``, ties broken by the
+    coordinates.  The result is the beta sequence of a reduced word of
+    ``t_{-omega_i}``.
     """
     if not 1 <= i <= datum.rank:
         raise ValueError(f"fundamental index out of range: {i}")
 
-    def key(entry):
-        g, k = entry
-        h = g[i - 1]  # <g, omega_i>
-        return (Fraction(h - k, h),) + tuple(Fraction(x, h) for x in g)
-
     def build():
         entries = [(g, k) for g in datum.pos_coroots
-                   for k in range(1, g[i - 1] + 1)]
+                   for k in range(1, g[i - 1] + 1)]  # g[i - 1] = <g, omega_i>
+        lcm = math.lcm(*(g[i - 1] for g, _ in entries))
+
+        def key(entry):
+            g, k = entry
+            s = lcm // g[i - 1]
+            return ((g[i - 1] - k) * s,) + tuple(x * s for x in g)
         return tuple(AffineCoroot(neg(g), k) for g, k in sorted(entries, key=key))
     return datum.memoized(("canonical_beta", i), build)
 
@@ -278,13 +263,17 @@ def word_from_beta(datum: RootDatum, betas):
     """Recover ``(s_{i_1} ... s_{i_l}, (i_1, ..., i_l))`` from a beta
     sequence; raises ValueError if it is not one."""
     steps = _simple_steps(datum)
+    letters = {(k, deg): j for j, (k, deg, _) in enumerate(steps)}
     l = len(betas)
     word = [0] * l
     wt, perm = (0,) * datum.rank, tuple(range(len(datum.coroots)))
     for k in range(l - 1, -1, -1):
-        # p = s_{i_l} ... s_{i_{k+1}} sends a_{i_k} to beta_k
+        # p = s_{i_l} ... s_{i_{k+1}} sends a_{i_k} to beta_k, so a_{i_k} is
+        # p^{-1}(beta_k); v^{-1}(re) is the coroot at perm.index(index of re)
         b = betas[k]
-        j = _preimage_letter(datum, wt, perm, b.re, b.deg)
+        c = datum.coroot_index.get(tuple(b.re))
+        j = None if c is None else letters.get(
+            (perm.index(c), b.deg + dot(datum.coroots[c], wt)))
         if j is None:
             raise ValueError(
                 f"not a valid beta sequence: step {k + 1} is not simple"
@@ -301,43 +290,29 @@ def shifted_beta(datum: RootDatum, i: int, lam) -> tuple:
     ``<re(beta), lam> >= 0``.
     """
     datum.check_antidominant(lam)
-    out = []
-    for b in canonical_beta_order(datum, i):
-        out.append(AffineCoroot(b.re, b.deg + dot(b.re, lam)))
-    return tuple(out)
-
-
-def _conjugation_table(datum: RootDatum, pi: ExtAffineElt) -> dict:
-    """j -> c with pi^{-1} s_j pi = s_c, for a length-zero pi."""
-    return {
-        j: _preimage_letter(datum, pi.wt, pi.dir.perm, datum.coroots[k], deg)
-        for j, (k, deg, _) in enumerate(_simple_steps(datum))
-    }
+    return tuple(AffineCoroot(b.re, b.deg + dot(b.re, lam))
+                 for b in canonical_beta_order(datum, i))
 
 
 def word_for_translation(datum: RootDatum, lam, lead_index=None):
-    """``(pi, word)`` for ``t_lam`` with anti-dominant ``lam``, built by
-    concatenating reduced words of the ``t_{-omega_i}`` factors (the lengths
-    add, so the concatenation is again reduced after conjugating the earlier
-    letters through the later length-zero parts).
+    """``(pi, word)`` for ``t_lam = pi s_{i_1} ... s_{i_l}`` with anti-dominant
+    ``lam``, read by ``word_from_beta`` off the joined lambda-chains of the
+    ``omega_i`` factors (Lenart–Postnikov): for each factor, ``omega_i`` is
+    added to a running weight ``mu`` that starts at ``lam``, and
+    ``shifted_beta(i, mu)`` is appended.
 
-    ``lead_index`` puts that fundamental factor first; the rest follow in
-    increasing index order.
+    ``lead_index`` puts that fundamental factor's copies first; the rest
+    follow in increasing index order.
     """
     datum.check_antidominant(lam)
     order = list(range(1, datum.rank + 1))
     if lead_index is not None:
         order.remove(lead_index)
         order.insert(0, lead_index)
-    pieces = []
+    mu, betas = lam, []
     for i in order:
-        if lam[i - 1]:
-            target = translation(datum, neg(datum.fundamental_weight(i)))
-            pieces += [reduced_word_ext(datum, target)] * -lam[i - 1]
-    pi_tot = ext_identity(datum)
-    word_tot: list = []
-    for pi_i, w_i in pieces:
-        table = _conjugation_table(datum, pi_i)
-        word_tot = [table[j] for j in word_tot] + list(w_i)
-        pi_tot = multiply(pi_tot, pi_i)
-    return pi_tot, tuple(word_tot)
+        for _ in range(-lam[i - 1]):
+            mu = add(mu, datum.fundamental_weight(i))
+            betas += shifted_beta(datum, i, mu)
+    x, word = word_from_beta(datum, betas)
+    return multiply(translation(datum, lam), inverse(x)), word

@@ -121,8 +121,10 @@ def word_choice(datum, graph, lams):
     over every vertex.  Against the word of ``reduced_word_ext`` go, for
     each j with ``lam_j < 0``, ``word_for_translation`` led by j and the
     lexicographic chain ``shifted_beta(j, lam + omega_j)`` followed by the
-    betas of ``t_{lam + omega_j}``.  A failure names the word's source and
-    the first u whose table differs.
+    betas of ``t_{lam + omega_j}``.  At ``lam = -omega_j`` these two are one
+    word, the layout of j, so there the check is that layout against the
+    word of ``reduced_word_ext``.  A failure names the word's source and the
+    first u whose table differs.
     """
     def betas(mu):
         return af.beta_sequence(

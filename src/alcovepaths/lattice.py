@@ -10,7 +10,7 @@ length 2; coroots are 2*alpha/(alpha,alpha) in that normalization.
 ``coroot_index`` gives each one's position there; ``roots`` and
 ``root_weights`` hold the root of each coroot, in root and in weight
 coordinates, at the same positions.  Tables derived from the datum alone
-(the reflections, the highest coroot, the affine simple coroots, the
+(the reflections, the highest coroot, the affine simple-step table, the
 canonical layouts) are built on first use and kept in ``memo``, so each
 is built once per datum.
 

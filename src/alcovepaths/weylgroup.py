@@ -214,11 +214,14 @@ def enumerate_group(datum: RootDatum):
     check_group_size(datum.family, datum.rank)
     gens = [simple_reflection(datum, i) for i in range(1, datum.rank + 1)]
     e = identity(datum)
+    # A level is visited in the order its words were found and letters are
+    # tried in increasing order, so the first word found for an element is
+    # its smallest, and ``seen`` is filled in (length, word) order.
     seen = {e: ()}
     frontier = [e]
     while frontier:
         nxt = []
-        for w in sorted(frontier, key=lambda x: seen[x]):
+        for w in frontier:
             for i, s in enumerate(gens, start=1):
                 if not is_right_descent(datum, w, i):
                     ws = multiply(w, s)
@@ -226,5 +229,5 @@ def enumerate_group(datum: RootDatum):
                         seen[ws] = seen[w] + (i,)
                         nxt.append(ws)
         frontier = nxt
-    return sorted(seen, key=lambda w: (len(seen[w]), seen[w]))
+    return list(seen)
 

@@ -156,7 +156,7 @@ def test_07_beta_concatenation(family, rank):
     # the degree-shifted layout extends to a reduced word of t_{lam - omega_i}
     d = datum_of(family, rank)
     lam = (-1,) * rank
-    _, w_lam = af.word_for_translation(d, lam)
+    _, w_lam = af.reduced_word_ext(d, af.translation(d, lam))
     tail = af.beta_sequence(d, w_lam)
     for i in range(1, rank + 1):
         full = af.shifted_beta(d, i, lam) + tail

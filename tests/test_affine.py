@@ -289,7 +289,7 @@ def test_shifted_beta_concatenation(family, rank):
             assert sb == tuple(
                 AffineCoroot(b.re, b.deg + d.pair(b.re, lam)) for b in canon
             )
-            _, w_lam = af.word_for_translation(d, lam)
+            _, w_lam = af.reduced_word_ext(d, af.translation(d, lam))
             full = sb + af.beta_sequence(d, w_lam)
             elt, word = af.word_from_beta(d, full)
             target = af.translation(
@@ -335,13 +335,20 @@ def test_word_from_beta_rejects_a_bad_beta(bad):
         af.word_from_beta(d, bad)
 
 
-@pytest.mark.parametrize("family,rank", [("A", 2), ("C", 2), ("G", 2)])
+@pytest.mark.parametrize("family,rank", [
+    ("A", 2), ("C", 2), ("G", 2), ("B", 3), ("D", 4), ("F", 4),
+])
 def test_word_for_translation(family, rank):
     d = datum_of(family, rank)
-    for lam in [neg(d.fundamental_weight(1)), (-1,) * rank, (-2, -1)]:
-        pi, word = af.word_for_translation(d, lam)
-        assert af.from_word_ext(d, word, pi) == af.translation(d, lam)
-        assert len(word) == af.length_ext(d, af.translation(d, lam))
+    lams = [neg(d.fundamental_weight(i)) for i in range(1, rank + 1)]
+    lams += [(-1,) * rank, (-2,) + (-1,) * (rank - 1)]
+    for lam in lams:
+        t = af.translation(d, lam)
+        for lead in [None, *range(1, rank + 1)]:
+            pi, word = af.word_for_translation(d, lam, lead_index=lead)
+            assert af.length_ext(d, pi) == 0
+            assert af.from_word_ext(d, word, pi) == t
+            assert len(word) == af.length_ext(d, t)
 
 
 def test_simple_affine_reflections():

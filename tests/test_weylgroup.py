@@ -7,6 +7,7 @@ import pytest
 from alcovepaths.lattice import neg
 from alcovepaths import weylgroup as wg
 from conftest import datum_of, graph_of, reflect_weight
+from test_qbg import NAME_TYPES
 
 GROUP_ORDERS = {
     ("A", 1): 2, ("A", 2): 6, ("A", 3): 24, ("B", 2): 8, ("C", 2): 8,
@@ -113,6 +114,16 @@ def test_enumeration_sorted_by_length():
     lengths = [wg.length(d, w) for w in wg.enumerate_group(d)]
     assert lengths == sorted(lengths)
     assert lengths[0] == 0 and lengths[-1] == 4
+
+
+@pytest.mark.parametrize("family,rank", NAME_TYPES)
+def test_enumeration_order_is_length_then_smallest_word(family, rank):
+    # reduced_word peels left descents, so the key shares no code with the
+    # breadth-first search, whose order is the order words are found in
+    d = datum_of(family, rank)
+    group = wg.enumerate_group(d)
+    key = {w: (wg.length(d, w), wg.reduced_word(d, w)) for w in group}
+    assert group == sorted(group, key=key.__getitem__)
 
 
 def test_group_size_cap(monkeypatch):
