@@ -307,6 +307,8 @@ def word_for_translation(datum: RootDatum, lam, lead_index=None):
     datum.check_antidominant(lam)
     order = list(range(1, datum.rank + 1))
     if lead_index is not None:
+        if lead_index not in order:
+            raise ValueError(f"fundamental index out of range: {lead_index}")
         order.remove(lead_index)
         order.insert(0, lead_index)
     mu, betas = lam, []

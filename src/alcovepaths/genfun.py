@@ -185,14 +185,11 @@ def recursion_check(
     # adds its offset and q-degree to C_{dir(end)}^{t_lam} column by column
     terms: dict = {}
     betas, c_lam = af.shifted_beta(datum, i, lam), table(lam)
-    lam_at: dict = {}  # v -> v(lam), once per end direction
     for p in pth.enumerate_paths(datum, graph, z0, betas):
         end, qdeg = p.ends[-1], pth.qwt_degree(p)
         c = c_lam[end.dir]
         wts, qs = zip(*c)
-        if end.dir not in lam_at:
-            lam_at[end.dir] = wg.act_weight(end.dir, lam)
-        offset = sub(end.wt, lam_at[end.dir])
+        offset = sub(end.wt, wg.act_weight(end.dir, lam))
         cols = [[x + o for x in col] for col, o in zip(zip(*wts), offset)]
         keys = zip(zip(*cols), [q + qdeg for q in qs])
         for key, n in zip(keys, c.values()):

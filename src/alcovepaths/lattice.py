@@ -4,8 +4,6 @@ Root data for the simple types A-G.
 Weights, roots and coroots are integer coordinate tuples in the
 fundamental-weight, simple-root and simple-coroot bases respectively,
 so the pairing of a coroot with a weight is a plain dot product.
-The invariant form is normalized so that short roots have squared
-length 2; coroots are 2*alpha/(alpha,alpha) in that normalization.
 ``coroots`` lists the positive coroots and then their negatives, and
 ``coroot_index`` gives each one's position there; ``roots`` and
 ``root_weights`` hold the root of each coroot, in root and in weight
@@ -29,7 +27,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import NewType
 
 __all__ = [
@@ -133,35 +130,12 @@ def _cartan_matrix(family: str, rank: int) -> list[list[int]]:
     return c
 
 
-def _symmetrizer(cartan) -> tuple[int, ...]:
-    """Positive integers d with d_i * cartan[i][j] symmetric, min(d) = 1."""
-    n = len(cartan)
-    d = [None] * n
-    d[0] = Fraction(1)
-    todo = [0]
-    while todo:
-        i = todo.pop()
-        for j in range(n):
-            if cartan[i][j] != 0 and d[j] is None:
-                # d_j = d_i * c_ij / c_ji
-                d[j] = d[i] * cartan[i][j] / cartan[j][i]
-                todo.append(j)
-    lcm = 1
-    for x in d:
-        lcm *= x.denominator
-    ints = [x * lcm for x in d]
-    g = min(ints)
-    assert all(x % g == 0 for x in ints)
-    return tuple(int(x / g) for x in ints)
-
-
 @dataclass(frozen=True)
 class RootDatum:
     """Immutable root datum of a simple type."""
     family: str
     rank: int
     cartan: tuple            # rows <alpha_i^vee, alpha_j>
-    d: tuple                 # symmetrizer, d_i = (alpha_i, alpha_i)/2
     pos_roots: tuple         # Root coordinates, deterministic order
     pos_coroots: tuple       # Coroot of pos_roots[k] is pos_coroots[k]
     coroots: tuple = field(repr=False)        # pos_coroots, then their negatives
@@ -249,16 +223,6 @@ class RootDatum:
         """The highest positive coroot in the dominance order of the dual system."""
         return self.memoized("highest_dual_root", lambda: _highest(self.pos_coroots))
 
-    def root_length2(self, r: Root) -> int:
-        """(alpha, alpha) with short roots normalized to squared length 2."""
-        n = self.rank
-        v = sum(
-            r[i] * r[j] * self.d[i] * self.cartan[i][j]
-            for i in range(n) for j in range(n)
-        )
-        assert v > 0
-        return v
-
 
 _EXPECTED_COUNTS = {
     "A": lambda n: n * (n + 1) // 2,
@@ -275,48 +239,42 @@ def build_datum(family: str, rank: int) -> RootDatum:
     """Build the root datum of a valid simple type, e.g. ``build_datum("G", 2)``."""
     cartan = _cartan_matrix(family, rank)
     n = rank
-    d = _symmetrizer(cartan)
 
-    # generate the root system as the reflection orbit of the simple roots;
-    # the pairings <alpha_i^vee, r> that reflect r are r's weight
+    # generate the roots as the reflection orbit of the simple roots, each
+    # with its coroot, since s_j(alpha)^vee = s_j(alpha^vee): s_j moves a
+    # root r by <alpha_j^vee, r>, coordinate j of r's weight, and its coroot
+    # c by <c, alpha_j>, the dot product of c with column j of the Cartan
+    # matrix; the two vanish together, and s_j then fixes both
     simples = [tuple(int(j == i) for j in range(n)) for i in range(n)]
-    weight = {}
-    todo = list(simples)
+    columns = list(zip(*cartan))
+    weight, coroot = {}, {}
+    todo = [(s, s) for s in simples]
     while todo:
-        r = todo.pop()
+        r, c = todo.pop()
         if r not in weight:
             weight[r] = wt = tuple(dot(row, r) for row in cartan)
-            todo.extend(r[:i] + (r[i] - m,) + r[i + 1:] for i, m in enumerate(wt))
+            coroot[r] = c
+            for j, m in enumerate(wt):
+                if m:
+                    k = dot(c, columns[j])
+                    todo.append((r[:j] + (r[j] - m,) + r[j + 1:],
+                                 c[:j] + (c[j] - k,) + c[j + 1:]))
     pos = sorted(r for r in weight if all(x >= 0 for x in r))
     assert len(pos) * 2 == len(weight)
     if len(pos) != _EXPECTED_COUNTS[family](rank):
         raise AssertionError(f"positive root count mismatch for {family}{rank}")
 
-    cartan_t = tuple(tuple(row) for row in cartan)
-    coroots = []
-    for r in pos:
-        len2 = sum(
-            r[i] * r[j] * d[i] * cartan[i][j] for i in range(n) for j in range(n)
-        )
-        c = []
-        for k in range(n):
-            num = 2 * r[k] * d[k]
-            assert num % len2 == 0, (family, rank, r)
-            c.append(num // len2)
-        coroots.append(tuple(c))
-
-    all_coroots = tuple(coroots) + tuple(map(neg, coroots))
-    coroot_index = {c: k for k, c in enumerate(all_coroots)}
     roots = tuple(pos) + tuple(map(neg, pos))
+    coroots = tuple(map(coroot.__getitem__, roots))
+    coroot_index = {c: k for k, c in enumerate(coroots)}
     root_weights = tuple(map(weight.__getitem__, roots))
     return RootDatum(
         family=family,
         rank=rank,
-        cartan=cartan_t,
-        d=d,
+        cartan=tuple(map(tuple, cartan)),
         pos_roots=tuple(pos),
-        pos_coroots=tuple(coroots),
-        coroots=all_coroots,
+        pos_coroots=coroots[:len(pos)],
+        coroots=coroots,
         coroot_index=coroot_index,
         # alpha_i^vee is the same unit vector as alpha_i
         simple_index=tuple(coroot_index[s] for s in simples),

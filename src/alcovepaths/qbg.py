@@ -206,18 +206,19 @@ def typeC_root(datum: RootDatum, cls: int, i: int, j: int = 0) -> tuple:
 
 
 def _quantum_excluded(datum: RootDatum, gamma) -> bool:
-    """Whether gamma can never label a quantum edge: its root is shorter
-    than the longest simple root and has a long simple root in its support.
+    """Whether gamma can never label a quantum edge: its root is short and
+    has a long simple root in its support.
 
-    This is the Brenti–Fomin–Postnikov condition ``l(s_gamma) = <2 rho,
-    gamma> - 1`` read off the root datum, without the group;
+    Coordinate k of gamma is ``c_k = r_k (alpha_k, alpha_k) / (alpha,
+    alpha)``, where r is the root alpha of gamma, so ``c_k > r_k`` exactly
+    when alpha_k is in the support of alpha and longer than alpha; with at
+    most two root lengths that is the rule.  This is the
+    Brenti–Fomin–Postnikov condition ``l(s_gamma) = <2 rho, gamma> - 1``
+    read off the root datum, without the group;
     ``test_qbg.test_exclusion_rule_is_the_bfp_condition`` checks the two
     agree on every positive coroot through E8.
     """
-    root, long = datum.root_of_coroot(gamma), max(datum.d)
-    return datum.root_length2(root) < 2 * long and any(
-        c and di == long for c, di in zip(root, datum.d)
-    )
+    return any(c > r for c, r in zip(gamma, datum.root_of_coroot(gamma)))
 
 
 def _criterion_support(datum: RootDatum, gamma) -> tuple:

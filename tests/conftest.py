@@ -10,6 +10,13 @@ from alcovepaths import weylgroup as wg
 from alcovepaths import affine as af
 from alcovepaths import qbg
 
+# every simple type of rank at most 8, each once
+TYPES_UP_TO_RANK_8 = (
+    [("A", r) for r in range(1, 9)] + [("B", r) for r in range(2, 9)]
+    + [("C", r) for r in range(2, 9)] + [("D", r) for r in range(4, 9)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
 
 @lru_cache(maxsize=None)
 def datum_of(family: str, rank: int):

@@ -153,19 +153,27 @@ def test_07_beta_suite(family, rank):
 
 @pytest.mark.parametrize("family,rank", BETA_TYPES)
 def test_07_beta_concatenation(family, rank):
-    # the degree-shifted layout extends to a reduced word of t_{lam - omega_i}
+    # the layout of t_{-omega_i} with each degree raised by <re(beta), lam>,
+    # followed by the betas of a word for t_lam, is the beta sequence of a
+    # reduced word of t_{lam - omega_i}
     d = datum_of(family, rank)
-    lam = (-1,) * rank
-    _, w_lam = af.reduced_word_ext(d, af.translation(d, lam))
-    tail = af.beta_sequence(d, w_lam)
-    for i in range(1, rank + 1):
-        full = af.shifted_beta(d, i, lam) + tail
-        elt, word = af.word_from_beta(d, full)
-        target = af.translation(
-            d, tuple(l - o for l, o in zip(lam, d.fundamental_weight(i)))
-        )
-        assert af.length_ext(d, af.multiply(target, af.inverse(elt))) == 0
-        assert len(word) == af.length_ext(d, target)
+    lams = [neg(d.fundamental_weight(j)) for j in range(1, rank + 1)]
+    lams.append((-1,) * rank)
+    for lam in lams:
+        _, w_lam = af.reduced_word_ext(d, af.translation(d, lam))
+        tail = af.beta_sequence(d, w_lam)
+        for i in range(1, rank + 1):
+            shifted = af.shifted_beta(d, i, lam)
+            assert shifted == tuple(
+                AffineCoroot(b.re, b.deg + d.pair(b.re, lam))
+                for b in af.canonical_beta_order(d, i)
+            )
+            elt, word = af.word_from_beta(d, shifted + tail)
+            target = af.translation(
+                d, tuple(l - o for l, o in zip(lam, d.fundamental_weight(i)))
+            )
+            assert af.length_ext(d, af.multiply(target, af.inverse(elt))) == 0
+            assert len(word) == af.length_ext(d, target)
 
 
 def _minus_omega(rank, *indices):

@@ -2,9 +2,11 @@
 
 The rank-two beta sequences of the fundamental translations are pinned
 verbatim as fixtures; word validity of the canonical layout is checked
-across every type of rank at most four plus G2 and on E6-E8; count
-additivity and the non-increasing wall-crossing parameter of the
-lexicographic chain are checked in ``test_acceptance::test_07_beta_suite``.
+across every type of rank at most four plus G2 and on E6-E8; the
+degree-shifted layouts joined to a word of ``t_lam`` are checked in
+``test_acceptance::test_07_beta_concatenation``, and count additivity and
+the non-increasing wall-crossing parameter of the lexicographic chain in
+``test_acceptance::test_07_beta_suite``.
 The tables each datum memoizes are checked against fresh computations.
 """
 
@@ -275,32 +277,6 @@ def test_canonical_beta_word_valid(family, rank):
         assert af.beta_sequence(d, word) == betas
 
 
-@pytest.mark.parametrize("family,rank", ALL_TYPES)
-def test_shifted_beta_concatenation(family, rank):
-    # shifted beta prefix followed by the betas of a word for t_lam is the
-    # beta sequence of a reduced word for t_{lam - omega_i}
-    d = datum_of(family, rank)
-    lams = [neg(d.fundamental_weight(j)) for j in range(1, rank + 1)]
-    lams.append((-1,) * rank)
-    for i in range(1, rank + 1):
-        for lam in lams:
-            sb = af.shifted_beta(d, i, lam)
-            canon = af.canonical_beta_order(d, i)
-            assert sb == tuple(
-                AffineCoroot(b.re, b.deg + d.pair(b.re, lam)) for b in canon
-            )
-            _, w_lam = af.reduced_word_ext(d, af.translation(d, lam))
-            full = sb + af.beta_sequence(d, w_lam)
-            elt, word = af.word_from_beta(d, full)
-            target = af.translation(
-                d, tuple(l - o for l, o in zip(lam, d.fundamental_weight(i)))
-            )
-            # target = pi * elt for a length-zero pi
-            pi = af.multiply(target, af.inverse(elt))
-            assert af.length_ext(d, pi) == 0
-            assert len(word) == af.length_ext(d, target)
-
-
 def test_shifted_beta_rejects_dominant():
     d = datum_of("A", 2)
     with pytest.raises(ValueError, match="anti-dominant"):
@@ -349,6 +325,14 @@ def test_word_for_translation(family, rank):
             assert af.length_ext(d, pi) == 0
             assert af.from_word_ext(d, word, pi) == t
             assert len(word) == af.length_ext(d, t)
+
+
+@pytest.mark.parametrize("lead", [0, 3, -1])
+def test_word_for_translation_rejects_a_bad_lead_index(lead):
+    d = datum_of("A", 2)
+    with pytest.raises(ValueError,
+                       match=f"^fundamental index out of range: {lead}$"):
+        af.word_for_translation(d, (-1, -1), lead_index=lead)
 
 
 def test_simple_affine_reflections():

@@ -3,7 +3,7 @@
 import pytest
 
 from alcovepaths.lattice import build_datum, add, sub, neg
-from conftest import datum_of
+from conftest import TYPES_UP_TO_RANK_8, datum_of
 
 ALL_TYPES = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
@@ -17,6 +17,18 @@ POS_COUNT = {
     "D": lambda n: n * (n - 1),
     "F": lambda n: 24,
     "G": lambda n: 6,
+}
+
+# Bourbaki's simple roots, squared lengths (alpha_i, alpha_i) with short
+# roots of squared length 2; G2 is numbered with alpha_1 long
+SIMPLE_LENGTH2 = {
+    "A": lambda n: (2,) * n,
+    "B": lambda n: (4,) * (n - 1) + (2,),
+    "C": lambda n: (2,) * (n - 1) + (4,),
+    "D": lambda n: (2,) * n,
+    "E": lambda n: (2,) * n,
+    "F": lambda n: (4, 4, 2, 2),
+    "G": lambda n: (6, 2),
 }
 
 
@@ -35,27 +47,37 @@ def test_positive_root_counts(family, rank):
     assert len(d.pos_coroots) == len(d.pos_roots)
 
 
-@pytest.mark.parametrize("family,rank", ALL_TYPES)
+@pytest.mark.parametrize("family,rank", TYPES_UP_TO_RANK_8)
 def test_cartan_matrix_shape(family, rank):
+    # the length table is an oracle the datum does not share: the datum
+    # builds its coroots in the reflection orbit walk, with no invariant form
     d = datum_of(family, rank)
+    L = SIMPLE_LENGTH2[family](rank)
     assert len(d.cartan) == rank
     for i in range(rank):
         assert d.cartan[i][i] == 2
         for j in range(rank):
             if i != j:
                 assert d.cartan[i][j] <= 0
-            # d_i c_ij symmetric
-            assert d.d[i] * d.cartan[i][j] == d.d[j] * d.cartan[j][i]
+            # (alpha_i, alpha_j) = L_i c_ij / 2 is symmetric
+            assert L[i] * d.cartan[i][j] == L[j] * d.cartan[j][i]
+    for r, c in zip(d.pos_roots, d.pos_coroots):
+        # alpha^vee = 2 alpha / (alpha, alpha), so c_k (alpha, alpha) = r_k L_k
+        length2 = sum(r[i] * r[j] * L[i] * d.cartan[i][j]
+                      for i in range(rank) for j in range(rank)) // 2
+        assert [x * length2 for x in c] == [x * y for x, y in zip(r, L)], r
 
 
 def test_g2_cartan_alpha1_long():
-    # alpha_1 is the long simple root: c_12 = -1, c_21 = -3, d = (3, 1)
+    # alpha_1 is the long simple root: c_12 = -1, c_21 = -3, so the highest
+    # root 2 alpha_1 + 3 alpha_2 is long and the highest coroot belongs to
+    # the highest short root alpha_1 + 2 alpha_2
     d = datum_of("G", 2)
     assert d.cartan == ((2, -1), (-3, 2))
-    assert d.d == (3, 1)
+    assert d.highest_root() == (2, 3)
+    assert d.coroot_of_root((2, 3)) == (2, 1)
     assert d.highest_dual_root() == (3, 2)
-    assert d.root_length2(d.simple_root(1)) == 6
-    assert d.root_length2(d.simple_root(2)) == 2
+    assert d.root_of_coroot((3, 2)) == (1, 2)
 
 
 def test_invalid_types_rejected():

@@ -11,7 +11,7 @@ import pytest
 
 from alcovepaths import weylgroup as wg
 from alcovepaths import qbg
-from conftest import datum_of, graph_of
+from conftest import TYPES_UP_TO_RANK_8, datum_of, graph_of
 
 EDGE_COUNTS = {
     ("A", 1): (1, 1),
@@ -95,14 +95,7 @@ def test_quantum_labels_are_quantum_roots(family, rank):
     assert labels
 
 
-EXCLUSION_TYPES = (
-    [("A", r) for r in range(1, 9)] + [("B", r) for r in range(2, 9)]
-    + [("C", r) for r in range(2, 9)] + [("D", r) for r in range(4, 9)]
-    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
-)
-
-
-@pytest.mark.parametrize("family,rank", EXCLUSION_TYPES)
+@pytest.mark.parametrize("family,rank", TYPES_UP_TO_RANK_8)
 def test_exclusion_rule_is_the_bfp_condition(family, rank):
     # at sigma = s_gamma the obstruction criterion asks only whether gamma
     # is excluded, and s_gamma -> e is quantum iff the Brenti-Fomin-Postnikov
