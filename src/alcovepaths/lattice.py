@@ -9,8 +9,9 @@ so the pairing of a coroot with a weight is a plain dot product.
 ``root_weights`` hold the root of each coroot, in root and in weight
 coordinates, at the same positions.  Tables derived from the datum alone
 (the reflections, the highest coroot, the affine simple-step table, the
-canonical layouts) are built on first use and kept in ``memo``, so each
-is built once per datum.
+canonical layouts, the one edge-label table of the quantum Bruhat graph)
+are built on first use and kept in ``memo``, so each is built once per
+datum.
 
 >>> d = build_datum("A", 2)
 >>> d.cartan
@@ -143,7 +144,6 @@ class RootDatum:
     simple_index: tuple = field(repr=False)   # index of alpha_i^vee, i = 1..rank
     roots: tuple = field(repr=False)          # Root of coroots[k] is roots[k]
     root_weights: tuple = field(repr=False)   # roots[k] as a Weight
-    two_rho: tuple = field(repr=False)   # Weight, sum of all positive roots
     # tables built on first use, keyed by a table name and its argument
     memo: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -169,10 +169,6 @@ class RootDatum:
         self.check_rank(c)
         self.check_rank(w)
         return dot(c, w)
-
-    def two_rho_pair(self, c: Coroot) -> int:
-        """<2*rho, c> where 2*rho is the sum of the positive roots."""
-        return dot(c, self.two_rho)
 
     def root_to_weight(self, r: Root) -> Weight:
         """Coordinates of a root vector in the fundamental-weight basis."""
@@ -280,6 +276,5 @@ def build_datum(family: str, rank: int) -> RootDatum:
         simple_index=tuple(coroot_index[s] for s in simples),
         roots=roots,
         root_weights=root_weights,
-        two_rho=tuple(map(sum, zip(*root_weights[:len(pos)]))),
     )
 

@@ -3,10 +3,21 @@ Quantum Bruhat graph on the dual root system.
 
 Vertices are the Weyl group elements; an edge ``w -> w s_gamma`` with
 label a positive coroot ``gamma`` is Bruhat when the length goes up by
-one and quantum when it drops by ``<2 rho, gamma> - 1``.  Besides the
-generic length-based construction the module carries Lenart's one-line
-criteria in types A and C and an obstruction-based existence test, used
-to cross-validate each other.
+one and quantum when it drops by ``<2 rho, gamma> - 1``.  The graph is
+built from one rule that needs no lengths, the obstruction criterion: the
+kind is the sign of ``w(gamma)``, and existence is read off the signs
+``w`` gives a fixed set of coroots per label.  The module also carries
+Lenart's one-line criteria in types A and C; the tests check all of them
+against the length definition.
+
+>>> from alcovepaths.lattice import build_datum
+>>> from alcovepaths import weylgroup as wg
+>>> d = build_datum("A", 2)
+>>> kinds = [kind for kind, _ in build(d).edges.values()]
+>>> kinds.count(BRUHAT), kinds.count(QUANTUM)
+(8, 7)
+>>> criterion_edge(d, wg.longest_element(d), (1, 1))
+True
 """
 
 from __future__ import annotations
@@ -14,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .lattice import RootDatum, dot, neg
+from .lattice import RootDatum, neg
 from . import weylgroup as wg
 from .weylgroup import WeylElt
 
@@ -44,22 +55,18 @@ class QuantumBruhatGraph:
 
 def build(datum: RootDatum) -> QuantumBruhatGraph:
     vertices = tuple(wg.enumerate_group(datum))
-    # each vertex and its length by permutation, so an edge test looks up
-    # w s_gamma instead of building a WeylElt for it
-    by_perm = {w.perm: (w, wg.length(datum, w)) for w in vertices}
-    # label, its reflection, and the length change of a quantum step
-    labels = [
-        (gamma, wg.reflection_of(datum, gamma).perm, 1 - datum.two_rho_pair(gamma))
-        for gamma in datum.pos_coroots
-    ]
+    # each vertex by permutation, so an edge's end is looked up, not built
+    by_perm = {w.perm: w for w in vertices}
+    labels = tuple(zip(datum.pos_coroots, _edge_labels(datum)))
+    n = len(datum.pos_coroots)
     edges = {}
     for w in vertices:
-        at, lw = w.perm.__getitem__, by_perm[w.perm][1]
-        for gamma, s, quantum_step in labels:
-            ws, lws = by_perm[tuple(map(at, s))]
-            step = lws - lw
-            if step == 1 or step == quantum_step:
-                edges[(w, gamma)] = (BRUHAT if step == 1 else QUANTUM, ws)
+        perm = w.perm
+        at = perm.__getitem__
+        for gamma, label in labels:
+            kind = _edge_rule(perm, n, label)
+            if kind:
+                edges[(w, gamma)] = (kind, by_perm[tuple(map(at, label[1]))])
     return QuantumBruhatGraph(datum, vertices, edges)
 
 
@@ -202,63 +209,58 @@ def typeC_root(datum: RootDatum, cls: int, i: int, j: int = 0) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Obstruction-based existence test
+# Obstruction criterion: the edge rule
 
 
-def _quantum_excluded(datum: RootDatum, gamma) -> bool:
-    """Whether gamma can never label a quantum edge: its root is short and
-    has a long simple root in its support.
+def _edge_labels(datum: RootDatum) -> tuple:
+    """Per positive coroot gamma, at its index k: ``(k, s, pairs, excluded)``.
 
-    Coordinate k of gamma is ``c_k = r_k (alpha_k, alpha_k) / (alpha,
-    alpha)``, where r is the root alpha of gamma, so ``c_k > r_k`` exactly
-    when alpha_k is in the support of alpha and longer than alpha; with at
-    most two root lengths that is the rule.  This is the
+    ``s`` is the permutation of s_gamma.  S = {alpha positive, alpha !=
+    gamma, s_gamma(alpha) negative} falls into pairs of alpha and beta =
+    -s_gamma(alpha), and ``pairs`` holds each pair once as coroot indices:
+    the negatives follow the N positive coroots in the same order, so
+    beta's index is ``s[alpha] - N``, and ``alpha < s[alpha] - N`` keeps
+    the smaller member of each pair and drops gamma and all alpha outside S.
+    ``excluded`` says that gamma never labels a quantum edge: its root r is
+    short and has a long simple root in its support.  Coordinate k of
+    gamma is ``r_k (alpha_k, alpha_k) / (r, r)``, so with at most two root
+    lengths that is some ``gamma_k > r_k``.  This is the
     Brenti–Fomin–Postnikov condition ``l(s_gamma) = <2 rho, gamma> - 1``
-    read off the root datum, without the group;
-    ``test_qbg.test_exclusion_rule_is_the_bfp_condition`` checks the two
-    agree on every positive coroot through E8.
+    read off the root datum; ``test_qbg.test_exclusion_rule_is_the_bfp_condition``
+    checks the two agree on every positive coroot through E8.  Built once
+    per datum.
     """
-    return any(c > r for c, r in zip(gamma, datum.root_of_coroot(gamma)))
+    def build():
+        n, labels = len(datum.pos_coroots), []
+        for k, gamma in enumerate(datum.pos_coroots):
+            s = wg.reflection_of(datum, gamma).perm
+            pairs = tuple((a, s[a] - n) for a in range(n) if a < s[a] - n)
+            excluded = any(c > r for c, r in zip(gamma, datum.roots[k]))
+            labels.append((k, s, pairs, excluded))
+        return tuple(labels)
+    return datum.memoized("edge_labels", build)
 
 
-def _criterion_support(datum: RootDatum, gamma) -> tuple:
-    """``(pairs, excluded)`` for ``criterion_edge``: the coroot indices of
-    each ``(alpha, beta)`` over S, and ``_quantum_excluded(gamma)``."""
-    groot_wt = datum.coroot_weight(gamma)
-    pairs = []
-    for alpha in datum.pos_coroots:
-        c = dot(alpha, groot_wt)
-        # beta = -s_gamma(alpha); alpha is in S when beta is positive
-        beta = tuple(c * gi - ai for gi, ai in zip(gamma, alpha))
-        if alpha != gamma and datum.is_pos_coroot(beta):
-            pairs.append((datum.coroot_index[alpha], datum.coroot_index[beta]))
-    return tuple(pairs), _quantum_excluded(datum, gamma)
+def _edge_rule(perm, n, label):
+    """Kind of the edge ``w -> w s_gamma``, or None, for w given by its
+    ``perm`` and gamma by its ``_edge_labels`` entry.  w sends the coroot of
+    index k to a positive one iff ``perm[k] < n``, the number of positive
+    coroots.  If w(gamma) is positive, the edge is Bruhat unless w keeps
+    both members of some pair positive; if it is negative, the edge is
+    quantum iff gamma is not excluded and w sends all of S negative."""
+    k, _, pairs, excluded = label
+    if perm[k] < n:
+        return None if any(perm[a] < n and perm[b] < n for a, b in pairs) else BRUHAT
+    return None if excluded or any(perm[a] < n or perm[b] < n for a, b in pairs) else QUANTUM
 
 
 def criterion_edge(datum: RootDatum, sigma: WeylElt, gamma) -> bool:
-    """Existence of an edge ``sigma -> sigma s_gamma`` via the obstruction test.
-
-    Let S = {alpha positive, alpha != gamma, s_gamma(alpha) negative}; the
-    reflection pairs alpha with beta = c*gamma - alpha, c = <alpha,
-    root(gamma)>.  When sigma(gamma) stays positive the edge exists unless
-    some pair keeps both members positive under sigma; when sigma(gamma)
-    turns negative the edge exists iff sigma sends all of S negative and
-    gamma is not excluded from carrying quantum edges.  S and the exclusion
-    are built once per datum and gamma.
-    """
+    """Existence of an edge ``sigma -> sigma s_gamma``, by the rule that
+    ``build`` uses (``_edge_rule``), from the root datum alone."""
     if not datum.is_pos_coroot(gamma):
         raise ValueError(f"not a positive coroot: {gamma!r}")
-    gamma = tuple(gamma)
-    pairs, excluded = datum.memoized(
-        ("criterion_support", gamma), lambda: _criterion_support(datum, gamma)
-    )
-    # sigma sends the coroot of index k to a positive one iff perm[k] < n
-    perm, n = sigma.perm, len(datum.pos_coroots)
-    if perm[datum.coroot_index[gamma]] < n:
-        return not any(perm[a] < n and perm[b] < n for a, b in pairs)
-    if excluded:
-        return False
-    return not any(perm[a] < n for a, _ in pairs)
+    label = _edge_labels(datum)[datum.coroot_index[tuple(gamma)]]
+    return _edge_rule(sigma.perm, len(datum.pos_coroots), label) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from functools import lru_cache
 
 import pytest
 
-from alcovepaths.lattice import build_datum, neg
+from alcovepaths.lattice import build_datum, dot, neg
 from alcovepaths import weylgroup as wg
 from alcovepaths import affine as af
 from alcovepaths import qbg
@@ -42,6 +42,29 @@ def length_zero_elements(d):
         for v in wg.enumerate_group(d)
         if af.length_ext(d, af.ExtAffineElt(mu, v)) == 0
     ]
+
+
+def two_rho(d):
+    """2 rho, the sum of the positive roots, as a weight."""
+    return tuple(map(sum, zip(*d.root_weights[:len(d.pos_coroots)])))
+
+
+def length_rule_edges(d):
+    """The graph's edges by their definition, ``{(w, gamma): (kind, w
+    s_gamma)}``: Bruhat when the length goes up by one, quantum when it
+    drops by ``<2 rho, gamma> - 1``.  Every length is counted afresh."""
+    rho2 = two_rho(d)
+    edges = {}
+    for w in wg.enumerate_group(d):
+        lw = wg.length(d, w)
+        for gamma in d.pos_coroots:
+            ws = wg.multiply(w, wg.reflection_of(d, gamma))
+            step = wg.length(d, ws) - lw
+            if step == 1:
+                edges[(w, gamma)] = (qbg.BRUHAT, ws)
+            elif step == 1 - dot(gamma, rho2):
+                edges[(w, gamma)] = (qbg.QUANTUM, ws)
+    return edges
 
 
 def reflect_weight(datum, i, lam):

@@ -10,7 +10,7 @@ import alcovepaths
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(alcovepaths.__path__))
 # modules whose docstrings carry examples, which must keep them
-WITH_EXAMPLES = {"affine", "lattice", "weylgroup"}
+WITH_EXAMPLES = {"affine", "lattice", "qbg", "weylgroup"}
 
 
 @pytest.mark.parametrize("name", MODULES)

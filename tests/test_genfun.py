@@ -120,7 +120,7 @@ def test_c_function_empty_word():
     ("A", 2, (-1, -1)), ("C", 2, (-1, -1)), ("G", 2, (-1, 0)),
 ])
 def test_c_function_word_independence(family, rank, lam):
-    # the value does not depend on the chosen reduced word
+    # at anti-dominant lam the value does not depend on the reduced word
     d = datum_of(family, rank)
     g = graph_of(family, rank)
     e = af.ext_identity(d)
@@ -133,6 +133,35 @@ def test_c_function_word_independence(family, rank, lam):
         alt = gf.c_function(d, g, af.multiply(e, pi), af.from_word_ext(d, word),
                             word=word)
         assert alt == base
+
+
+def _peel_largest_descent(d, a):
+    """A reduced word of ``a`` modulo its length-zero part, by peeling the
+    largest right descent each time (``reduced_word_ext`` peels the
+    smallest)."""
+    word = []
+    while af.length_ext(d, a):
+        i = max(i for i in range(d.rank + 1) if af.is_right_descent_ext(d, a, i))
+        word.append(i)
+        a = af.multiply(a, af.affine_simple_reflection(d, i))
+    return tuple(reversed(word))
+
+
+@pytest.mark.parametrize("family,rank,lam,by_smallest,by_largest", [
+    ("A", 2, (-1, 2), 8, 12), ("C", 2, (-1, 2), 12, 20),
+])
+def test_c_function_depends_on_the_word_at_mixed_sign(
+        family, rank, lam, by_smallest, by_largest):
+    # word independence is claimed for anti-dominant lam only: at this
+    # mixed-sign weight two reduced words of t_lam give different C_e
+    d, g = datum_and_graph(family, rank)
+    e, t = af.ext_identity(d), af.translation(d, lam)
+    pi, smallest = af.reduced_word_ext(d, t)
+    word = _peel_largest_descent(d, t)
+    # both are reduced words of the same x, t_lam = pi x
+    assert af.from_word_ext(d, word, pi) == t and word != smallest
+    assert gf.evaluate(gf.c_function(d, g, e, t)) == by_smallest
+    assert gf.evaluate(gf.c_function(d, g, e, t, word=word)) == by_largest
 
 
 def test_shift_equivariance():

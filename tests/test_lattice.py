@@ -2,8 +2,8 @@
 
 import pytest
 
-from alcovepaths.lattice import build_datum, add, sub, neg
-from conftest import TYPES_UP_TO_RANK_8, datum_of
+from alcovepaths.lattice import build_datum, add, dot, sub, neg
+from conftest import TYPES_UP_TO_RANK_8, datum_of, two_rho
 
 ALL_TYPES = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
@@ -127,10 +127,10 @@ def test_two_rho(family, rank):
     total = (0,) * rank
     for r in d.pos_roots:
         total = add(total, d.root_to_weight(r))
-    assert d.two_rho == total
+    assert two_rho(d) == total
     # <2 rho, alpha_i^vee> = 2 for every simple coroot
     for i in range(1, rank + 1):
-        assert d.two_rho_pair(d.simple_coroot(i)) == 2
+        assert dot(d.simple_coroot(i), two_rho(d)) == 2
 
 
 @pytest.mark.parametrize("family,rank", ALL_TYPES)

@@ -2,10 +2,11 @@
 
 import itertools
 import json
+from fractions import Fraction
 
 import pytest
 
-from alcovepaths.lattice import neg
+from alcovepaths.lattice import dot, neg
 from alcovepaths import weylgroup as wg
 from alcovepaths import macdonald as mac
 from alcovepaths.genfun import LaurentPoly
@@ -135,6 +136,36 @@ def test_fundamental_dims():
         for i, dim in enumerate(dims, start=1):
             lam = neg(d.fundamental_weight(i))
             assert mac.weyl_dimension(d, g, wg.identity(d), lam) == dim
+
+
+def _box(rank, depth):
+    """Every anti-dominant weight with coordinates in ``{0, ..., -depth}``."""
+    return list(itertools.product(range(0, -depth - 1, -1), repeat=rank))
+
+
+# 80 anti-dominant weights: a box of each type, and F4 at 0 and each -omega_i
+DEGREE_ZERO_WEIGHTS = {
+    ("A", 1): _box(1, 3),
+    **{(f, 2): _box(2, 2) for f in "ABC"},
+    **{(f, r): _box(r, 1) for f, r in [("G", 2), ("A", 3), ("B", 3), ("C", 3), ("D", 4)]},
+    ("F", 4): [(0,) * 4] + [tuple(-int(i == j) for j in range(4)) for i in range(4)],
+}
+
+
+@pytest.mark.parametrize("family,rank", sorted(DEGREE_ZERO_WEIGHTS))
+def test_degree_zero_is_the_weyl_dimension(family, rank):
+    # the q^0 part of e_zero(lam) is the character of V(w0 lam); its
+    # dimension is the Weyl product over the positive coroots g of
+    # (<w0 lam, g> + ht g) / ht g, computed from the root datum alone
+    d, g = datum_and_graph(family, rank)
+    w0 = wg.longest_element(d)
+    for lam in DEGREE_ZERO_WEIGHTS[family, rank]:
+        top = wg.act_weight(w0, lam)
+        weyl = 1
+        for gamma in d.pos_coroots:
+            weyl *= Fraction(dot(gamma, top) + sum(gamma), sum(gamma))
+        degree_zero = sum(c for (_, q), c in mac.e_zero(d, g, lam).terms.items() if q == 0)
+        assert degree_zero == weyl, lam
 
 
 def test_dimension_multiplicativity():

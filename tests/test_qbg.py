@@ -1,17 +1,21 @@
-"""Quantum Bruhat graphs: counts, duality, alternative edge criteria, export.
+"""Quantum Bruhat graphs: counts, duality, the edge rule, export.
 
+``qbg.build`` uses the obstruction criterion alone; the length
+conditions, which define the graph, are the oracle here (and in
+``test_acceptance.test_06_edges_obstruction_criterion``, edge by edge).
 One transcribed reference table for A2 states 16 edges; the length
-conditions, which define the graph, give 8 covering plus 7 quantum = 15,
-and all independent criteria below agree with 15.  The fixture asserts 15.
+conditions give 8 covering plus 7 quantum = 15, and so does the
+criterion.  The fixture asserts 15.
 """
 
 import json
 
 import pytest
 
+from alcovepaths.lattice import dot
 from alcovepaths import weylgroup as wg
 from alcovepaths import qbg
-from conftest import TYPES_UP_TO_RANK_8, datum_of, graph_of
+from conftest import TYPES_UP_TO_RANK_8, datum_of, graph_of, two_rho
 
 EDGE_COUNTS = {
     ("A", 1): (1, 1),
@@ -40,7 +44,7 @@ def test_edge_length_conditions(family, rank):
         if kind == qbg.BRUHAT:
             assert lws == lw + 1
         else:
-            assert lws == lw - d.two_rho_pair(gamma) + 1
+            assert lws == lw - dot(gamma, two_rho(d)) + 1
 
 
 @pytest.mark.parametrize("family,rank", sorted(EDGE_COUNTS) + [("B", 3)])
@@ -89,7 +93,7 @@ def test_quantum_labels_are_quantum_roots(family, rank):
               if kind == qbg.QUANTUM}
     quantum_roots = {
         gamma for gamma in d.pos_coroots
-        if wg.length(d, wg.reflection_of(d, gamma)) == d.two_rho_pair(gamma) - 1
+        if wg.length(d, wg.reflection_of(d, gamma)) == dot(gamma, two_rho(d)) - 1
     }
     assert labels == quantum_roots
     assert labels
@@ -103,7 +107,7 @@ def test_exclusion_rule_is_the_bfp_condition(family, rank):
     d = datum_of(family, rank)
     for gamma in d.pos_coroots:
         s = wg.reflection_of(d, gamma)
-        bfp = wg.length(d, s) == d.two_rho_pair(gamma) - 1
+        bfp = wg.length(d, s) == dot(gamma, two_rho(d)) - 1
         assert qbg.criterion_edge(d, s, gamma) == bfp, gamma
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from alcovepaths.lattice import neg
 from alcovepaths import weylgroup as wg
-from conftest import datum_of, graph_of, reflect_weight
+from conftest import datum_of, graph_of, reflect_weight, two_rho
 from test_qbg import NAME_TYPES
 
 GROUP_ORDERS = {
@@ -178,7 +178,7 @@ def test_actions_match_cartan_formulas(family, rank):
     # a shorter element, so each word costs one more letter.
     d = datum_of(family, rank)
     regular = tuple(range(1, rank + 1))     # strictly dominant, not a root
-    images = {(): ([d.two_rho, regular], list(d.pos_coroots))}
+    images = {(): ([two_rho(d), regular], list(d.pos_coroots))}
     for w in wg.enumerate_group(d):
         word = wg.reduced_word(d, w)
         if word:
@@ -188,7 +188,7 @@ def test_actions_match_cartan_formulas(family, rank):
                 [reflect_coroot(d, word[0], c) for c in coroots],
             )
         weights, coroots = images[word]
-        assert [wg.act_weight(w, v) for v in (d.two_rho, regular)] == weights
+        assert [wg.act_weight(w, v) for v in (two_rho(d), regular)] == weights
         assert [wg.act_coroot(w, c) for c in d.pos_coroots] == coroots
         negative = {
             c: all(x <= 0 for x in img) for c, img in zip(d.pos_coroots, coroots)
