@@ -14,15 +14,16 @@ coroot and ``m`` an integer.  The element ``t_mu * v`` acts by
 and the reflection in ``gamma + N*delta`` is ``t_{-N*alpha_gamma} s_gamma``
 (with ``alpha_gamma`` the root of ``gamma`` written as a weight).
 
-The canonical layout of ``t_{-omega_i}`` is Lenart–Postnikov's
-lexicographic lambda-chain, one sort of its entries; the word of any
-anti-dominant translation is read off the degree-shifted layouts of its
-fundamental factors, joined end to end.  Each canonical layout is built
-once per datum, on first use.  So is the simple-step table (per affine
-simple ``i``: the index of ``Re a_i``, ``deg a_i`` and the permutation of
-``s_i``), which the affine simple coroots and reflections are read from,
-and through which reduced words and beta sequences are derived on plain
-``(wt, perm)`` pairs; only a returned element is built.
+The beta sequence of ``t_lam`` for any weight ``lam``, of either sign, is
+Lenart–Postnikov's lexicographic lambda-chain, one sort of its entries
+(``lambda_chain``); the canonical layout of ``t_{-omega_i}`` is that chain
+at ``-omega_i``, and the word of any translation is read off its chain.
+Each canonical layout is built once per datum, on first use.  So is the
+simple-step table (per affine simple ``i``: the index of ``Re a_i``,
+``deg a_i`` and the permutation of ``s_i``), which the affine simple
+coroots and reflections are read from, and through which reduced words and
+beta sequences are derived on plain ``(wt, perm)`` pairs; only a returned
+element is built.
 ``word_from_beta`` applies ``p^{-1}`` for ``p = t_mu v`` directly:
 ``p^{-1}(gamma + m*delta) = v^{-1}(gamma) + (m + <gamma, mu>)*delta``.
 
@@ -51,7 +52,7 @@ __all__ = [
     "multiply", "inverse", "act_on_affine_coroot", "affine_reflection",
     "affine_simple_coroot", "affine_simple_reflection", "length_ext",
     "is_right_descent_ext", "reduced_word_ext", "from_word_ext",
-    "beta_sequence", "canonical_beta_order", "word_from_beta",
+    "beta_sequence", "lambda_chain", "canonical_beta_order", "word_from_beta",
     "shifted_beta", "word_for_translation",
 ]
 
@@ -232,31 +233,46 @@ def beta_sequence(datum: RootDatum, word) -> tuple:
     return tuple(out)
 
 
-def canonical_beta_order(datum: RootDatum, i: int) -> tuple:
-    """The beta sequence of ``t_{-omega_i}`` along Lenart–Postnikov's
-    lexicographic lambda-chain (arXiv math/0309207).
+def lambda_chain(datum: RootDatum, lam) -> tuple:
+    """The beta sequence of ``t_lam``, for any weight ``lam``, along
+    Lenart–Postnikov's lexicographic lambda-chain (arXiv math/0309207): the
+    hyperplane crossings of the line from ``-x0`` in the direction ``-lam``.
 
-    The entries are ``-gamma + k*delta`` over positive coroots gamma with
-    ``h = <gamma, omega_i> > 0`` and ``1 <= k <= h``, sorted increasing by
-    ``((h - k)/h, gamma_1/h, ..., gamma_r/h)`` times the lcm of the ``h``, in
-    integers: decreasing wall-crossing parameter ``k/h``, ties broken by the
-    coordinates.  The result is the beta sequence of a reduced word of
-    ``t_{-omega_i}``.
+    Per positive coroot gamma with ``h = <gamma, -lam>`` nonzero, the
+    entries are ``-gamma + k*delta`` for ``1 <= k <= h`` when ``h > 0``, and
+    ``gamma + k*delta`` for ``0 <= k < |h|`` when ``h < 0``, the crossing
+    at level ``c = |h| - k``.  They are sorted increasing by
+    ``(c/|h|, gamma_1/h, ..., gamma_r/h)`` times the lcm of the ``|h|``, in
+    integers.  The result is the beta sequence of a reduced word of
+    ``t_lam`` modulo its length-zero part; the multiset is the inversion
+    set of ``t_lam``.
+
+    >>> from alcovepaths.lattice import build_datum
+    >>> [(b.re, b.deg) for b in lambda_chain(build_datum("A", 2), (1, -1))]
+    [((0, -1), 1), ((1, 0), 0)]
     """
-    if not 1 <= i <= datum.rank:
-        raise ValueError(f"fundamental index out of range: {i}")
+    datum.check_rank(lam)
+    heights = [(g, -dot(g, lam)) for g in datum.pos_coroots]
+    heights = [(g, h) for g, h in heights if h]
+    lcm = math.lcm(*(abs(h) for _, h in heights))
+    entries = []
+    for g, h in heights:
+        # the crossing levels: h > 0 has c = 0..h - 1, h < 0 has c = 1..|h|
+        re, levels = (neg(g), range(h)) if h > 0 else (g, range(1, 1 - h))
+        s = lcm // h
+        entries += [((c * abs(s),) + tuple(x * s for x in g), re, abs(h) - c)
+                    for c in levels]
+    entries.sort(key=lambda e: e[0])
+    return tuple(AffineCoroot(re, k) for _, re, k in entries)
 
-    def build():
-        entries = [(g, k) for g in datum.pos_coroots
-                   for k in range(1, g[i - 1] + 1)]  # g[i - 1] = <g, omega_i>
-        lcm = math.lcm(*(g[i - 1] for g, _ in entries))
 
-        def key(entry):
-            g, k = entry
-            s = lcm // g[i - 1]
-            return ((g[i - 1] - k) * s,) + tuple(x * s for x in g)
-        return tuple(AffineCoroot(neg(g), k) for g, k in sorted(entries, key=key))
-    return datum.memoized(("canonical_beta", i), build)
+def canonical_beta_order(datum: RootDatum, i: int) -> tuple:
+    """``lambda_chain`` at ``-omega_i``, built once per datum: the entries
+    ``-gamma + k*delta`` with ``1 <= k <= <gamma, omega_i>``, in decreasing
+    wall-crossing parameter ``k / <gamma, omega_i>``."""
+    omega = datum.fundamental_weight(i)
+    return datum.memoized(("canonical_beta", i),
+                          lambda: lambda_chain(datum, neg(omega)))
 
 
 def word_from_beta(datum: RootDatum, betas):
@@ -294,27 +310,9 @@ def shifted_beta(datum: RootDatum, i: int, lam) -> tuple:
                  for b in canonical_beta_order(datum, i))
 
 
-def word_for_translation(datum: RootDatum, lam, lead_index=None):
-    """``(pi, word)`` for ``t_lam = pi s_{i_1} ... s_{i_l}`` with anti-dominant
-    ``lam``, read by ``word_from_beta`` off the joined lambda-chains of the
-    ``omega_i`` factors (Lenart–Postnikov): for each factor, ``omega_i`` is
-    added to a running weight ``mu`` that starts at ``lam``, and
-    ``shifted_beta(i, mu)`` is appended.
-
-    ``lead_index`` puts that fundamental factor's copies first; the rest
-    follow in increasing index order.
-    """
-    datum.check_antidominant(lam)
-    order = list(range(1, datum.rank + 1))
-    if lead_index is not None:
-        if lead_index not in order:
-            raise ValueError(f"fundamental index out of range: {lead_index}")
-        order.remove(lead_index)
-        order.insert(0, lead_index)
-    mu, betas = lam, []
-    for i in order:
-        for _ in range(-lam[i - 1]):
-            mu = add(mu, datum.fundamental_weight(i))
-            betas += shifted_beta(datum, i, mu)
-    x, word = word_from_beta(datum, betas)
+def word_for_translation(datum: RootDatum, lam):
+    """``(pi, word)`` for ``t_lam = pi s_{i_1} ... s_{i_l}`` with any weight
+    ``lam``, read by ``word_from_beta`` off ``lambda_chain(lam)``;
+    ``pi = t_lam x^{-1}`` for the element ``x`` of that word."""
+    x, word = word_from_beta(datum, lambda_chain(datum, lam))
     return multiply(translation(datum, lam), inverse(x)), word

@@ -136,9 +136,9 @@ def c_function(
     """Generating function over folded paths of the beta type of w.
 
     The word is derived from w unless an explicit reduced word is passed.
-    For a translation by an anti-dominant weight the value does not depend
-    on the choice (``identities.word_choice`` checks this); at some
-    mixed-sign weights it does.  The paths start at u*w and are
+    For a translation by a dominant or anti-dominant weight the value does
+    not depend on the choice (``identities.word_choice`` checks this); at
+    some mixed-sign weights it does.  The paths start at u*w and are
     counted by ``paths.fold_table`` from the start ``{dir(u*w): wt(u*w)}``,
     whose table is the polynomial as it comes out of the walk.
     """

@@ -115,16 +115,15 @@ def beta(datum, graph=None):
 
 def word_choice(datum, graph, lams):
     """``C_u^{t_lam}`` is the same for every u whichever reduced word of
-    ``t_lam`` its paths are built from.
+    ``t_lam`` its paths are built from, for dominant or anti-dominant lam.
 
     Each word gets one ``paths.fold_table`` from the starts ``{v: v(lam)}``
-    over every vertex.  Against the word of ``reduced_word_ext`` go, for
-    each j with ``lam_j < 0``, ``word_for_translation`` led by j and the
+    over every vertex.  Against the word of ``reduced_word_ext`` go
+    ``affine.lambda_chain(lam)`` and, for each j with ``lam_j < 0``, the
     lexicographic chain ``shifted_beta(j, lam + omega_j)`` followed by the
-    betas of ``t_{lam + omega_j}``.  At ``lam = -omega_j`` these two are one
-    word, the layout of j, so there the check is that layout against the
-    word of ``reduced_word_ext``.  A failure names the word's source and the
-    first u whose table differs.
+    betas of ``t_{lam + omega_j}``; ``shifted_beta`` needs anti-dominant
+    lam, so at a dominant lam the chain is the only other word.  A failure
+    names the word's source and the first u whose table differs.
     """
     def betas(mu):
         return af.beta_sequence(
@@ -132,15 +131,12 @@ def word_choice(datum, graph, lams):
     for lam in map(tuple, lams):
         starts = {v: wg.act_weight(v, lam) for v in graph.vertices}
         want = pth.fold_table(datum, graph, starts, betas(lam))
-        sources = []
+        sources = [("lambda_chain", af.lambda_chain(datum, lam))]
         for j in range(1, datum.rank + 1):
-            if lam[j - 1]:
-                _, lead = af.word_for_translation(datum, lam, lead_index=j)
+            if lam[j - 1] < 0:
                 up = add(lam, datum.fundamental_weight(j))
-                sources += [
-                    (f"lead_index={j}", af.beta_sequence(datum, lead)),
-                    (f"lex_chain={j}", af.shifted_beta(datum, j, up) + betas(up)),
-                ]
+                sources.append(
+                    (f"lex_chain={j}", af.shifted_beta(datum, j, up) + betas(up)))
         for source, seq in sources:
             got = pth.fold_table(datum, graph, starts, seq)
             u = next((v for v in graph.vertices if got[v] != want[v]), None)
@@ -171,7 +167,8 @@ SUITES = {
     "lenart": (lenart, [("A", 2), ("A", 3), ("C", 2)]),
     "beta": (beta, [("A", 2), ("C", 2), ("G", 2)]),
     "word_choice": (word_choice, [
-        (f, 2, list(itertools.product((0, -1), repeat=2))) for f in "ACG"
+        (f, 2, [*itertools.product((0, -1), repeat=2), (0, 1), (1, 0), (1, 1)])
+        for f in "ACG"
     ]),
     "dual_route": (dual_route, [
         ("A", r, list(itertools.product((-1, 0), repeat=r))) for r in (1, 2)

@@ -165,11 +165,15 @@ def reflection_of(datum: RootDatum, coroot) -> WeylElt:
     def build():
         gamma, root_wt = datum.coroots[k], datum.root_weights[k]
         images = []
-        for c in datum.coroots:
+        for c in datum.pos_coroots:
             # s_gamma(c) = c - <c, alpha_gamma> gamma
             m = dot(c, root_wt)
             image = tuple(ci - m * gi for ci, gi in zip(c, gamma))
             images.append(datum.coroot_index[image])
+        # s_gamma(-c) = -s_gamma(c), and the negative of the coroot at j is
+        # at (j + N) % 2N
+        n = len(images)
+        images += [(j + n) % (2 * n) for j in images]
         return WeylElt(tuple(images), datum)
     return datum.memoized(("reflection", k), build)
 

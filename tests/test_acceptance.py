@@ -180,18 +180,20 @@ def test_07_beta_concatenation(family, rank):
             assert len(word) == af.length_ext(d, target)
 
 
-def _minus_omega(rank, *indices):
-    return [tuple(-int(j == i) for j in range(1, rank + 1)) for i in indices]
+def _omega_pm(rank, *indices):
+    """``-omega_i`` and ``omega_i`` for each index i."""
+    lams = [tuple(-int(j == i) for j in range(1, rank + 1)) for i in indices]
+    return lams + [neg(lam) for lam in lams]
 
 
 # the F4 cases are the two layouts on which the lexicographic chain and the
-# earlier layout search disagree
+# earlier layout search disagree; each case has dominant weights too
 @pytest.mark.parametrize("family,rank,lams", [
-    ("A", 3, _minus_omega(3, 1, 2, 3)),
-    ("B", 3, _minus_omega(3, 1, 2, 3)),
-    ("C", 3, _minus_omega(3, 1, 2, 3)),
-    ("G", 2, list(box(2))),
-    ("F", 4, _minus_omega(4, 2, 3)),
+    ("A", 3, _omega_pm(3, 1, 2, 3)),
+    ("B", 3, _omega_pm(3, 1, 2, 3)),
+    ("C", 3, _omega_pm(3, 1, 2, 3)),
+    ("G", 2, [*box(2), *map(neg, box(2))]),
+    ("F", 4, _omega_pm(4, 2, 3)),
 ], ids=["A3", "B3", "C3", "G2", "F4"])
 def test_07_word_choice(family, rank, lams):
     assert list(ids.word_choice(*datum_and_graph(family, rank), lams)) == []
@@ -290,7 +292,8 @@ def test_10_non_negativity():
     ("twist", (mac, "cominuscule_twist_check", lambda *a: False), "A", 2,
      (1, range(1, 4)), 3),
     # every fold table differs from every other; at {0, -1}^2 the words
-    # besides the reference number 0, 2, 2 and 4
+    # besides the reference number 1, 2, 2 and 3: the lambda-chain at each
+    # weight, and one lexicographic chain per negative coordinate
     ("word_choice", (pth, "fold_table",
                      lambda d, g, starts, betas, n=itertools.count():
                      dict.fromkeys(starts, next(n))),

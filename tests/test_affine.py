@@ -2,7 +2,9 @@
 
 The rank-two beta sequences of the fundamental translations are pinned
 verbatim as fixtures; word validity of the canonical layout is checked
-across every type of rank at most four plus G2 and on E6-E8; the
+across every type of rank at most four plus G2 and on E6-E8, and the
+lambda-chain of a weight of any sign against the inversion set of its
+translation; the
 degree-shifted layouts joined to a word of ``t_lam`` are checked in
 ``test_acceptance::test_07_beta_concatenation``, and count additivity and
 the non-increasing wall-crossing parameter of the lexicographic chain in
@@ -12,6 +14,7 @@ The tables each datum memoizes are checked against fresh computations.
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -318,21 +321,40 @@ def test_word_for_translation(family, rank):
     d = datum_of(family, rank)
     lams = [neg(d.fundamental_weight(i)) for i in range(1, rank + 1)]
     lams += [(-1,) * rank, (-2,) + (-1,) * (rank - 1)]
-    for lam in lams:
+    # mixed signs, and their negatives
+    lams += [(1,) + (-1,) * (rank - 1), (-2,) + (1,) * (rank - 1)]
+    for lam in lams + [neg(lam) for lam in lams]:
         t = af.translation(d, lam)
-        for lead in [None, *range(1, rank + 1)]:
-            pi, word = af.word_for_translation(d, lam, lead_index=lead)
-            assert af.length_ext(d, pi) == 0
-            assert af.from_word_ext(d, word, pi) == t
-            assert len(word) == af.length_ext(d, t)
+        pi, word = af.word_for_translation(d, lam)
+        assert af.length_ext(d, pi) == 0
+        assert af.from_word_ext(d, word, pi) == t
+        assert len(word) == af.length_ext(d, t)
 
 
-@pytest.mark.parametrize("lead", [0, 3, -1])
-def test_word_for_translation_rejects_a_bad_lead_index(lead):
-    d = datum_of("A", 2)
-    with pytest.raises(ValueError,
-                       match=f"^fundamental index out of range: {lead}$"):
-        af.word_for_translation(d, (-1, -1), lead_index=lead)
+# every weight of any sign in {-2..2}^r at rank at most 2, {-1, 0, 1}^r above
+CHAIN_TYPES = [
+    ("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 2), ("C", 3),
+    ("D", 4), ("F", 4), ("G", 2),
+]
+
+
+@pytest.mark.parametrize("family,rank", CHAIN_TYPES)
+def test_lambda_chain_is_the_inversion_set(family, rank):
+    # the oracle enumerates the positive affine coroots b with t_lam(b)
+    # negative, sharing no code with the sort
+    d = datum_of(family, rank)
+    coords = range(-2, 3) if rank <= 2 else range(-1, 2)
+    for lam in itertools.product(coords, repeat=rank):
+        t = af.translation(d, lam)
+        top = max(abs(d.pair(g, lam)) for g in d.pos_coroots)
+        candidates = [AffineCoroot(g, k) for g in d.coroots for k in range(top + 1)]
+        inversions = [b for b in candidates if b.is_positive()
+                      and not af.act_on_affine_coroot(d, t, b).is_positive()]
+        chain = af.lambda_chain(d, lam)
+        assert Counter(chain) == Counter(inversions), lam
+        pi, word = af.word_for_translation(d, lam)
+        assert len(word) == af.length_ext(d, t) and af.length_ext(d, pi) == 0
+        assert af.beta_sequence(d, word) == chain
 
 
 def test_simple_affine_reflections():

@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from alcovepaths.lattice import sub
+from alcovepaths.lattice import neg, sub
 from alcovepaths import weylgroup as wg
 from alcovepaths import affine as af
 from alcovepaths.affine import ExtAffineElt
@@ -120,48 +120,42 @@ def test_c_function_empty_word():
     ("A", 2, (-1, -1)), ("C", 2, (-1, -1)), ("G", 2, (-1, 0)),
 ])
 def test_c_function_word_independence(family, rank, lam):
-    # at anti-dominant lam the value does not depend on the reduced word
+    # at anti-dominant lam and at its dominant negative the value does not
+    # depend on the reduced word: the lambda-chain's word gives the same C_e
     d = datum_of(family, rank)
     g = graph_of(family, rank)
     e = af.ext_identity(d)
-    t = af.translation(d, lam)
-    base = gf.c_function(d, g, e, t)
-    for lead in range(1, rank + 1):
-        pi, word = af.word_for_translation(d, lam, lead_index=lead)
-        # the concatenated word is a reduced word for the pi-stripped part
+    for mu in (lam, neg(lam)):
+        t = af.translation(d, mu)
+        pi, word = af.word_for_translation(d, mu)
+        # the chain's word is a reduced word for the pi-stripped part
         assert af.from_word_ext(d, word, pi) == t
         alt = gf.c_function(d, g, af.multiply(e, pi), af.from_word_ext(d, word),
                             word=word)
-        assert alt == base
+        assert alt == gf.c_function(d, g, e, t)
 
 
-def _peel_largest_descent(d, a):
-    """A reduced word of ``a`` modulo its length-zero part, by peeling the
-    largest right descent each time (``reduced_word_ext`` peels the
-    smallest)."""
-    word = []
-    while af.length_ext(d, a):
-        i = max(i for i in range(d.rank + 1) if af.is_right_descent_ext(d, a, i))
-        word.append(i)
-        a = af.multiply(a, af.affine_simple_reflection(d, i))
-    return tuple(reversed(word))
-
-
-@pytest.mark.parametrize("family,rank,lam,by_smallest,by_largest", [
+@pytest.mark.parametrize("family,rank,lam,by_smallest,by_chain", [
     ("A", 2, (-1, 2), 8, 12), ("C", 2, (-1, 2), 12, 20),
+    ("C", 3, (-1, 0, 1), 20, 28),
 ])
 def test_c_function_depends_on_the_word_at_mixed_sign(
-        family, rank, lam, by_smallest, by_largest):
-    # word independence is claimed for anti-dominant lam only: at this
-    # mixed-sign weight two reduced words of t_lam give different C_e
+        family, rank, lam, by_smallest, by_chain):
+    # word independence is claimed for dominant and anti-dominant lam only:
+    # at this mixed-sign weight the words of reduced_word_ext and of the
+    # lambda-chain give different C_u; the counts are those of the first u
+    # (in vertex order) where they differ, u = e in rank two and
+    # u = s_3 s_2 in C3
     d, g = datum_and_graph(family, rank)
-    e, t = af.ext_identity(d), af.translation(d, lam)
+    t = af.translation(d, lam)
     pi, smallest = af.reduced_word_ext(d, t)
-    word = _peel_largest_descent(d, t)
+    pi_chain, chain = af.word_for_translation(d, lam)
     # both are reduced words of the same x, t_lam = pi x
-    assert af.from_word_ext(d, word, pi) == t and word != smallest
-    assert gf.evaluate(gf.c_function(d, g, e, t)) == by_smallest
-    assert gf.evaluate(gf.c_function(d, g, e, t, word=word)) == by_largest
+    assert pi_chain == pi and chain != smallest
+    counts = ([gf.evaluate(gf.c_function(d, g, ExtAffineElt((0,) * rank, v), t,
+                                         word=word)) for word in (smallest, chain)]
+              for v in g.vertices)
+    assert next(c for c in counts if c[0] != c[1]) == [by_smallest, by_chain]
 
 
 def test_shift_equivariance():
