@@ -169,6 +169,7 @@ def recursion_check(
     ``{v: v(mu)}`` (the paths of C_v^{t_mu} start at v t_mu = t_{v(mu)} v);
     a miss fills all v.  The returned sides share no dict with the cache.
     """
+    datum.check_antidominant(lam)
     if cache is None:
         cache = {}
 

@@ -30,7 +30,7 @@ def _failure(datum, **inputs) -> dict:
 
 
 def _word(datum, w) -> list:
-    return list(wg.reduced_word(datum, w))
+    return list(wg.smallest_words(datum)[w])
 
 
 def shift(datum, graph, lam, mus):
@@ -123,12 +123,16 @@ def word_choice(datum, graph, lams):
     lexicographic chain ``shifted_beta(j, lam + omega_j)`` followed by the
     betas of ``t_{lam + omega_j}``; ``shifted_beta`` needs anti-dominant
     lam, so at a dominant lam the chain is the only other word.  A failure
-    names the word's source and the first u whose table differs.
+    names the word's source and the first u whose table differs.  A lam of
+    mixed signs is refused with a ValueError before any walk.
     """
     def betas(mu):
         return af.beta_sequence(
             datum, af.reduced_word_ext(datum, af.translation(datum, mu))[1])
-    for lam in map(tuple, lams):
+    lams = [tuple(lam) for lam in lams]
+    if mixed := [lam for lam in lams if min(lam) < 0 < max(lam)]:
+        raise ValueError(f"weight is neither dominant nor anti-dominant: {mixed[0]!r}")
+    for lam in lams:
         starts = {v: wg.act_weight(v, lam) for v in graph.vertices}
         want = pth.fold_table(datum, graph, starts, betas(lam))
         sources = [("lambda_chain", af.lambda_chain(datum, lam))]

@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .lattice import RootDatum, dot, neg
@@ -93,8 +92,8 @@ def fold_table(
 ) -> dict:
     """``{v: {(end weight, q-degree): count}}``, the paths from t_mu v.
 
-    ``starts`` is a mapping ``{v: mu}`` or an iterable of directions v, each
-    then at mu = 0; the table of v is the terms of the paths from t_mu v.
+    ``starts`` is a mapping ``{v: mu}``; the table of v is the terms of the
+    paths from t_mu v.
     A forward sweep finds the directions and folds at each position; a
     backward sweep builds T(v, p), the terms of folds at positions >= p, as
     T(v, p + 1) plus, if v folds at p, T(v s_p, p + 1) shifted by v(wt_p)
@@ -115,8 +114,6 @@ def fold_table(
     base = 2 * bound + 1
     digits = [base ** i for i in range(datum.rank + 1)]
     packed = [dot(wt, digits) for wt in datum.root_weights]
-    if not isinstance(starts, Mapping):
-        starts = dict.fromkeys(starts, (0,) * datum.rank)
     reached, folds = set(starts), []
     for g, b in zip(labels, betas):
         k, deg, here = datum.coroot_index[b.re], b.deg, {}
@@ -170,12 +167,11 @@ def qwt_degree(p: AlcovePath) -> int:
 
 def path_record(datum: RootDatum, p: AlcovePath) -> dict:
     """Flat export record for one path."""
-    word = wg.reduced_word(datum, end_dir(p))
     return {
         "folds": list(p.folds),
         "quantum_folds": list(p.quantum_folds),
         "end_weight": list(end_weight(p)),
-        "end_dir": ",".join(map(str, word)) if word else "e",
+        "end_dir": qbg.word_name(wg.smallest_words(datum)[end_dir(p)]),
         "qwt_degree": qwt_degree(p),
     }
 

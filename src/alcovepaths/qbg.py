@@ -32,7 +32,7 @@ from .weylgroup import WeylElt
 __all__ = [
     "QuantumBruhatGraph", "build", "edge_kind", "signed_one_line",
     "lenart_edge_typeA", "lenart_edge_typeC", "criterion_edge",
-    "export_dot", "export_json",
+    "word_name", "export_dot", "export_json",
 ]
 
 BRUHAT = "bruhat"
@@ -267,23 +267,14 @@ def criterion_edge(datum: RootDatum, sigma: WeylElt, gamma) -> bool:
 # Export
 
 
-def _names(graph: QuantumBruhatGraph) -> dict:
-    """Each vertex's smallest reduced word, written ``"1,2,1"`` (``"e"`` for
-    the identity), read off the simple edges.
+def word_name(word) -> str:
+    """A reduced word as a vertex name: ``"1,2,1"``, or ``"e"`` when empty."""
+    return ",".join(map(str, word)) or "e"
 
-    The smallest reduced word of ``w`` is the least ``word(w s_i) + (i,)``
-    over the right descents ``i``, and ``i`` is one exactly when the simple
-    edge ``w -> w s_i`` is quantum (it goes down by one).  The vertices come
-    in length order, so each ``w s_i`` is named before ``w``.
-    """
-    simples = [(i, graph.datum.simple_coroot(i))
-               for i in range(1, graph.datum.rank + 1)]
-    word = {}
-    for w in graph.vertices:
-        down = (word[ws] + (i,) for i, g in simples
-                for kind, ws in [graph.edges[(w, g)]] if kind == QUANTUM)
-        word[w] = min(down, default=())
-    return {w: ",".join(map(str, x)) if x else "e" for w, x in word.items()}
+
+def _names(graph: QuantumBruhatGraph) -> dict:
+    """Each vertex's name, its word in ``weylgroup.smallest_words``."""
+    return {w: word_name(x) for w, x in wg.smallest_words(graph.datum).items()}
 
 
 def export_json(graph: QuantumBruhatGraph) -> str:

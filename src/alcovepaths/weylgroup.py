@@ -19,6 +19,8 @@ weight through the coroots it sends to the simple coroots.
 (3, (1, 2, 1))
 >>> act_weight(w0, (1, 0)), act_coroot(w0, (1, 1))
 ((0, -1), (-1, -1))
+>>> list(smallest_words(d).values())
+[(), (1,), (2,), (1, 2), (2, 1), (1, 2, 1)]
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ __all__ = [
     "WeylElt", "identity", "simple_reflection", "multiply", "inverse",
     "act_weight", "act_coroot", "length", "is_right_descent", "reduced_word",
     "from_word", "longest_element", "reflection_of", "type_order",
-    "group_order", "check_group_size", "enumerate_group", "GROUP_SIZE_CAP",
-    "GroupSizeCapExceeded",
+    "group_order", "check_group_size", "smallest_words", "enumerate_group",
+    "GROUP_SIZE_CAP", "GroupSizeCapExceeded",
 ]
 
 # refuse to enumerate groups larger than W(E6)
@@ -209,29 +211,34 @@ def check_group_size(family: str, rank: int) -> None:
         )
 
 
-def enumerate_group(datum: RootDatum):
-    """All elements, sorted by (length, reduced word).
-
-    Raises GroupSizeCapExceeded before enumerating when |W| exceeds
-    ``GROUP_SIZE_CAP``.
-    """
+def smallest_words(datum: RootDatum) -> dict:
+    """``{w: smallest reduced word of w}`` over all of W in (length, word)
+    order, walked once per datum and kept in its memo; callers only read it.
+    Raises GroupSizeCapExceeded, before any work, above ``GROUP_SIZE_CAP``."""
     check_group_size(datum.family, datum.rank)
-    gens = [simple_reflection(datum, i) for i in range(1, datum.rank + 1)]
-    e = identity(datum)
-    # A level is visited in the order its words were found and letters are
-    # tried in increasing order, so the first word found for an element is
-    # its smallest, and ``seen`` is filled in (length, word) order.
-    seen = {e: ()}
-    frontier = [e]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for i, s in enumerate(gens, start=1):
-                if not is_right_descent(datum, w, i):
-                    ws = multiply(w, s)
-                    if ws not in seen:
-                        seen[ws] = seen[w] + (i,)
-                        nxt.append(ws)
-        frontier = nxt
-    return list(seen)
 
+    def build():
+        gens = [simple_reflection(datum, i) for i in range(1, datum.rank + 1)]
+        e = identity(datum)
+        # levels are visited in the order their words were found, letters in
+        # increasing order: the first word found for an element is its
+        # smallest, and ``seen`` is filled in (length, word) order
+        seen = {e: ()}
+        frontier = [e]
+        while frontier:
+            nxt = []
+            for w in frontier:
+                for i, s in enumerate(gens, start=1):
+                    if not is_right_descent(datum, w, i):
+                        ws = multiply(w, s)
+                        if ws not in seen:
+                            seen[ws] = seen[w] + (i,)
+                            nxt.append(ws)
+            frontier = nxt
+        return seen
+    return datum.memoized("smallest_words", build)
+
+
+def enumerate_group(datum: RootDatum):
+    """The keys of ``smallest_words`` as a new list: W in (length, word) order."""
+    return list(smallest_words(datum))

@@ -1,6 +1,7 @@
 """Generating functions over folded paths and the Laurent polynomial ring."""
 
 import itertools
+import re
 from collections import Counter
 
 import pytest
@@ -158,6 +159,18 @@ def test_c_function_depends_on_the_word_at_mixed_sign(
     assert next(c for c in counts if c[0] != c[1]) == [by_smallest, by_chain]
 
 
+def _walked(*args):
+    raise AssertionError("a fold table was filled")
+
+
+def test_word_choice_refuses_a_mixed_sign_weight(monkeypatch):
+    # the checker claims nothing at a mixed-sign lam (above): it refuses lam
+    # as given, before any fold table
+    monkeypatch.setattr(pth, "fold_table", _walked)
+    with pytest.raises(ValueError, match=re.escape("anti-dominant: (-1, 2)")):
+        list(ids.word_choice(*datum_and_graph("A", 2), [(0, -1), (-1, 2)]))
+
+
 def test_shift_equivariance():
     # C_{t_mu u}^w = x^mu * C_u^w, for every u
     mus = [(1, 0), (0, -1), (2, -1)]
@@ -278,6 +291,15 @@ def test_recursion_collapses_at_zero():
     for p in _typed_paths(d, g, 1, (0, 0)):
         direct = direct + LaurentPoly.monomial(pth.end_weight(p), pth.qwt_degree(p))
     assert direct == lhs
+
+
+@pytest.mark.parametrize("lam", [(1, 0), (-1, 1)])
+def test_recursion_check_refuses_a_weight_before_any_walk(monkeypatch, lam):
+    # the error names lam itself, and no fold table is filled first
+    d, g = datum_and_graph("A", 2)
+    monkeypatch.setattr(pth, "fold_table", _walked)
+    with pytest.raises(ValueError, match=re.escape(f"not anti-dominant: {lam}")):
+        gf.recursion_check(d, g, wg.identity(d), 1, lam)
 
 
 def test_typed_paths_structure():

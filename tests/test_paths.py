@@ -30,7 +30,8 @@ def _kernel_terms(d, g, z0, betas):
 
 
 def _kernel_count(d, g, z0, betas):
-    return sum(pth.fold_table(d, g, (z0.dir,), betas)[z0.dir].values())
+    starts = {z0.dir: (0,) * d.rank}
+    return sum(pth.fold_table(d, g, starts, betas)[z0.dir].values())
 
 
 def _walk_terms(d, g, z0, betas):
@@ -42,16 +43,19 @@ def _walk_terms(d, g, z0, betas):
 
 
 def _assert_table_matches_walks(d, g, starts, betas):
-    """One table over ``starts``, and one table per start, against the
-    enumeration from each t_0 v, on the graph and on its reversal.  A
-    single start gives the kernel its tightest digit bound."""
+    """One table over the directions ``starts``, each at weight zero, and one
+    table per start, against the enumeration from each t_0 v, on the graph
+    and on its reversal.  A single start gives the kernel its tightest
+    digit bound."""
+    zero = (0,) * d.rank
+    starts = dict.fromkeys(starts, zero)
     for gr in (g, g.reversed):
         table = pth.fold_table(d, gr, starts, betas)
         assert set(table) == set(starts)
         for v in starts:
-            want = _walk_terms(d, gr, af.ExtAffineElt((0,) * d.rank, v), betas)
+            want = _walk_terms(d, gr, af.ExtAffineElt(zero, v), betas)
             assert table[v] == want, (v, gr is g)
-            assert pth.fold_table(d, gr, (v,), betas)[v] == want, (v, gr is g)
+            assert pth.fold_table(d, gr, {v: zero}, betas)[v] == want, (v, gr is g)
 
 
 def test_g2_fundamental_counts():
@@ -100,11 +104,12 @@ def test_fold_table_matches_walks_from_each_start(family, rank, lam):
     # one table over every start against a single-start table and the
     # unmemoized enumeration, from t_0 v t_lam = t_{v(lam)} v for each v
     d, g, t, betas = _translation_input(family, rank, lam)
+    zero = (0,) * rank
     for gr in (g, g.reversed):
-        table = pth.fold_table(d, gr, g.vertices, betas)
+        table = pth.fold_table(d, gr, dict.fromkeys(g.vertices, zero), betas)
         assert set(table) == set(g.vertices)
         for v, terms in table.items():
-            assert pth.fold_table(d, gr, (v,), betas)[v] == terms
+            assert pth.fold_table(d, gr, {v: zero}, betas)[v] == terms
             z0 = af.ExtAffineElt(wg.act_weight(v, lam), v)
             want = _walk_terms(d, gr, z0, betas)
             assert _kernel_terms(d, gr, z0, betas) == want, (v, gr is g)
@@ -118,7 +123,7 @@ def test_fold_table_at_the_digit_bound_in_a1(m):
     # the end weights of t_{-m omega} span [-2m, 2m], both ends reached
     d, g, t, betas = _translation_input("A", 1, (-m,))
     _assert_table_matches_walks(d, g, g.vertices, betas)
-    plain = pth.fold_table(d, g, g.vertices, betas)
+    plain = pth.fold_table(d, g, dict.fromkeys(g.vertices, (0,)), betas)
     weights = {wt for terms in plain.values() for (wt,), _ in terms}
     assert {-2 * m, 2 * m} <= weights
     # a start weight is added to the decoded digits, never packed, so one
@@ -178,7 +183,7 @@ def test_fold_table_gives_each_start_its_own_table():
     d, g = datum_of("A", 2), graph_of("A", 2)
     for betas in ((), (af.affine_simple_coroot(d, 0),)):
         for gr in (g, g.reversed):
-            table = pth.fold_table(d, gr, gr.vertices, betas)
+            table = pth.fold_table(d, gr, dict.fromkeys(gr.vertices, (0, 0)), betas)
             assert len({id(terms) for terms in table.values()}) == len(table)
             first, *rest = gr.vertices
             table[first].clear()
@@ -246,9 +251,9 @@ def test_malformed_betas_rejected():
     g = graph_of("A", 2)
     z0 = af.ext_identity(d)
     with pytest.raises(ValueError, match="zero real part"):
-        pth.fold_table(d, g, (z0.dir,), [AffineCoroot((0, 0), 1)])
+        pth.fold_table(d, g, {z0.dir: z0.wt}, [AffineCoroot((0, 0), 1)])
     with pytest.raises(ValueError, match="not a coroot"):
-        pth.fold_table(d, g, (z0.dir,), [AffineCoroot((2, 0), 1)])
+        pth.fold_table(d, g, {z0.dir: z0.wt}, [AffineCoroot((2, 0), 1)])
 
 
 def test_export_json_records():

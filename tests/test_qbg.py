@@ -12,9 +12,11 @@ import json
 
 import pytest
 
-from alcovepaths.lattice import dot
+from alcovepaths.lattice import build_datum, dot
 from alcovepaths import weylgroup as wg
+from alcovepaths import affine as af
 from alcovepaths import qbg
+from alcovepaths import paths as pth
 from conftest import TYPES_UP_TO_RANK_8, datum_of, graph_of, two_rho
 
 EDGE_COUNTS = {
@@ -186,7 +188,7 @@ NAME_TYPES = [
 
 def word_names(d, g):
     # oracle: reduced_word peels left descents, so it shares no code with
-    # the exports, which read each name off the simple edges
+    # the exports, which read each name off the breadth-first group walk
     return {w: ",".join(map(str, wg.reduced_word(d, w))) or "e"
             for w in g.vertices}
 
@@ -196,6 +198,30 @@ def test_names_are_smallest_reduced_words(family, rank):
     d = datum_of(family, rank)
     g = graph_of(family, rank)
     assert qbg._names(g) == word_names(d, g)
+
+
+def _walked(*args):
+    raise AssertionError("the group was walked again")
+
+
+def test_exports_read_the_one_group_walk(monkeypatch):
+    # a fresh datum, walked once by qbg.build: the names, both exports and
+    # path_record read that table; they walk nothing, peel no word, and the
+    # names read no edge
+    d = build_datum("C", 3)
+    g = qbg.build(d)
+    words, want = d.memo["smallest_words"], word_names(d, g)
+    t = af.translation(d, (0, -1, -1))
+    paths = list(pth.enumerate_paths(
+        d, g, t, af.beta_sequence(d, af.reduced_word_ext(d, t)[1])))
+    monkeypatch.setattr(wg, "enumerate_group", _walked)
+    monkeypatch.setattr(wg, "reduced_word", _walked)
+    assert qbg._names(qbg.QuantumBruhatGraph(d, g.vertices, {})) == want
+    assert qbg.export_json(g) and qbg.export_dot(g)
+    assert [pth.path_record(d, p)["end_dir"] for p in paths] == [
+        want[pth.end_dir(p)] for p in paths]
+    assert pth.export_json(d, paths) and pth.export_csv(d, paths)
+    assert d.memo["smallest_words"] is words
 
 
 @pytest.mark.parametrize("family,rank",

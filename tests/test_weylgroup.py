@@ -124,6 +124,15 @@ def test_enumeration_order_is_length_then_smallest_word(family, rank):
     group = wg.enumerate_group(d)
     key = {w: (wg.length(d, w), wg.reduced_word(d, w)) for w in group}
     assert group == sorted(group, key=key.__getitem__)
+    # the table the walk keeps has the same order and the reference words
+    words = wg.smallest_words(d)
+    assert list(words) == group
+    assert all(words[w] == word for w, (_, word) in key.items())
+    # each call gives a new list: changing one leaves the next and the table
+    group.reverse()
+    group.pop()
+    assert wg.enumerate_group(d) == list(words) == sorted(key, key=key.__getitem__)
+    assert wg.smallest_words(d) is words and len(words) == len(key)
 
 
 def test_group_size_cap(monkeypatch):
