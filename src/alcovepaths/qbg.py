@@ -5,8 +5,10 @@ Vertices are the Weyl group elements; an edge ``w -> w s_gamma`` with
 label a positive coroot ``gamma`` is Bruhat when the length goes up by
 one and quantum when it drops by ``<2 rho, gamma> - 1``.  The graph is
 built from one rule that needs no lengths, the obstruction criterion: the
-kind is the sign of ``w(gamma)``, and existence is read off the signs
-``w`` gives a fixed set of coroots per label.  The module also carries
+kind is the sign of ``w(gamma)``, and existence is read off ``w``'s
+inversion mask, one bit per positive coroot, against a fixed mask per
+label.  An edge's end ``w s_gamma`` is looked up by its images of the
+simple coroots, which fix a Weyl group element.  The module also carries
 Lenart's one-line criteria in types A and C; the tests check all of them
 against the length definition.
 
@@ -55,18 +57,19 @@ class QuantumBruhatGraph:
 
 def build(datum: RootDatum) -> QuantumBruhatGraph:
     vertices = tuple(wg.enumerate_group(datum))
-    # each vertex by permutation, so an edge's end is looked up, not built
-    by_perm = {w.perm: w for w in vertices}
+    # an element is fixed by its images of the simple coroots: an edge's
+    # end is looked up by them, and its (Bruhat, quantum) records are
+    # shared by every edge into it
+    records = {tuple(map(w.perm.__getitem__, datum.simple_index)):
+               ((BRUHAT, w), (QUANTUM, w)) for w in vertices}
     labels = tuple(zip(datum.pos_coroots, _edge_labels(datum)))
-    n = len(datum.pos_coroots)
     edges = {}
     for w in vertices:
-        perm = w.perm
-        at = perm.__getitem__
+        at, mask = w.perm.__getitem__, _inversions(w)
         for gamma, label in labels:
-            kind = _edge_rule(perm, n, label)
+            kind = _edge_rule(mask, label)
             if kind:
-                edges[(w, gamma)] = (kind, by_perm[tuple(map(at, label[1]))])
+                edges[(w, gamma)] = records[tuple(map(at, label[4]))][kind is QUANTUM]
     return QuantumBruhatGraph(datum, vertices, edges)
 
 
@@ -213,45 +216,58 @@ def typeC_root(datum: RootDatum, cls: int, i: int, j: int = 0) -> tuple:
 
 
 def _edge_labels(datum: RootDatum) -> tuple:
-    """Per positive coroot gamma, at its index k: ``(k, s, pairs, excluded)``.
+    """Per positive coroot gamma, at its index k: ``(bit, paired, pairs,
+    excluded, ends)``, with ``bit = 1 << k``.
 
-    ``s`` is the permutation of s_gamma.  S = {alpha positive, alpha !=
-    gamma, s_gamma(alpha) negative} falls into pairs of alpha and beta =
-    -s_gamma(alpha), and ``pairs`` holds each pair once as coroot indices:
-    the negatives follow the N positive coroots in the same order, so
-    beta's index is ``s[alpha] - N``, and ``alpha < s[alpha] - N`` keeps
-    the smaller member of each pair and drops gamma and all alpha outside S.
+    S = {alpha positive, alpha != gamma, s_gamma(alpha) negative} falls
+    into ``pairs`` pairs of alpha and beta = -s_gamma(alpha), and
+    ``paired`` is its mask over the positive coroot indices: the negatives
+    follow the N positive coroots in the same order, so alpha is in S iff
+    ``s[alpha] >= N``, with ``s`` the permutation of s_gamma.  Pair lemma:
+    alpha + beta is a sum of positive coroots and also ``<alpha, r> gamma``
+    (r the root of gamma), so a positive multiple of gamma; w(alpha) +
+    w(beta) is then the same multiple of w(gamma), and no pair has both
+    members sent negative by a w with w(gamma) positive.
     ``excluded`` says that gamma never labels a quantum edge: its root r is
     short and has a long simple root in its support.  Coordinate k of
     gamma is ``r_k (alpha_k, alpha_k) / (r, r)``, so with at most two root
     lengths that is some ``gamma_k > r_k``.  This is the
     Brenti–Fomin–Postnikov condition ``l(s_gamma) = <2 rho, gamma> - 1``
     read off the root datum; ``test_qbg.test_exclusion_rule_is_the_bfp_condition``
-    checks the two agree on every positive coroot through E8.  Built once
-    per datum.
+    checks the two agree on every positive coroot through E8.  ``ends``
+    holds ``s`` at the simple coroots, so ``w s_gamma`` sends them to
+    ``w.perm`` at ``ends``.  Built once per datum.
     """
     def build():
         n, labels = len(datum.pos_coroots), []
         for k, gamma in enumerate(datum.pos_coroots):
             s = wg.reflection_of(datum, gamma).perm
-            pairs = tuple((a, s[a] - n) for a in range(n) if a < s[a] - n)
+            paired = [a for a in range(n) if s[a] >= n and a != k]
             excluded = any(c > r for c, r in zip(gamma, datum.roots[k]))
-            labels.append((k, s, pairs, excluded))
+            labels.append((1 << k, sum(1 << a for a in paired), len(paired) // 2,
+                           excluded, tuple(s[j] for j in datum.simple_index)))
         return tuple(labels)
     return datum.memoized("edge_labels", build)
 
 
-def _edge_rule(perm, n, label):
+def _edge_rule(mask: int, label):
     """Kind of the edge ``w -> w s_gamma``, or None, for w given by its
-    ``perm`` and gamma by its ``_edge_labels`` entry.  w sends the coroot of
-    index k to a positive one iff ``perm[k] < n``, the number of positive
-    coroots.  If w(gamma) is positive, the edge is Bruhat unless w keeps
-    both members of some pair positive; if it is negative, the edge is
-    quantum iff gamma is not excluded and w sends all of S negative."""
-    k, _, pairs, excluded = label
-    if perm[k] < n:
-        return None if any(perm[a] < n and perm[b] < n for a, b in pairs) else BRUHAT
-    return None if excluded or any(perm[a] < n or perm[b] < n for a, b in pairs) else QUANTUM
+    inversion ``mask`` (``_inversions``) and gamma by its ``_edge_labels``
+    entry.  If w(gamma) is negative, the edge is quantum iff gamma is not
+    excluded and w sends all of S negative.  If it is positive, the edge is
+    Bruhat unless w keeps both members of some pair positive; by the pair
+    lemma no pair has both sent negative, so that is exactly one negative
+    per pair: ``pairs`` negatives in S."""
+    bit, paired, pairs, excluded, _ = label
+    if mask & bit:
+        return None if excluded or mask & paired != paired else QUANTUM
+    return BRUHAT if (mask & paired).bit_count() == pairs else None
+
+
+def _inversions(w: WeylElt) -> int:
+    """Bit k is set when w sends the positive coroot of index k negative."""
+    n = len(w.datum.pos_coroots)
+    return sum(1 << k for k, j in enumerate(w.perm[:n]) if j >= n)
 
 
 def criterion_edge(datum: RootDatum, sigma: WeylElt, gamma) -> bool:
@@ -260,7 +276,7 @@ def criterion_edge(datum: RootDatum, sigma: WeylElt, gamma) -> bool:
     if not datum.is_pos_coroot(gamma):
         raise ValueError(f"not a positive coroot: {gamma!r}")
     label = _edge_labels(datum)[datum.coroot_index[tuple(gamma)]]
-    return _edge_rule(sigma.perm, len(datum.pos_coroots), label) is not None
+    return _edge_rule(_inversions(sigma), label) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -49,13 +49,14 @@ def two_rho(d):
     return tuple(map(sum, zip(*d.root_weights[:len(d.pos_coroots)])))
 
 
-def length_rule_edges(d):
-    """The graph's edges by their definition, ``{(w, gamma): (kind, w
-    s_gamma)}``: Bruhat when the length goes up by one, quantum when it
-    drops by ``<2 rho, gamma> - 1``.  Every length is counted afresh."""
+def length_rule_edges(d, elements=None):
+    """The graph's edges out of ``elements`` (all of W by default) by their
+    definition, ``{(w, gamma): (kind, w s_gamma)}``: Bruhat when the length
+    goes up by one, quantum when it drops by ``<2 rho, gamma> - 1``.  Every
+    length is counted afresh."""
     rho2 = two_rho(d)
     edges = {}
-    for w in wg.enumerate_group(d):
+    for w in wg.enumerate_group(d) if elements is None else elements:
         lw = wg.length(d, w)
         for gamma in d.pos_coroots:
             ws = wg.multiply(w, wg.reflection_of(d, gamma))

@@ -9,6 +9,7 @@ criterion.  The fixture asserts 15.
 """
 
 import json
+import random
 
 import pytest
 
@@ -17,7 +18,8 @@ from alcovepaths import weylgroup as wg
 from alcovepaths import affine as af
 from alcovepaths import qbg
 from alcovepaths import paths as pth
-from conftest import TYPES_UP_TO_RANK_8, datum_of, graph_of, two_rho
+from conftest import (TYPES_UP_TO_RANK_8, datum_of, graph_of, length_rule_edges,
+                      two_rho)
 
 EDGE_COUNTS = {
     ("A", 1): (1, 1),
@@ -111,6 +113,29 @@ def test_exclusion_rule_is_the_bfp_condition(family, rank):
         s = wg.reflection_of(d, gamma)
         bfp = wg.length(d, s) == dot(gamma, two_rho(d)) - 1
         assert qbg.criterion_edge(d, s, gamma) == bfp, gamma
+
+
+@pytest.mark.parametrize("family,rank,size",
+                         [("E", 6, 250), ("E", 7, 200), ("E", 8, 120)])
+def test_edge_rule_on_sampled_elements(family, rank, size):
+    # the E types are beyond the exhaustive comparison in test_acceptance;
+    # a seeded sample, against the length definition on every positive
+    # coroot, enumerates no group.  Each word is a prefix of a reduced word
+    # of w0, so every length is reached, then ``rank`` random letters
+    d = datum_of(family, rank)
+    rng = random.Random(rank)
+    top = wg.reduced_word(d, wg.longest_element(d))
+    sample = list(dict.fromkeys(
+        wg.from_word(d, top[:rng.randrange(len(top) + 1)]
+                     + tuple(rng.randint(1, rank) for _ in range(rank)))
+        for _ in range(size)))
+    edges = length_rule_edges(d, sample)
+    assert {(w, gamma) for w in sample for gamma in d.pos_coroots
+            if qbg.criterion_edge(d, w, gamma)} == edges.keys()
+    # the kind is the sign of w(gamma), and both kinds are sampled
+    assert {kind for kind, _ in edges.values()} == {qbg.BRUHAT, qbg.QUANTUM}
+    for (w, gamma), (kind, _) in edges.items():
+        assert (kind == qbg.BRUHAT) == d.is_pos_coroot(wg.act_coroot(w, gamma))
 
 
 def test_identity_edges_are_simple_covers():
