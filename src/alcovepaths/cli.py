@@ -19,7 +19,6 @@ import functools
 import json
 import re
 import sys
-from dataclasses import dataclass
 
 from . import lattice
 from .lattice import RootDatum
@@ -37,21 +36,13 @@ EXIT_CAP = 3
 EXIT_IDENTITY = 4
 
 
-@dataclass
-class JobConfig:
-    datum: RootDatum
-    weight: tuple | None = None
-    sigma: tuple = ()
-    fmt: str = "table"
-
-
 class CliError(Exception):
     def __init__(self, msg, code=EXIT_PARSE):
         super().__init__(msg)
         self.code = code
 
 
-def _parse_type(s: str, whole_group: bool) -> RootDatum:
+def _parse_type(s: str, whole_group: bool = True) -> RootDatum:
     """The root datum of ``--type``; with ``whole_group``, a type whose W is
     over the group size cap is refused before its datum is built."""
     m = re.fullmatch(r"([A-G])(\d+)", s.strip())
@@ -77,35 +68,31 @@ def _parse_ints(s: str) -> tuple:
         raise CliError(f"bad integer list {s!r}") from None
 
 
-def _config(args, whole_group: bool = True) -> JobConfig:
-    cfg = JobConfig(_parse_type(args.type, whole_group),
-                    fmt=getattr(args, "format", "table"))
-    rank = cfg.datum.rank
-    if getattr(args, "weight", None) is not None:
-        cfg.weight = _parse_ints(args.weight)
-        if len(cfg.weight) != rank:
-            raise CliError(
-                f"weight has {len(cfg.weight)} coordinates, expected {rank}"
-            )
-    if getattr(args, "sigma", None):
-        cfg.sigma = _parse_ints(args.sigma)
-        if any(not 1 <= i <= rank for i in cfg.sigma):
-            raise CliError(f"sigma word uses invalid indices: {cfg.sigma}")
-        if wg.length(cfg.datum, wg.from_word(cfg.datum, cfg.sigma)) != len(cfg.sigma):
-            raise CliError(f"sigma word is not reduced: {cfg.sigma}")
-    return cfg
+def _inputs(args):
+    """``(datum, weight, sigma)``: the datum of ``--type`` (over the group
+    size cap refused first), the ``--weight`` of the rank or None, and the
+    element of the reduced ``--sigma`` word (the identity if none)."""
+    datum = _parse_type(args.type)
+    rank, weight = datum.rank, args.weight
+    if weight is not None:
+        weight = _parse_ints(weight)
+        if len(weight) != rank:
+            raise CliError(f"weight has {len(weight)} coordinates, expected {rank}")
+    word = _parse_ints(getattr(args, "sigma", None) or "")
+    if any(not 1 <= i <= rank for i in word):
+        raise CliError(f"sigma word uses invalid indices: {word}")
+    sigma = wg.from_word(datum, word)
+    if wg.length(datum, sigma) != len(word):
+        raise CliError(f"sigma word is not reduced: {word}")
+    return datum, weight, sigma
 
 
-def _antidominant_weight(cfg: JobConfig) -> tuple:
-    if cfg.weight is None:
-        raise CliError("need --weight")
-    if any(x > 0 for x in cfg.weight):
-        raise CliError(f"weight must be anti-dominant: {cfg.weight}")
-    return cfg.weight
-
-
-def _datum_graph(cfg: JobConfig):
-    return cfg.datum, qbg.build(cfg.datum)
+def _antidominant(weight, missing="need --weight") -> tuple:
+    if weight is None:
+        raise CliError(missing)
+    if any(x > 0 for x in weight):
+        raise CliError(f"weight must be anti-dominant: {weight}")
+    return weight
 
 
 def _print_poly(poly, fmt: str) -> None:
@@ -116,11 +103,10 @@ def _print_poly(poly, fmt: str) -> None:
 
 
 def cmd_qbg(args) -> int:
-    cfg = _config(args)
-    datum, graph = _datum_graph(cfg)
-    if cfg.fmt == "dot":
+    graph = qbg.build(_parse_type(args.type))
+    if args.format == "dot":
         print(qbg.export_dot(graph), end="")
-    elif cfg.fmt == "json":
+    elif args.format == "json":
         print(qbg.export_json(graph))
     else:
         kinds = [kind for kind, _ in graph.edges.values()]
@@ -132,13 +118,12 @@ def cmd_qbg(args) -> int:
 
 def cmd_beta(args) -> int:
     # the layout needs no graph, so this also works where W is too large
-    cfg = _config(args, whole_group=False)
-    datum = cfg.datum
+    datum = _parse_type(args.type, whole_group=False)
     i = args.index
     if not 1 <= i <= datum.rank:
         raise CliError(f"--index out of range for rank {datum.rank}")
     betas = af.canonical_beta_order(datum, i)
-    if cfg.fmt == "json":
+    if args.format == "json":
         print(json.dumps([{"re": list(b.re), "deg": b.deg} for b in betas]))
     else:
         for b in betas:
@@ -146,11 +131,9 @@ def cmd_beta(args) -> int:
     return EXIT_OK
 
 
-def _paths_input(cfg: JobConfig, datum, args):
-    """Start element and betas for the paths command."""
-    sigma = wg.from_word(datum, cfg.sigma)
-    u = af.ExtAffineElt((0,) * datum.rank, sigma)
-    if getattr(args, "word", None) is not None:
+def cmd_paths(args) -> int:
+    datum, weight, sigma = _inputs(args)
+    if args.word is not None:  # overrides --weight
         word = _parse_ints(args.word)
         if any(not 0 <= j <= datum.rank for j in word):
             raise CliError(f"word uses invalid affine indices: {word}")
@@ -158,24 +141,17 @@ def _paths_input(cfg: JobConfig, datum, args):
         if len(word) != af.length_ext(datum, w):
             raise CliError(f"word is not reduced: {word}")
     else:
-        if cfg.weight is None:
-            raise CliError("need --weight or --word")
-        w = af.translation(datum, _antidominant_weight(cfg))
+        w = af.translation(datum, _antidominant(weight, "need --weight or --word"))
         _, word = af.reduced_word_ext(datum, w)
-    return af.multiply(u, w), af.beta_sequence(datum, word)
-
-
-def cmd_paths(args) -> int:
-    cfg = _config(args)
-    datum = cfg.datum
-    z0, betas = _paths_input(cfg, datum, args)
+    z0 = af.multiply(af.ExtAffineElt((0,) * datum.rank, sigma), w)
+    betas = af.beta_sequence(datum, word)
     graph = qbg.build(datum)
     if args.reversed:
         graph = graph.reversed
     stream = pth.enumerate_paths(datum, graph, z0, betas)
-    if cfg.fmt == "json":
+    if args.format == "json":
         print(pth.export_json(datum, stream))
-    elif cfg.fmt == "csv":
+    elif args.format == "csv":
         print(pth.export_csv(datum, stream), end="")
     else:
         total = 0
@@ -192,43 +168,37 @@ def cmd_paths(args) -> int:
 
 
 def cmd_emac(args) -> int:
-    cfg = _config(args)
-    _antidominant_weight(cfg)
-    if args.spec == "both" and cfg.fmt not in (None, "json"):
+    datum, weight, _ = _inputs(args)
+    _antidominant(weight)
+    if args.spec == "both" and args.format not in (None, "json"):
         raise CliError("--spec both prints JSON; --format table is not "
                        "implemented")
-    datum, graph = _datum_graph(cfg)
+    graph = qbg.build(datum)
     try:
         if args.spec == "zero":
-            poly = mac.e_zero(datum, graph, cfg.weight)
+            poly = mac.e_zero(datum, graph, weight)
         elif args.spec == "infinity":
-            poly = mac.e_infinity(datum, graph, cfg.weight)
+            poly = mac.e_infinity(datum, graph, weight)
         else:
-            report = mac.specialization_report(datum, graph, cfg.weight)
+            report = mac.specialization_report(datum, graph, weight)
             print(report.to_json())
             return EXIT_OK if report.agree else EXIT_IDENTITY
     except mac.SpecializationMismatch as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_IDENTITY
-    _print_poly(poly, cfg.fmt)
+    _print_poly(poly, args.format)
     return EXIT_OK
 
 
 def cmd_char(args) -> int:
-    cfg = _config(args)
-    _antidominant_weight(cfg)
-    datum, graph = _datum_graph(cfg)
-    sigma = wg.from_word(datum, cfg.sigma)
-    _print_poly(mac.weyl_character(datum, graph, sigma, cfg.weight), cfg.fmt)
-    return EXIT_OK
-
-
-def cmd_dims(args) -> int:
-    cfg = _config(args)
-    _antidominant_weight(cfg)
-    datum, graph = _datum_graph(cfg)
-    sigma = wg.from_word(datum, cfg.sigma)
-    print(mac.weyl_dimension(datum, graph, sigma, cfg.weight))
+    """``char`` prints the character, ``dims`` its value at x = q = 1."""
+    datum, weight, sigma = _inputs(args)
+    _antidominant(weight)
+    graph = qbg.build(datum)
+    if args.command == "dims":
+        print(mac.weyl_dimension(datum, graph, sigma, weight))
+    else:
+        _print_poly(mac.weyl_character(datum, graph, sigma, weight), args.format)
     return EXIT_OK
 
 
@@ -302,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sp.add_parser("dims", help="generalized Weyl module dimension")
     _add_common(p, (), sigma=True)
-    p.set_defaults(func=cmd_dims)
+    p.set_defaults(func=cmd_char)
 
     p = sp.add_parser("verify", help="run identity suites")
     p.add_argument("--suites", default=None,

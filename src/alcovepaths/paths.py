@@ -108,6 +108,8 @@ def fold_table(
     """
     betas = tuple(betas)
     labels = _fold_labels(datum, betas)
+    for mu in starts.values():  # refused before either sweep
+        datum.check_rank(mu)
     # root_weights holds each root weight and its negative
     top = max(map(max, datum.root_weights))
     bound = top * sum(abs(b.deg) for b in betas)
@@ -142,7 +144,6 @@ def fold_table(
     lift = bound * sum(digits[:-1])
     out = {}
     for v, mu in starts.items():
-        datum.check_rank(mu)
         keys, cols = [key + lift for key in below[v]], []
         for m in mu:
             low = m - bound

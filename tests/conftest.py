@@ -9,6 +9,7 @@ from alcovepaths.lattice import build_datum, dot, neg
 from alcovepaths import weylgroup as wg
 from alcovepaths import affine as af
 from alcovepaths import qbg
+from alcovepaths import macdonald as mac
 
 # every simple type of rank at most 8, each once
 TYPES_UP_TO_RANK_8 = (
@@ -82,3 +83,15 @@ def datum():
 @pytest.fixture
 def graph():
     return graph_of
+
+
+@pytest.fixture
+def disagreeing_routes(monkeypatch):
+    """Make the two t=infinity routes disagree: the reversal route's value
+    comes back doubled."""
+    routes = mac._e_inf_routes
+
+    def disagree(*args, **kwargs):
+        by_word, by_reversal = routes(*args, **kwargs)
+        return by_word, by_reversal + by_reversal
+    monkeypatch.setattr(mac, "_e_inf_routes", disagree)

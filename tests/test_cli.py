@@ -2,12 +2,18 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from alcovepaths import cli
+from alcovepaths import affine as af
 from alcovepaths import macdonald as mac
 from alcovepaths import qbg
+from conftest import datum_of
 
 
 def run(capsys, *argv):
@@ -67,6 +73,16 @@ def test_beta_table(capsys):
     ]
 
 
+def test_beta_json_is_the_canonical_order(capsys):
+    code, out, _ = run(capsys, "beta", "--type", "C2", "--index", "2",
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out) == [
+        {"re": list(b.re), "deg": b.deg}
+        for b in af.canonical_beta_order(datum_of("C", 2), 2)
+    ]
+
+
 def test_beta_index_out_of_range(capsys):
     code, _, err = run(capsys, "beta", "--type", "C2", "--index", "5")
     assert code == 2
@@ -105,6 +121,14 @@ def test_paths_need_weight_or_word(capsys):
     assert "need --weight or --word" in err
 
 
+def test_paths_word_letters_are_affine_indices(capsys, monkeypatch):
+    # A2 has the affine letters 0, 1 and 2
+    monkeypatch.setattr(qbg, "build", built)
+    code, out, err = run(capsys, "paths", "--type", "A2", "--word", "0,5")
+    assert (code, out) == (2, "")
+    assert "invalid affine indices" in err
+
+
 def test_emac_table(capsys):
     code, out, _ = run(capsys, "emac", "--type", "A1", "--weight", "-1")
     assert code == 0
@@ -121,6 +145,18 @@ def test_emac_both_reports(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["routes_agree"] is True
+
+
+def test_emac_reports_disagreeing_routes(capsys, disagreeing_routes):
+    # a route mismatch prints nothing on stdout and both values on stderr
+    code, out, err = run(capsys, "emac", "--type", "A1", "--weight", "-1",
+                         "--spec", "infinity")
+    assert (code, out) == (4, "")
+    assert err == (
+        "t=infinity routes disagree at (-1,):\n"
+        "  twisted:  x1^-1 + x1^1*q^1\n"
+        "  reversed: 2*x1^-1 + 2*x1^1*q^1\n"
+    )
 
 
 def test_emac_rejects_dominant(capsys):
@@ -225,6 +261,22 @@ def test_sigma_word_must_be_reduced(capsys, monkeypatch, command, sigma):
     assert "not reduced" in err
 
 
+def test_bad_integer_list(capsys, monkeypatch):
+    monkeypatch.setattr(qbg, "build", built)
+    code, out, err = run(capsys, "emac", "--type", "A2", "--weight", "a,b")
+    assert (code, out) == (2, "")
+    assert err == "error: bad integer list 'a,b'\n"
+
+
+@pytest.mark.parametrize("command", ["char", "dims", "paths"])
+def test_sigma_letters_are_simple_indices(capsys, monkeypatch, command):
+    monkeypatch.setattr(qbg, "build", built)
+    code, out, err = run(capsys, command, "--type", "A2", "--weight", "-1,-1",
+                         "--sigma", "3")
+    assert (code, out) == (2, "")
+    assert err == "error: sigma word uses invalid indices: (3,)\n"
+
+
 def test_bad_weight_length(capsys):
     code, _, err = run(capsys, "emac", "--type", "A2", "--weight", "-1")
     assert code == 2
@@ -309,15 +361,9 @@ def test_verify_failure_names_suite_and_inputs(capsys, monkeypatch):
     assert failures[0] == {"suite": "twist", "type": "A1", "i": 1, "m": 1}
 
 
-def test_verify_twist_reports_disagreeing_routes(capsys, monkeypatch):
+def test_verify_twist_reports_disagreeing_routes(capsys, disagreeing_routes):
     # the twist check reads the report, so a route mismatch is one failing
     # case, not a SpecializationMismatch out of main
-    routes = mac._e_inf_routes
-
-    def disagree(*args, **kwargs):
-        by_word, by_reversal = routes(*args, **kwargs)
-        return by_word, by_reversal + by_reversal
-    monkeypatch.setattr(mac, "_e_inf_routes", disagree)
     code, out, _ = run(capsys, "verify", "--suites", "twist")
     assert code == 4
     failures = json.loads(out)["failures"]
@@ -353,3 +399,20 @@ def test_output_determinism(capsys):
     d = run(capsys, "paths", "--type", "C2", "--weight", "-1,0",
             "--format", "json")
     assert c == d
+
+
+@pytest.mark.parametrize("argv,code,out", [
+    (("dims", "--type", "A2", "--weight", "-1,-1"), 0, "9\n"),
+    (("dims", "--type", "A2"), 2, ""),
+])
+def test_module_entry_point(argv, code, out):
+    # the command line as a user runs it, through sys.exit(main())
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-B", "-m", "alcovepaths.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert (done.returncode, done.stdout) == (code, out)
+    if code:
+        assert done.stderr == "error: need --weight\n"

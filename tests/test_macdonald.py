@@ -204,6 +204,16 @@ def test_mismatch_exception_payload():
     assert isinstance(exc, AssertionError)
 
 
+def test_e_infinity_raises_on_disagreeing_routes(disagreeing_routes):
+    d, g = datum_and_graph("A", 1)
+    with pytest.raises(mac.SpecializationMismatch) as info:
+        mac.e_infinity(d, g, [-1])
+    value = _poly({((-1,), 0): 1, ((1,), 1): 1})
+    assert info.value.lam == (-1,)
+    assert info.value.by_word == value
+    assert info.value.by_reversal == value + value
+
+
 @pytest.mark.parametrize("family,rank,depth", [
     ("A", 2, 2), ("C", 2, 2), ("G", 2, 1), ("A", 3, 1), ("B", 3, 1),
 ])

@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -206,8 +207,15 @@ def test_fold_table_start_weights(family, rank, lam):
         for v, mu in starts.items():
             z0 = af.ExtAffineElt(mu, v)
             assert table[v] == _walk_terms(d, gr, z0, betas), (v, gr is g)
-    with pytest.raises(ValueError, match="length"):
-        pth.fold_table(d, g, {t.dir: (0,) * (rank + 1)}, betas)
+
+    def read(key):
+        raise AssertionError("an edge was read")
+    # a bad start, alone or among good ones, is refused before any edge is read
+    unread = SimpleNamespace(edges=SimpleNamespace(get=read))
+    for bad in ({t.dir: (0,) * (rank + 1)}, {**starts, t.dir: (0,) * (rank - 1)}):
+        for gr in (g, unread):
+            with pytest.raises(ValueError, match="length"):
+                pth.fold_table(d, gr, bad, betas)
 
 
 def test_enumeration_prefix_closed():
