@@ -401,11 +401,11 @@ def test_output_determinism(capsys):
     assert c == d
 
 
-@pytest.mark.parametrize("argv,code,out", [
-    (("dims", "--type", "A2", "--weight", "-1,-1"), 0, "9\n"),
-    (("dims", "--type", "A2"), 2, ""),
-])
-def test_module_entry_point(argv, code, out):
+@pytest.mark.parametrize("argv,code,out,err", [
+    (("dims", "--type", "A2", "--weight", "-1,-1"), 0, "9\n", ""),
+    (("dims", "--type", "A2"), 2, "", "error: need --weight\n"),
+], ids=["weight", "no-weight"])
+def test_module_entry_point(argv, code, out, err):
     # the command line as a user runs it, through sys.exit(main())
     src = Path(cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
@@ -413,6 +413,4 @@ def test_module_entry_point(argv, code, out):
         [sys.executable, "-B", "-m", "alcovepaths.cli", *argv],
         env=env, capture_output=True, text=True, timeout=120,
     )
-    assert (done.returncode, done.stdout) == (code, out)
-    if code:
-        assert done.stderr == "error: need --weight\n"
+    assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
