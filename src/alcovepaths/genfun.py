@@ -4,8 +4,9 @@ Exact Laurent polynomials in (x, q) and the path generating function.
 The generating function attached to a pair (u, w) of extended affine
 elements sums ``x^{wt(end)} q^{qwt-degree}`` over the admissible folded
 paths built from a reduced word of w, started at u*w.  The one-step
-recursion that peels off one ``t_{-omega_i}`` factor walks the typed
-paths, over the shifted beta sequence of a fundamental direction.
+recursion that peels off one ``t_{-omega_i}`` factor is checked with two
+fold walks for t_{lam - omega_i}: one over its derived word, one over
+the shifted fundamental betas followed by the lambda-chain of lam.
 """
 
 from __future__ import annotations
@@ -160,42 +161,37 @@ def recursion_check(
 ):
     """One-step peeling identity for anti-dominant lam and finite u.
 
-    The direct value for t_{lam - omega_i} must equal the sum, over typed
-    paths, of q^{deg} * C^{t_lam}_{dir(end)} * x^{wt(end) - dir(end)(lam)}.
-    Returns (lhs, rhs, equal).
+    The direct value C_u^{t_mu}, mu = lam - omega_i, must equal the sum,
+    over typed paths, of q^{deg} * C^{t_lam}_{dir(end)} *
+    x^{wt(end) - dir(end)(lam)}.  By Lenart–Postnikov that sum is the fold
+    walk over the shifted fundamental betas followed by the lambda-chain
+    of lam, one beta sequence of t_mu.  Returns (lhs, rhs, equal).
 
     ``cache`` maps mu to ``{v: C_v^{t_mu}}`` over every vertex v, one
-    ``paths.fold_table`` for one word of t_mu from the starts
+    ``paths.fold_table`` over the word ``reduced_word_ext`` gives t_mu, and
+    ``(i, lam)`` to the same over the joined sequence, both from the starts
     ``{v: v(mu)}`` (the paths of C_v^{t_mu} start at v t_mu = t_{v(mu)} v);
-    a miss fills all v.  The returned sides share no dict with the cache.
+    a miss fills all v.  Where the two tables agree the second keeps the
+    first's dict, so a passing check stores its terms once.  The returned
+    sides share no dict with the cache.
     """
     datum.check_antidominant(lam)
     if cache is None:
         cache = {}
-
-    def table(mu) -> dict:
-        if mu not in cache:
-            _, word = af.reduced_word_ext(datum, af.translation(datum, mu))
-            betas = af.beta_sequence(datum, word)
-            starts = {v: wg.act_weight(v, mu) for v in graph.vertices}
-            cache[mu] = pth.fold_table(datum, graph, starts, betas)
-        return cache[mu]
-
     lam, mu = tuple(lam), sub(lam, datum.fundamental_weight(i))
-    z0 = ExtAffineElt(wg.act_weight(u, mu), u)  # u t_mu
-    lhs = LaurentPoly._adopt(dict(table(mu)[u]))
-    # the typed paths walk the shifted fundamental betas from u t_mu; each
-    # adds its offset and q-degree to C_{dir(end)}^{t_lam} column by column
-    terms: dict = {}
-    betas, c_lam = af.shifted_beta(datum, i, lam), table(lam)
-    for p in pth.enumerate_paths(datum, graph, z0, betas):
-        end, qdeg = p.ends[-1], pth.qwt_degree(p)
-        c = c_lam[end.dir]
-        wts, qs = zip(*c)
-        offset = sub(end.wt, wg.act_weight(end.dir, lam))
-        cols = [[x + o for x in col] for col, o in zip(zip(*wts), offset)]
-        keys = zip(zip(*cols), [q + qdeg for q in qs])
-        for key, n in zip(keys, c.values()):
-            terms[key] = terms.get(key, 0) + n
-    rhs = LaurentPoly._adopt(terms)
+
+    def walk(betas) -> dict:
+        starts = {v: wg.act_weight(v, mu) for v in graph.vertices}
+        return pth.fold_table(datum, graph, starts, betas)
+
+    if mu not in cache:
+        _, word = af.reduced_word_ext(datum, af.translation(datum, mu))
+        cache[mu] = walk(af.beta_sequence(datum, word))
+    left = cache[mu]
+    if (i, lam) not in cache:
+        right = walk(af.shifted_beta(datum, i, lam) + af.lambda_chain(datum, lam))
+        cache[i, lam] = {v: left[v] if left[v] == c else c
+                         for v, c in right.items()}
+    lhs = LaurentPoly._adopt(dict(left[u]))
+    rhs = LaurentPoly._adopt(dict(cache[i, lam][u]))
     return lhs, rhs, lhs == rhs

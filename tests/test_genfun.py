@@ -238,9 +238,9 @@ def test_recursion_derives_each_word_once(family, rank, monkeypatch):
         for u in wg.enumerate_group(d) for i in (1, 2) for lam in lams
     ]
     monkeypatch.undo()
-    mus = set(lams) | {
-        sub(lam, d.fundamental_weight(i)) for i in (1, 2) for lam in lams
-    }
+    # the right side walks lambda_chain(lam), so only the words of the
+    # lam - omega_i are derived, each once
+    mus = {sub(lam, d.fundamental_weight(i)) for i in (1, 2) for lam in lams}
     assert sorted(derived) == sorted(mus)
     # the tabulated value against a single-start generating function
     zero = (0,) * rank
@@ -272,6 +272,50 @@ def test_recursion_lhs_is_the_c_function(family, rank):
                 rhs.terms.clear()
                 again = gf.recursion_check(d, g, u, i, lam, cache)
                 assert again[2] and again[0].terms == want, (lam, i, u)
+
+
+@pytest.mark.parametrize("family,rank,depth", [("A", 2, 2), ("C", 2, 2), ("G", 2, 1)])
+def test_recursion_rhs_is_the_typed_path_sum(family, rank, depth):
+    # the paper's peeling sum, with no fold walk over the joined chain: the
+    # typed paths from u t_mu over the shifted betas, each adding
+    # q^deg x^{wt(end) - dir(end)(lam)} times C_{dir(end)}^{t_lam}
+    d, g = datum_of(family, rank), graph_of(family, rank)
+    zero, cache = (0,) * rank, {}
+    for lam in itertools.product(range(0, -depth - 1, -1), repeat=rank):
+        t_lam = af.translation(d, lam)
+        c_lam = {v: gf.c_function(d, g, ExtAffineElt(zero, v), t_lam)
+                 for v in g.vertices}
+        for i in range(1, rank + 1):
+            betas = af.shifted_beta(d, i, lam)
+            mu = sub(lam, d.fundamental_weight(i))
+            for u in g.vertices:
+                z0 = ExtAffineElt(wg.act_weight(u, mu), u)
+                want = LaurentPoly()
+                for p in pth.enumerate_paths(d, g, z0, betas):
+                    end = p.ends[-1]
+                    offset = sub(end.wt, wg.act_weight(end.dir, lam))
+                    want = want + LaurentPoly.monomial(
+                        offset, pth.qwt_degree(p)) * c_lam[end.dir]
+                _, rhs, ok = gf.recursion_check(d, g, u, i, lam, cache)
+                assert ok and rhs == want, (lam, i, u)
+
+
+def test_recursion_right_table_shares_the_left_dicts():
+    # a passing check stores one dict per vertex: the right table holds the
+    # left table's own dicts, so the cache is no larger than the left side's
+    d, g = datum_and_graph("A", 2)
+    lams = list(itertools.product((0, -1, -2), repeat=2))
+    cache = {}
+    for u in g.vertices:
+        for i in (1, 2):
+            for lam in lams:
+                assert gf.recursion_check(d, g, u, i, lam, cache)[2]
+    for i in (1, 2):
+        for lam in lams:
+            left = cache[sub(lam, d.fundamental_weight(i))]
+            right = cache[i, lam]
+            assert right.keys() == left.keys()
+            assert all(right[v] is left[v] for v in left), (i, lam)
 
 
 def _typed_paths(d, g, i, lam):
