@@ -179,19 +179,19 @@ def recursion_check(
     if cache is None:
         cache = {}
     lam, mu = tuple(lam), sub(lam, datum.fundamental_weight(i))
-
-    def walk(betas) -> dict:
-        starts = {v: wg.act_weight(v, mu) for v in graph.vertices}
-        return pth.fold_table(datum, graph, starts, betas)
-
-    if mu not in cache:
-        _, word = af.reduced_word_ext(datum, af.translation(datum, mu))
-        cache[mu] = walk(af.beta_sequence(datum, word))
-    left = cache[mu]
+    # cache[mu] is filled before cache[i, lam], so a miss on either is a
+    # miss on (i, lam), and the starts are built once for both walks
     if (i, lam) not in cache:
-        right = walk(af.shifted_beta(datum, i, lam) + af.lambda_chain(datum, lam))
+        starts = {v: wg.act_weight(v, mu) for v in graph.vertices}
+        if mu not in cache:
+            _, word = af.reduced_word_ext(datum, af.translation(datum, mu))
+            betas = af.beta_sequence(datum, word)
+            cache[mu] = pth.fold_table(datum, graph, starts, betas)
+        left = cache[mu]
+        betas = af.shifted_beta(datum, i, lam) + af.lambda_chain(datum, lam)
+        right = pth.fold_table(datum, graph, starts, betas)
         cache[i, lam] = {v: left[v] if left[v] == c else c
                          for v, c in right.items()}
-    lhs = LaurentPoly._adopt(dict(left[u]))
+    lhs = LaurentPoly._adopt(dict(cache[mu][u]))
     rhs = LaurentPoly._adopt(dict(cache[i, lam][u]))
     return lhs, rhs, lhs == rhs

@@ -101,10 +101,10 @@ def fold_table(
     times the root weight of v(gamma), read at ``v.perm[index of gamma]``.
     Inside the sweeps a term key is one integer, the weight and q-degree as
     balanced digits in base ``2 * bound + 1``: ``bound`` is ``sum_p |deg_p|``
-    times the largest root-weight coordinate, so every partial sum lies in
-    ``[-bound, bound]`` and no digit carries.  Each start's table is decoded
-    in one pass per digit, with mu added as the digits are read, into a
-    dict of its own.
+    times the largest root-weight coordinate plus the largest ``|mu|``
+    coordinate, so every partial sum plus mu lies in ``[-bound, bound]``.
+    Each distinct key is decoded once per call, one pass per digit; each
+    start gets a dict of its own, and equal terms share one key tuple.
     """
     betas = tuple(betas)
     labels = _fold_labels(datum, betas)
@@ -112,7 +112,8 @@ def fold_table(
         datum.check_rank(mu)
     # root_weights holds each root weight and its negative
     top = max(map(max, datum.root_weights))
-    bound = top * sum(abs(b.deg) for b in betas)
+    span = max((abs(m) for mu in starts.values() for m in mu), default=0)
+    bound = top * sum(abs(b.deg) for b in betas) + span
     base = 2 * bound + 1
     digits = [base ** i for i in range(datum.rank + 1)]
     packed = [dot(wt, digits) for wt in datum.root_weights]
@@ -142,14 +143,20 @@ def fold_table(
     # adding bound to every weight digit leaves each in [0, 2 * bound], so
     # digit i is a plain remainder and the q-degree what is left at the top
     lift = bound * sum(digits[:-1])
-    out = {}
+    name, out = {}, {}
     for v, mu in starts.items():
-        keys, cols = [key + lift for key in below[v]], []
-        for m in mu:
-            low = m - bound
-            cols.append([key % base + low for key in keys])
-            keys = [key // base for key in keys]
-        out[v] = dict(zip(zip(zip(*cols), keys), below[v].values()))
+        off = dot(mu, digits) + lift
+        keys = [key + off for key in below[v]]
+        fresh = tops = [key for key in keys if key not in name] if name else keys
+        cols = []
+        for _ in range(datum.rank):
+            cols.append([key % base - bound for key in tops])
+            tops = [key // base for key in tops]
+        terms = zip(zip(*cols), tops)
+        if len(starts) > 1:  # a later start may name the same keys
+            name.update(zip(fresh, terms))
+            terms = map(name.__getitem__, keys)
+        out[v] = dict(zip(terms, below[v].values()))
     return out
 
 

@@ -127,8 +127,9 @@ def test_fold_table_at_the_digit_bound_in_a1(m):
     plain = pth.fold_table(d, g, dict.fromkeys(g.vertices, (0,)), betas)
     weights = {wt for terms in plain.values() for (wt,), _ in terms}
     assert {-2 * m, 2 * m} <= weights
-    # a start weight is added to the decoded digits, never packed, so one
-    # far outside [-bound, bound] gets the weight-zero table shifted
+    # a start weight is packed into the keys, and the digit bound grows by
+    # its largest coordinate, so one far outside the sweeps' own range gets
+    # the weight-zero table shifted
     far, near = g.vertices
     table = pth.fold_table(d, g, {far: (10 ** 6,), near: (0,)}, betas)
     assert table[far] == {((x + 10 ** 6,), q): c
@@ -142,6 +143,32 @@ def test_fold_table_at_the_digit_bound_in_g2(m):
     d, g, t, betas = _translation_input("G", 2, (-m, 0))
     assert max(abs(x) for c in d.coroots for x in d.coroot_weight(c)) == 3
     _assert_table_matches_walks(d, g, g.vertices, betas)
+
+
+@pytest.mark.parametrize("family,rank,lam", [
+    ("B", 3, (0, -1, 0)), ("G", 2, (-1, 0)),
+])
+def test_fold_table_packs_start_weights_at_the_extremes(family, rank, lam):
+    # one call mixes zero starts with starts whose coordinates are all
+    # +10**6, all -10**6 or of mixed sign; each table is its start's
+    # weight-zero table shifted by mu, and equal terms share one key tuple
+    d, g, t, betas = _translation_input(family, rank, lam)
+    big, zero = 10 ** 6, (0,) * rank
+    mus = [zero, (big,) * rank, (-big,) * rank,
+           tuple(big if j % 2 else -big for j in range(rank))]
+    for gr in (g, g.reversed):
+        starts = {v: mus[n % len(mus)] for n, v in enumerate(gr.vertices)}
+        table = pth.fold_table(d, gr, starts, betas)
+        keys, shared = {}, 0
+        for v, mu in starts.items():
+            plain = pth.fold_table(d, gr, {v: zero}, betas)[v]
+            assert table[v] == {
+                (tuple(x + m for x, m in zip(wt, mu)), q): c
+                for (wt, q), c in plain.items()}, (v, mu)
+            for key in table[v]:
+                shared += key in keys
+                assert keys.setdefault(key, key) is key, (v, key)
+        assert shared
 
 
 @pytest.mark.parametrize("family,rank", [
