@@ -37,9 +37,7 @@ EXIT_IDENTITY = 4
 
 
 class CliError(Exception):
-    def __init__(self, msg, code=EXIT_PARSE):
-        super().__init__(msg)
-        self.code = code
+    """A refused argument; ``main`` exits with ``EXIT_PARSE``."""
 
 
 def _parse_type(s: str, whole_group: bool = True) -> RootDatum:
@@ -204,7 +202,7 @@ def cmd_char(args) -> int:
 
 def cmd_verify(args) -> int:
     names = sorted(ids.SUITES)
-    if args.suites:  # each named suite runs once, in first-seen order
+    if args.suites is not None:  # each named suite runs once, in first-seen order
         names = list(dict.fromkeys(args.suites.split(",")))
     for name in names:
         if name not in ids.SUITES:
@@ -310,7 +308,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return EXIT_PARSE
     except wg.GroupSizeCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

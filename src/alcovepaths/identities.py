@@ -5,14 +5,19 @@ Each checker takes a root datum, its quantum Bruhat graph and the cases to
 run (any iterable), and yields one JSON-ready record per failing case,
 naming the type and the inputs of that case; an identity that holds yields
 nothing.  ``SUITES`` lists the small-rank cases of ``alcovepaths verify``.
+Every identity check lives here together with its independent oracle:
+Lenart's one-line edge rules in types A and C, against the graph's one
+edge rule in ``qbg``, and the cominuscule twist, against the two
+specializations of ``macdonald``.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
+from fractions import Fraction
 
-from .lattice import add, neg
+from .lattice import add, neg, sub
 from . import weylgroup as wg
 from . import affine as af
 from .affine import ExtAffineElt
@@ -22,7 +27,7 @@ from . import genfun as gf
 from . import macdonald as mac
 
 __all__ = ["shift", "recursion", "w0_inversion", "lenart", "beta",
-           "word_choice", "dual_route", "twist", "SUITES"]
+           "word_choice", "dual_route", "twist", "cominuscule_indices", "SUITES"]
 
 
 def _failure(datum, **inputs) -> dict:
@@ -78,23 +83,74 @@ def w0_inversion(datum, graph):
                 yield _failure(datum, w=_word(datum, w), gamma=list(gamma))
 
 
+def _one_line(datum, w) -> tuple:
+    """One-line notation of w, in type A or C, from any reduced word.
+
+    Type A permutes 1..n+1.  Type C permutes 1..n, bar(n)..bar(1), with
+    bar(i) encoded as 2n+1-i, so the alphabet order is the integer order
+    and position bar(i) is position 2n+1-i; ``s_i`` with ``i < n`` also
+    swaps the mirrored positions bar(i+1) and bar(i).
+    """
+    n, c = datum.rank, datum.family == "C"
+    p = list(range(1, 2 * n + 1 if c else n + 2))
+    for i in wg.smallest_words(datum)[w]:
+        p[i - 1], p[i] = p[i], p[i - 1]
+        if c and i < n:
+            p[-i - 1], p[-i] = p[-i], p[-i - 1]
+    return tuple(p)
+
+
+def _window(p, i, j):
+    """Kind of the edge that swaps positions i < j of the one-line p, or
+    None: no letter strictly between them lies on the circle of ``len(p)``
+    letters from p_i to p_j.  Quantum when p_i > p_j."""
+    a, b, m = p[i - 1], p[j - 1], len(p)
+    if any((c - a) % m < (b - a) % m for c in p[i:j - 1]):
+        return None
+    return qbg.QUANTUM if a > b else qbg.BRUHAT
+
+
+def _sum_window(p, i, j):
+    """Kind of type C's edge of e_i + e_j, which swaps positions (i, bar j)
+    and (j, bar i), or None: a Bruhat cover exactly when p_i < p_bar(j) and
+    no letter strictly between positions i and bar(j), nor p_bar(i), lies
+    between those two values; this class has no quantum edges."""
+    a, b = p[i - 1], p[-j]
+    if a < b and not any(a < c < b for c in p[i:-j]) and not a < p[-i] < b:
+        return qbg.BRUHAT
+    return None
+
+
 def lenart(datum, graph):
-    """Lenart's one-line edge rules (types A and C) give the graph's edges."""
+    """Lenart's one-line edge rules (types A and C) give the graph's edges.
+
+    Type A's root e_i - e_j and type C's class 1 (e_i - e_j) and class 3
+    (2 e_i) read the window from position i to j, or to bar(i); class 2
+    (e_i + e_j) has its own rule.  Each element's one-line notation is
+    computed once.  Other types are refused before any vertex is read.
+    """
     n = datum.rank
+
+    def root(i, j, twice=0):
+        # e_i - e_j, plus 2 e_j when ``twice``; type C's 2 e_i is j = i
+        return tuple(int(i <= k < j) + twice * (2 * int(j <= k < n) + int(k == n))
+                     for k in range(1, n + 1))
     if datum.family == "A":
-        rule, root = qbg.lenart_edge_typeA, qbg.typeA_root
-        cases = list(itertools.combinations(range(1, n + 2), 2))
+        cases = [((i, j), _window, (i, j), root(i, j))
+                 for i, j in itertools.combinations(range(1, n + 2), 2)]
     elif datum.family == "C":
-        rule, root = qbg.lenart_edge_typeC, qbg.typeC_root
-        pairs = itertools.combinations(range(1, n + 1), 2)
-        cases = [(cls, i, j) for i, j in pairs for cls in (1, 2)]
-        cases += [(3, i) for i in range(1, n + 1)]
+        cases = [((cls, i, j), rule, (i, j), root(i, j, cls - 1))
+                 for i, j in itertools.combinations(range(1, n + 1), 2)
+                 for cls, rule in ((1, _window), (2, _sum_window))]
+        cases += [((3, i), _window, (i, 2 * n + 1 - i), root(i, i, 1))
+                  for i in range(1, n + 1)]
     else:
         raise ValueError(f"Lenart's rules cover types A and C, not {datum.family}")
-    labels = [(c, datum.coroot_of_root(root(datum, *c))) for c in cases]
+    labels = [(case, rule, at, datum.coroot_of_root(r)) for case, rule, at, r in cases]
     for w in graph.vertices:
-        for case, label in labels:
-            if rule(datum, w, *case) != qbg.edge_kind(graph, w, label):
+        p = _one_line(datum, w)
+        for case, rule, at, label in labels:
+            if rule(p, *at) != qbg.edge_kind(graph, w, label):
                 yield _failure(datum, w=_word(datum, w), case=list(case))
 
 
@@ -156,10 +212,61 @@ def dual_route(datum, graph, lams):
             yield _failure(datum, lam=list(lam))
 
 
+def cominuscule_indices(datum) -> tuple:
+    """Fundamental indices whose simple root has coefficient 1 in the highest root."""
+    return tuple(i for i, c in enumerate(datum.highest_root(), 1) if c == 1)
+
+
+def _root_coords(datum, mu):
+    """Root-basis coordinates of a weight, or None if they are not integral."""
+    n = datum.rank
+    m = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(datum.cartan, mu)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if m[r][col] != 0)
+        m[col], m[piv] = m[piv], m[col]
+        m[col] = [x / m[col][col] for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                m[r] = [x - m[r][col] * y for x, y in zip(m[r], m[col])]
+    out = [row[n] for row in m]
+    if any(x.denominator != 1 for x in out):
+        return None
+    return tuple(int(x) for x in out)
+
+
+def _twisted(datum, graph, i, m) -> bool:
+    """At lam = -m omega_i, the t = infinity specialization is the q-graded
+    twist of the t = 0 one, and its two routes agree.
+
+    Each monomial of ``e_zero`` sits at a weight lam + beta with beta in the
+    non-negative root cone; multiplying it by q^(coefficient of alpha_i in
+    beta) must give ``e_infinity``.  The anchoring at the anti-dominant
+    extreme is fixed by the rank-one brute-force cases.  Both values come
+    from one ``macdonald.specialization_report``.
+    """
+    lam = tuple(-m * x for x in datum.fundamental_weight(i))
+    report = mac.specialization_report(datum, graph, lam)
+    if not report.agree:
+        return False
+    twisted = Counter()
+    for (w, q), c in report.e_zero.terms.items():
+        beta = _root_coords(datum, sub(w, lam))
+        if beta is None or min(beta) < 0:
+            return False
+        twisted[(w, q + beta[i - 1])] += c
+    return gf.LaurentPoly(twisted) == report.e_inf_word
+
+
 def twist(datum, graph, i, ms):
-    """``macdonald.cominuscule_twist_check`` at ``-m omega_i`` for each m."""
+    """The cominuscule twist (``_twisted``) at ``-m omega_i`` for each m.
+
+    An index i that is not cominuscule is refused with a ValueError before
+    any specialization is computed.
+    """
+    if i not in cominuscule_indices(datum):
+        raise ValueError(f"index {i} is not cominuscule in {datum.family}{datum.rank}")
     for m in ms:
-        if not mac.cominuscule_twist_check(datum, graph, i, m):
+        if not _twisted(datum, graph, i, m):
             yield _failure(datum, i=i, m=m)
 
 

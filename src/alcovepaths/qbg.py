@@ -8,9 +8,10 @@ built from one rule that needs no lengths, the obstruction criterion: the
 kind is the sign of ``w(gamma)``, and existence is read off ``w``'s
 inversion mask, one bit per positive coroot, against a fixed mask per
 label.  An edge's end ``w s_gamma`` is looked up by its images of the
-simple coroots, which fix a Weyl group element.  The module also carries
-Lenart's one-line criteria in types A and C; the tests check all of them
-against the length definition.
+simple coroots, which fix a Weyl group element.  That criterion is the
+one edge rule in the package; the tests check it against the length
+definition, and ``identities.lenart`` against Lenart's one-line rules in
+types A and C.
 
 >>> from alcovepaths.lattice import build_datum
 >>> from alcovepaths import weylgroup as wg
@@ -32,8 +33,7 @@ from . import weylgroup as wg
 from .weylgroup import WeylElt
 
 __all__ = [
-    "QuantumBruhatGraph", "build", "edge_kind", "signed_one_line",
-    "lenart_edge_typeA", "lenart_edge_typeC", "criterion_edge",
+    "QuantumBruhatGraph", "build", "edge_kind", "criterion_edge",
     "word_name", "export_dot", "export_json",
 ]
 
@@ -84,131 +84,6 @@ def edge_kind(graph: QuantumBruhatGraph, w: WeylElt, gamma):
     g = tuple(gamma) if d.is_pos_coroot(gamma) else neg(gamma)
     edge = graph.edges.get((w, g))
     return edge and edge[0]
-
-
-# ---------------------------------------------------------------------------
-# Lenart's explicit criteria
-
-
-def one_line(datum: RootDatum, w: WeylElt) -> tuple:
-    """Type A one-line notation of w as a permutation of 1..n+1."""
-    if datum.family != "A":
-        raise ValueError("one_line requires type A")
-    perm = list(range(1, datum.rank + 2))
-    for i in wg.reduced_word(datum, w):
-        perm[i - 1], perm[i] = perm[i], perm[i - 1]
-    return tuple(perm)
-
-
-def signed_one_line(datum: RootDatum, w: WeylElt) -> tuple:
-    """Type C one-line notation over the alphabet 1..n, bar(n)..bar(1).
-
-    Barred letters are encoded as 2n+1-i, so the alphabet order is the
-    plain integer order on 1..2n and position bar(i) is position 2n+1-i.
-    """
-    if datum.family != "C":
-        raise ValueError("signed_one_line requires type C")
-    n = datum.rank
-    perm = list(range(1, 2 * n + 1))
-    for i in wg.reduced_word(datum, w):
-        if i < n:
-            perm[i - 1], perm[i] = perm[i], perm[i - 1]
-            perm[2 * n - i - 1], perm[2 * n - i] = perm[2 * n - i], perm[2 * n - i - 1]
-        else:
-            perm[n - 1], perm[n] = perm[n], perm[n - 1]
-    return tuple(perm)
-
-
-def _circ_less(start, a, b, modulus):
-    """a strictly before b in the circular order starting at ``start``."""
-    return (a - start) % modulus < (b - start) % modulus
-
-
-def lenart_edge_typeA(datum: RootDatum, w: WeylElt, i: int, j: int):
-    """Edge ``w -> w s`` for the type A root e_i - e_j, 1 <= i < j <= n+1."""
-    n1 = datum.rank + 1
-    if not 1 <= i < j <= n1:
-        raise ValueError(f"need 1 <= i < j <= {n1}")
-    p = one_line(datum, w)
-    wi, wj = p[i - 1], p[j - 1]
-    for k in range(i + 1, j):
-        wk = p[k - 1]
-        if _circ_less(wi, wk, wj, n1) and wk != wi:
-            return None
-    return QUANTUM if wi > wj else BRUHAT
-
-
-def typeA_root(datum: RootDatum, i: int, j: int) -> tuple:
-    """Root coordinates of e_i - e_j = alpha_i + ... + alpha_{j-1}."""
-    return tuple(int(i <= k <= j - 1) for k in range(1, datum.rank + 1))
-
-
-def lenart_edge_typeC(datum: RootDatum, w: WeylElt, cls: int, i: int, j: int = 0):
-    """Edge test for type C, split by root class.
-
-    cls=1: e_i - e_j (1<=i<j<=n); cls=2: e_i + e_j (1<=i<j<=n);
-    cls=3: 2 e_i (j ignored).  Positions are unbarred indices.
-    """
-    n = datum.rank
-    p = signed_one_line(datum, w)
-    N = 2 * n
-    if cls == 1:
-        if not 1 <= i < j <= n:
-            raise ValueError("need 1 <= i < j <= n")
-        wi, wj = p[i - 1], p[j - 1]
-        for k in range(i + 1, j):
-            wk = p[k - 1]
-            if wk != wi and _circ_less(wi, wk, wj, N):
-                return None
-        return QUANTUM if wi > wj else BRUHAT
-    if cls == 2:
-        if not 1 <= i < j <= n:
-            raise ValueError("need 1 <= i < j <= n")
-        # reflection swaps positions (i, bar j) and (j, bar i); the edge is a
-        # cover exactly when the window from i to bar(j) is clean and the
-        # mirrored entry at bar(i) does not interleave
-        jbar, ibar = N + 1 - j, N + 1 - i
-        wi, wjbar, wibar = p[i - 1], p[jbar - 1], p[ibar - 1]
-        if not wi < wjbar:
-            return None
-        for k in range(i + 1, jbar):
-            if wi < p[k - 1] < wjbar:
-                return None
-        if wi < wibar < wjbar:
-            return None
-        return BRUHAT      # no quantum edges in this class
-    if cls == 3:
-        if not 1 <= i <= n:
-            raise ValueError("need 1 <= i <= n")
-        wi, wibar = p[i - 1], p[N - i]
-        for k in range(i + 1, N - i + 1):
-            wk = p[k - 1]
-            if wk != wi and _circ_less(wi, wk, wibar, N):
-                return None
-        return QUANTUM if wi > wibar else BRUHAT
-    raise ValueError(f"invalid class: {cls}")
-
-
-def typeC_root(datum: RootDatum, cls: int, i: int, j: int = 0) -> tuple:
-    """Root coordinates of the class-1/2/3 positive roots of type C."""
-    n = datum.rank
-    a = [0] * n
-    if cls == 1:
-        for k in range(i, j):
-            a[k - 1] = 1
-    elif cls == 2:
-        for k in range(i, j):
-            a[k - 1] = 1
-        for k in range(j, n):
-            a[k - 1] += 2
-        a[n - 1] += 1
-    elif cls == 3:
-        for k in range(i, n):
-            a[k - 1] = 2
-        a[n - 1] += 1
-    else:
-        raise ValueError(f"invalid class: {cls}")
-    return tuple(a)
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,13 @@ def test_06_edges_type_c_one_line(n):
     assert list(ids.lenart(*datum_and_graph("C", n))) == []
 
 
+@pytest.mark.parametrize("family", ["B", "G"])
+def test_06_one_line_rules_refuse_other_types(family):
+    # the graph has no vertices to read: the refusal comes first
+    with pytest.raises(ValueError, match=f"types A and C, not {family}$"):
+        next(ids.lenart(datum_of(family, 2), SimpleNamespace()))
+
+
 @pytest.mark.parametrize("family,rank", [
     ("A", 2), ("C", 2), ("G", 2), ("A", 3), ("A", 4), ("B", 3), ("B", 4),
     ("C", 3), ("C", 4), ("D", 4), ("F", 4),
@@ -284,12 +291,12 @@ def test_10_non_negativity():
     ("recursion", (gf, "recursion_check", lambda *a: (None, None, False)),
      "A", 2, (box(2),), 6 * 2 * 9),
     ("w0_inversion", None, "A", 3, (), 24 * 6),
-    ("lenart", (qbg, "lenart_edge_typeA", lambda *a: False), "A", 3, (), 24 * 6),
-    ("lenart", (qbg, "lenart_edge_typeC", lambda *a: False), "C", 2, (), 8 * 4),
+    ("lenart", (qbg, "edge_kind", lambda *a: object()), "A", 3, (), 24 * 6),
+    ("lenart", (qbg, "edge_kind", lambda *a: object()), "C", 2, (), 8 * 4),
     ("beta", (af, "canonical_beta_order", lambda d, i: ()), "G", 2, (), 2),
     ("dual_route", (mac, "specialization_report",
                     lambda *a: SimpleNamespace(agree=False)), "C", 2, (box(2),), 9),
-    ("twist", (mac, "cominuscule_twist_check", lambda *a: False), "A", 2,
+    ("twist", (ids, "_twisted", lambda *a: False), "A", 2,
      (1, range(1, 4)), 3),
     # every fold table differs from every other; at {0, -1}^2 the words
     # besides the reference number 1, 2, 2 and 3: the lambda-chain at each

@@ -11,7 +11,7 @@ import pytest
 
 from alcovepaths import cli
 from alcovepaths import affine as af
-from alcovepaths import macdonald as mac
+from alcovepaths import identities as ids
 from alcovepaths import qbg
 from conftest import datum_of
 
@@ -353,7 +353,7 @@ def test_verify_runs_every_suite(capsys):
 
 
 def test_verify_failure_names_suite_and_inputs(capsys, monkeypatch):
-    monkeypatch.setattr(mac, "cominuscule_twist_check", lambda *args: False)
+    monkeypatch.setattr(ids, "_twisted", lambda *args: False)
     code, out, _ = run(capsys, "verify", "--suites", "twist")
     assert code == 4
     failures = json.loads(out)["failures"]
@@ -388,6 +388,15 @@ def test_verify_unknown_suite(capsys):
     code, _, err = run(capsys, "verify", "--suites", "nope")
     assert code == 2
     assert "unknown suite" in err
+
+
+@pytest.mark.parametrize("value", ["", ","])
+def test_verify_refuses_an_empty_suite_name(capsys, value):
+    # an empty --suites names the suite '', as ',' does, and runs none
+    code, out, err = run(capsys, "verify", f"--suites={value}")
+    assert code == 2
+    assert out == ""
+    assert "unknown suite ''" in err
 
 
 def test_output_determinism(capsys):

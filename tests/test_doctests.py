@@ -20,3 +20,11 @@ def test_module_doctests(name):
     assert result.failed == 0
     if name in WITH_EXAMPLES:
         assert result.attempted > 0
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_public_names_exist(name):
+    # perfbench/recorder.py wraps these names and skips a missing one silently
+    module = importlib.import_module(f"alcovepaths.{name}")
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert missing == []

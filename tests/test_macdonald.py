@@ -9,6 +9,7 @@ import pytest
 from alcovepaths.lattice import dot, neg
 from alcovepaths import weylgroup as wg
 from alcovepaths import macdonald as mac
+from alcovepaths import identities as ids
 from alcovepaths.genfun import LaurentPoly
 from conftest import datum_and_graph, datum_of, graph_of, reflect_weight
 
@@ -180,19 +181,19 @@ def test_dimension_multiplicativity():
 
 
 def test_cominuscule_indices():
-    assert mac.cominuscule_indices(datum_of("A", 2)) == (1, 2)
-    assert mac.cominuscule_indices(datum_of("A", 3)) == (1, 2, 3)
-    assert mac.cominuscule_indices(datum_of("B", 3)) == (1,)
-    assert mac.cominuscule_indices(datum_of("C", 2)) == (2,)
-    assert mac.cominuscule_indices(datum_of("D", 4)) == (1, 3, 4)
-    assert mac.cominuscule_indices(datum_of("G", 2)) == ()
+    assert ids.cominuscule_indices(datum_of("A", 2)) == (1, 2)
+    assert ids.cominuscule_indices(datum_of("A", 3)) == (1, 2, 3)
+    assert ids.cominuscule_indices(datum_of("B", 3)) == (1,)
+    assert ids.cominuscule_indices(datum_of("C", 2)) == (2,)
+    assert ids.cominuscule_indices(datum_of("D", 4)) == (1, 3, 4)
+    assert ids.cominuscule_indices(datum_of("G", 2)) == ()
 
 
 def test_cominuscule_twist_rejects_other_indices():
     d = datum_of("C", 2)
     g = graph_of("C", 2)
     with pytest.raises(ValueError, match="not cominuscule"):
-        mac.cominuscule_twist_check(d, g, 1, 1)
+        next(ids.twist(d, g, 1, [1]))
 
 
 def test_mismatch_exception_payload():

@@ -18,6 +18,7 @@ from alcovepaths import weylgroup as wg
 from alcovepaths import affine as af
 from alcovepaths import qbg
 from alcovepaths import paths as pth
+from alcovepaths import identities as ids
 from conftest import (TYPES_UP_TO_RANK_8, datum_of, graph_of, length_rule_edges,
                       two_rho)
 
@@ -170,20 +171,16 @@ def test_edge_kind_lookup():
 
 def test_one_line_notation():
     d = datum_of("A", 2)
-    assert qbg.one_line(d, wg.identity(d)) == (1, 2, 3)
-    assert qbg.one_line(d, wg.simple_reflection(d, 1)) == (2, 1, 3)
-    assert qbg.one_line(d, wg.longest_element(d)) == (3, 2, 1)
-    with pytest.raises(ValueError):
-        qbg.one_line(datum_of("C", 2), wg.identity(datum_of("C", 2)))
+    assert ids._one_line(d, wg.identity(d)) == (1, 2, 3)
+    assert ids._one_line(d, wg.simple_reflection(d, 1)) == (2, 1, 3)
+    assert ids._one_line(d, wg.longest_element(d)) == (3, 2, 1)
 
 
 def test_signed_one_line_notation():
     d = datum_of("C", 2)
-    assert qbg.signed_one_line(d, wg.identity(d)) == (1, 2, 3, 4)
+    assert ids._one_line(d, wg.identity(d)) == (1, 2, 3, 4)
     # s_2 swaps position 2 with bar(2)
-    assert qbg.signed_one_line(d, wg.simple_reflection(d, 2)) == (1, 3, 2, 4)
-    with pytest.raises(ValueError):
-        qbg.signed_one_line(datum_of("A", 2), wg.identity(datum_of("A", 2)))
+    assert ids._one_line(d, wg.simple_reflection(d, 2)) == (1, 3, 2, 4)
 
 
 def test_export_json_deterministic():
