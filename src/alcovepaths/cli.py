@@ -107,10 +107,10 @@ def cmd_qbg(args) -> int:
     elif args.format == "json":
         print(qbg.export_json(graph))
     else:
-        kinds = [kind for kind, _ in graph.edges.values()]
+        quantum = [e[1] for col in graph.steps for e in col if e]
         print(f"vertices: {len(graph.vertices)}")
-        print(f"bruhat edges: {kinds.count(qbg.BRUHAT)}")
-        print(f"quantum edges: {kinds.count(qbg.QUANTUM)}")
+        print(f"bruhat edges: {quantum.count(False)}")
+        print(f"quantum edges: {quantum.count(True)}")
     return EXIT_OK
 
 

@@ -16,7 +16,7 @@ import io
 import json
 from dataclasses import dataclass
 
-from .lattice import RootDatum, dot, neg
+from .lattice import RootDatum, dot
 from . import weylgroup as wg
 from .affine import ExtAffineElt
 from . import qbg
@@ -45,14 +45,24 @@ class AlcovePath:
 
 
 def _fold_labels(datum: RootDatum, betas) -> list:
-    """Per position: the positive coroot that labels beta's QBG edges."""
+    """Per position: the index of the positive coroot ``|Re beta|`` that
+    labels beta's QBG edges, which is its column of ``graph.steps``."""
+    n = len(datum.pos_coroots)
     for b in betas:
         if not any(b.re):
             raise ValueError(f"beta with zero real part: {b!r}")
         if not datum.is_coroot(b.re):
             raise ValueError(f"beta real part is not a coroot: {b!r}")
-    pos = lambda g: g if datum.is_pos_coroot(g) else neg(g)  # noqa: E731
-    return [pos(b.re) for b in betas]
+    return [datum.coroot_index[b.re] % n for b in betas]
+
+
+def _vertex_ids(graph: QuantumBruhatGraph, starts) -> list:
+    """Each start's vertex number; a start that is no vertex is refused."""
+    ids = graph.ids
+    for v in starts:
+        if v not in ids:
+            raise ValueError(f"start is not a vertex of the graph: {v!r}")
+    return [ids[v] for v in starts]
 
 
 def enumerate_paths(
@@ -63,28 +73,32 @@ def enumerate_paths(
     Admissibility is prefix-closed, so the search folds at position p only
     when the step dir(z) -> dir(z) s_{|Re beta_p|} is an edge of ``graph``
     (pass ``graph.reversed`` to walk the edges backwards); the subtree is
-    pruned otherwise.  The empty fold set is always admissible and comes
-    first.
+    pruned otherwise.  The search reads the edges off ``graph.steps`` by
+    vertex number, and a start direction that is no vertex is refused.
+    The empty fold set is always admissible and comes first.
     """
     betas = tuple(betas)
     labels = _fold_labels(datum, betas)
     index = [datum.coroot_index[b.re] for b in betas]
+    vertices, (v0,) = graph.vertices, _vertex_ids(graph, [z0.dir])
+    cols = [graph.steps[k] for k in labels]
 
-    def walk(z, pos, folds, ends, qfolds):
+    def walk(z, v, pos, folds, ends, qfolds):
         yield AlcovePath(z0, betas, folds, ends, qfolds)
         for p in range(pos, len(betas)):
-            edge = graph.edges.get((z.dir, labels[p]))
+            edge = cols[p][v]
             if edge is None:
                 continue
-            kind, ws = edge
+            j, quantum = edge
             # z s_{beta_p} = t_{wt + shift} ws with shift = -deg_p times the
             # root weight of z.dir(Re beta_p), as in fold_table
             deg, shift = betas[p].deg, datum.root_weights[z.dir.perm[index[p]]]
-            z1 = ExtAffineElt(tuple(x - deg * y for x, y in zip(z.wt, shift)), ws)
-            q1 = qfolds + (p + 1,) if kind == qbg.QUANTUM else qfolds
-            yield from walk(z1, p + 1, folds + (p + 1,), ends + (z1,), q1)
+            z1 = ExtAffineElt(tuple(x - deg * y for x, y in zip(z.wt, shift)),
+                              vertices[j])
+            q1 = qfolds + (p + 1,) if quantum else qfolds
+            yield from walk(z1, j, p + 1, folds + (p + 1,), ends + (z1,), q1)
 
-    yield from walk(z0, 0, (), (z0,), ())
+    yield from walk(z0, v0, 0, (), (z0,), ())
 
 
 def fold_table(
@@ -93,12 +107,15 @@ def fold_table(
     """``{v: {(end weight, q-degree): count}}``, the paths from t_mu v.
 
     ``starts`` is a mapping ``{v: mu}``; the table of v is the terms of the
-    paths from t_mu v.
+    paths from t_mu v.  Every v must be a vertex of ``graph`` (equal to
+    one, not necessarily the same object).
     A forward sweep finds the directions and folds at each position; a
     backward sweep builds T(v, p), the terms of folds at positions >= p, as
     T(v, p + 1) plus, if v folds at p, T(v s_p, p + 1) shifted by v(wt_p)
-    and deg_p.  At ``beta_p = gamma + deg_p delta``, v(wt_p) is ``-deg_p``
-    times the root weight of v(gamma), read at ``v.perm[index of gamma]``.
+    and deg_p.  Both sweeps run on vertex numbers and read each fold off
+    the column ``graph.steps`` of beta_p's label.  At ``beta_p = gamma +
+    deg_p delta``, v(wt_p) is ``-deg_p`` times the root weight of v(gamma),
+    read at ``v.perm[index of gamma]``.
     Inside the sweeps a term key is one integer, the weight and q-degree as
     balanced digits in base ``2 * bound + 1``: ``bound`` is ``sum_p |deg_p|``
     times the largest root-weight coordinate plus the largest ``|mu|``
@@ -110,6 +127,7 @@ def fold_table(
     labels = _fold_labels(datum, betas)
     for mu in starts.values():  # refused before either sweep
         datum.check_rank(mu)
+    at = _vertex_ids(graph, starts)
     # root_weights holds each root weight and its negative
     top = max(map(max, datum.root_weights))
     span = max((abs(m) for mu in starts.values() for m in mu), default=0)
@@ -117,18 +135,18 @@ def fold_table(
     base = 2 * bound + 1
     digits = [base ** i for i in range(datum.rank + 1)]
     packed = [dot(wt, digits) for wt in datum.root_weights]
-    reached, folds = set(starts), []
+    vertices, reached, folds = graph.vertices, set(at), []
     for g, b in zip(labels, betas):
-        k, deg, here = datum.coroot_index[b.re], b.deg, {}
+        col, k, deg, here = graph.steps[g], datum.coroot_index[b.re], b.deg, {}
         for v in reached:
-            if edge := graph.edges.get((v, g)):
-                kind, ws = edge
-                shift = -deg * packed[v.perm[k]]
-                if kind == qbg.QUANTUM:
+            if edge := col[v]:
+                j, quantum = edge
+                shift = -deg * packed[vertices[v].perm[k]]
+                if quantum:
                     shift += deg * digits[-1]
-                here[v] = (ws, shift)
+                here[v] = (j, shift)
         folds.append(here)
-        reached.update(ws for ws, _ in here.values())
+        reached.update(j for j, _ in here.values())
     below = dict.fromkeys(reached, {0: 1})
     # T(u, p + 1) = T(u, p) for every u that does not fold at p, so only
     # the folded directions get new dicts
@@ -144,9 +162,9 @@ def fold_table(
     # digit i is a plain remainder and the q-degree what is left at the top
     lift = bound * sum(digits[:-1])
     name, out = {}, {}
-    for v, mu in starts.items():
+    for (v, mu), i in zip(starts.items(), at):
         off = dot(mu, digits) + lift
-        keys = [key + off for key in below[v]]
+        keys = [key + off for key in below[i]]
         fresh = tops = [key for key in keys if key not in name] if name else keys
         cols = []
         for _ in range(datum.rank):
@@ -156,7 +174,7 @@ def fold_table(
         if len(starts) > 1:  # a later start may name the same keys
             name.update(zip(fresh, terms))
             terms = map(name.__getitem__, keys)
-        out[v] = dict(zip(terms, below[v].values()))
+        out[v] = dict(zip(terms, below[i].values()))
     return out
 
 

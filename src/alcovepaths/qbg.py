@@ -13,11 +13,17 @@ one edge rule in the package; the tests check it against the length
 definition, and ``identities.lenart`` against Lenart's one-line rules in
 types A and C.
 
+The graph is stored as one column per positive coroot, indexed by vertex
+number: ``steps[k][i]`` is ``(j, quantum)`` for the edge from
+``vertices[i]`` labelled ``pos_coroots[k]`` to ``vertices[j]``, or None.
+Walks run on these integers and hash no Weyl group element; ``edges`` is
+a dict view of the same edges, built on first use.
+
 >>> from alcovepaths.lattice import build_datum
 >>> from alcovepaths import weylgroup as wg
 >>> d = build_datum("A", 2)
->>> kinds = [kind for kind, _ in build(d).edges.values()]
->>> kinds.count(BRUHAT), kinds.count(QUANTUM)
+>>> quantum = [e[1] for col in build(d).steps for e in col if e]
+>>> quantum.count(False), quantum.count(True)
 (8, 7)
 >>> criterion_edge(d, wg.longest_element(d), (1, 1))
 True
@@ -45,14 +51,35 @@ QUANTUM = "quantum"
 class QuantumBruhatGraph:
     datum: RootDatum
     vertices: tuple           # all WeylElt, sorted by (length, word)
-    edges: dict               # (WeylElt, positive Coroot) -> (kind, w s_gamma)
+    steps: tuple              # per positive coroot: [(j, quantum) or None per vertex]
+
+    @cached_property
+    def ids(self) -> dict:
+        """Each vertex's position in ``vertices``."""
+        return {w: i for i, w in enumerate(self.vertices)}
+
+    @cached_property
+    def edges(self) -> dict:
+        """``{(w, gamma): (kind, w s_gamma)}``, a view of ``steps`` built on
+        first use; the walks and exports read ``steps``."""
+        vs = self.vertices
+        records = [((BRUHAT, w), (QUANTUM, w)) for w in vs]
+        return {(vs[i], g): records[j][q] for i, g, q, j in _edges(self)}
 
     @cached_property
     def reversed(self) -> "QuantumBruhatGraph":
         """The graph with every edge turned around, built on first use: the
-        edge ``w -> w s_gamma`` becomes ``w s_gamma -> w`` of the same kind."""
-        edges = {(ws, g): (kind, w) for (w, g), (kind, ws) in self.edges.items()}
-        return QuantumBruhatGraph(self.datum, self.vertices, edges)
+        edge ``w -> w s_gamma`` becomes ``w s_gamma -> w`` of the same kind.
+        ``w -> w s_gamma`` is a bijection, so each column stays one."""
+        records = [((i, False), (i, True)) for i in range(len(self.vertices))]
+        steps = []
+        for col in self.steps:
+            rev = [None] * len(col)
+            for i, e in enumerate(col):
+                if e:
+                    rev[e[0]] = records[i][e[1]]
+            steps.append(rev)
+        return QuantumBruhatGraph(self.datum, self.vertices, tuple(steps))
 
 
 def build(datum: RootDatum) -> QuantumBruhatGraph:
@@ -61,16 +88,16 @@ def build(datum: RootDatum) -> QuantumBruhatGraph:
     # end is looked up by them, and its (Bruhat, quantum) records are
     # shared by every edge into it
     records = {tuple(map(w.perm.__getitem__, datum.simple_index)):
-               ((BRUHAT, w), (QUANTUM, w)) for w in vertices}
-    labels = tuple(zip(datum.pos_coroots, _edge_labels(datum)))
-    edges = {}
-    for w in vertices:
+               ((j, False), (j, True)) for j, w in enumerate(vertices)}
+    labels = _edge_labels(datum)
+    steps = [[None] * len(vertices) for _ in labels]
+    for i, w in enumerate(vertices):
         at, mask = w.perm.__getitem__, _inversions(w)
-        for gamma, label in labels:
+        for col, label in zip(steps, labels):
             kind = _edge_rule(mask, label)
             if kind:
-                edges[(w, gamma)] = records[tuple(map(at, label[4]))][kind is QUANTUM]
-    return QuantumBruhatGraph(datum, vertices, edges)
+                col[i] = records[tuple(map(at, label[4]))][kind is QUANTUM]
+    return QuantumBruhatGraph(datum, vertices, tuple(steps))
 
 
 def edge_kind(graph: QuantumBruhatGraph, w: WeylElt, gamma):
@@ -82,8 +109,9 @@ def edge_kind(graph: QuantumBruhatGraph, w: WeylElt, gamma):
     if not d.is_coroot(gamma):
         raise ValueError(f"not a coroot: {gamma!r}")
     g = tuple(gamma) if d.is_pos_coroot(gamma) else neg(gamma)
-    edge = graph.edges.get((w, g))
-    return edge and edge[0]
+    i = graph.ids.get(w)
+    edge = None if i is None else graph.steps[d.coroot_index[g]][i]
+    return edge and (BRUHAT, QUANTUM)[edge[1]]
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +196,14 @@ def _names(graph: QuantumBruhatGraph) -> dict:
     return {w: word_name(x) for w, x in wg.smallest_words(graph.datum).items()}
 
 
+def _edges(graph: QuantumBruhatGraph):
+    """``(src, label, quantum, dst)`` per edge, ends by vertex number."""
+    for g, col in zip(graph.datum.pos_coroots, graph.steps):
+        for i, e in enumerate(col):
+            if e:
+                yield i, g, e[1], e[0]
+
+
 def export_json(graph: QuantumBruhatGraph) -> str:
     """The bytes of ``json.dumps({"vertices": [...], "edges": [...]},
     indent=1)``, with the names sorted and one ``{"src", "label", "kind"}``
@@ -178,26 +214,25 @@ def export_json(graph: QuantumBruhatGraph) -> str:
     tail = {}
     for g in graph.datum.pos_coroots:
         label = ",\n".join(f"    {x}" for x in g)
-        for kind in (BRUHAT, QUANTUM):
-            tail[g, kind] = (f'",\n   "label": [\n{label}\n   ],\n'
-                             f'   "kind": "{kind}"\n  }}')
-    items = sorted((name[w], g, kind) for (w, g), (kind, _) in graph.edges.items())
-    vertices = ",\n".join(f'  "{v}"' for v in sorted(name.values()))
-    edges = ",\n".join(f'  {{\n   "src": "{src}{tail[g, kind]}'
-                        for src, g, kind in items)
+        for quantum, kind in enumerate((BRUHAT, QUANTUM)):
+            tail[g, quantum] = (f'",\n   "label": [\n{label}\n   ],\n'
+                                f'   "kind": "{kind}"\n  }}')
+    names = list(map(name.__getitem__, graph.vertices))
+    items = sorted((names[i], g, q) for i, g, q, _ in _edges(graph))
+    vertices = ",\n".join(f'  "{v}"' for v in sorted(names))
+    edges = ",\n".join(f'  {{\n   "src": "{src}{tail[g, q]}'
+                        for src, g, q in items)
     return f'{{\n "vertices": [\n{vertices}\n ],\n "edges": [\n{edges}\n ]\n}}'
 
 
 def export_dot(graph: QuantumBruhatGraph) -> str:
-    name = _names(graph)
+    names = list(map(_names(graph).__getitem__, graph.vertices))
     label = {g: str(list(g)) for g in graph.datum.pos_coroots}
     lines = ["digraph qbg {"]
-    lines += [f'  "{v}";' for v in sorted(name.values())]
-    items = sorted(
-        (name[w], g, kind, name[ws]) for (w, g), (kind, ws) in graph.edges.items()
-    )
-    for src, g, kind, dst in items:
-        style = ' style=dashed kind="quantum"' if kind == QUANTUM else ""
+    lines += [f'  "{v}";' for v in sorted(names)]
+    items = sorted((names[i], g, q, names[j]) for i, g, q, j in _edges(graph))
+    for src, g, q, dst in items:
+        style = ' style=dashed kind="quantum"' if q else ""
         lines.append(f'  "{src}" -> "{dst}" [label="{label[g]}"{style}];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -14,6 +14,7 @@ from alcovepaths import weylgroup as wg
 from alcovepaths import affine as af
 from alcovepaths.affine import AffineCoroot
 from alcovepaths import paths as pth
+from alcovepaths import genfun as gf
 from conftest import datum_of, graph_of
 
 
@@ -309,3 +310,42 @@ def test_export_csv_parses_back():
     assert len(rows) == 3
     assert rows[0]["end_dir"] == "e"
     assert {r["end_weight"] for r in rows} == {"-1 0", "1 -1", "0 1"}
+
+
+class _Unread:
+    def __getitem__(self, k):
+        raise AssertionError("an edge was read")
+
+
+def test_a_start_that_is_no_vertex_is_refused():
+    # the longest element of B2 is no vertex of the A2 graph; the walks
+    # used to read no edge from it and count the empty path alone
+    d, g, t, betas = _translation_input("A", 2, (-1, -1))
+    bad = wg.longest_element(datum_of("B", 2))
+    good = {v: (0, 0) for v in g.vertices}
+    for gr in (g, g.reversed):
+        unread = SimpleNamespace(ids=gr.ids, vertices=gr.vertices, steps=_Unread())
+        for starts in ({bad: (0, 0)}, {**good, bad: (0, 0)}):
+            with pytest.raises(ValueError, match="not a vertex"):
+                pth.fold_table(d, unread, starts, betas)
+        with pytest.raises(ValueError, match="not a vertex"):
+            next(pth.enumerate_paths(d, unread, af.ExtAffineElt((0, 0), bad), betas))
+    with pytest.raises(ValueError, match="not a vertex"):
+        gf.c_function(d, g, af.ExtAffineElt((0, 0), bad), t)
+
+
+@pytest.mark.parametrize("family,rank,lam", [
+    ("B", 3, (-1, 0, 0)), ("C", 3, (0, 0, -1)), ("G", 2, (-1, -1)),
+])
+def test_fold_table_reads_starts_equal_to_vertices(family, rank, lam):
+    # a start equal to a vertex but another object walks as the vertex does
+    d, g, t, betas = _translation_input(family, rank, lam)
+    starts = {v: wg.act_weight(v, lam) for v in g.vertices}
+    copies = {wg.from_word(d, wg.reduced_word(d, v)): mu for v, mu in starts.items()}
+    e = wg.identity(d)
+    assert e == g.vertices[0] and e is not g.vertices[0]
+    for gr in (g, g.reversed):
+        want = pth.fold_table(d, gr, starts, betas)
+        assert pth.fold_table(d, gr, copies, betas) == want
+        assert pth.fold_table(d, gr, {e: (0,) * rank}, betas)[e] == (
+            pth.fold_table(d, gr, {g.vertices[0]: (0,) * rank}, betas)[g.vertices[0]])

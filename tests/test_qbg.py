@@ -19,6 +19,7 @@ from alcovepaths import affine as af
 from alcovepaths import qbg
 from alcovepaths import paths as pth
 from alcovepaths import identities as ids
+from alcovepaths import macdonald as mac
 from conftest import (TYPES_UP_TO_RANK_8, datum_of, graph_of, length_rule_edges,
                       two_rho)
 
@@ -261,3 +262,48 @@ def test_export_json_is_the_stdlib_encoding(family, rank):
     expected = json.dumps(
         {"vertices": sorted(name.values()), "edges": edges}, indent=1)
     assert qbg.export_json(g) == expected
+
+
+@pytest.mark.parametrize("family,rank", [("B", 3), ("C", 3), ("G", 2)])
+def test_step_columns_are_the_edges(family, rank):
+    # steps[k][i] = (j, quantum) is the edge vertices[i] -> vertices[j]
+    # labelled pos_coroots[k]; the edges view and edge_kind, at either sign
+    # of the label, read the same edge, and None means there is none
+    d = datum_of(family, rank)
+    g = graph_of(family, rank)
+    for gr in (g, g.reversed):
+        vs, found = gr.vertices, 0
+        assert len(gr.steps) == len(d.pos_coroots)
+        for gamma, col in zip(d.pos_coroots, gr.steps):
+            assert len(col) == len(vs)
+            for w, e in zip(vs, col):
+                kind = e and (qbg.BRUHAT, qbg.QUANTUM)[e[1]]
+                assert qbg.edge_kind(gr, w, gamma) == kind
+                assert qbg.edge_kind(gr, w, tuple(-x for x in gamma)) == kind
+                if e:
+                    found += 1
+                    assert gr.edges[w, gamma] == (kind, vs[e[0]])
+                else:
+                    assert (w, gamma) not in gr.edges
+        assert found == len(gr.edges)
+        assert gr.reversed.reversed.steps == gr.steps
+        assert gr.ids == {w: i for i, w in enumerate(vs)}
+        # an element of another group is no vertex and has no edge
+        other = wg.longest_element(datum_of("A", 1))
+        assert qbg.edge_kind(gr, other, d.pos_coroots[0]) is None
+
+
+def test_walks_and_exports_build_no_edges_view():
+    # the walks and exports read the columns: the dict view, which at E6
+    # would hold 713,076 key tuples, is never built
+    d = build_datum("B", 3)
+    g = qbg.build(d)
+    lam = (-1, 0, -1)
+    assert mac.weyl_dimension(d, g, wg.identity(d), lam) > 0
+    assert mac.e_infinity(d, g, lam).terms
+    t = af.translation(d, lam)
+    betas = af.beta_sequence(d, af.reduced_word_ext(d, t)[1])
+    for gr in (g, g.reversed):
+        assert list(pth.enumerate_paths(d, gr, t, betas))
+        assert qbg.export_json(gr) and qbg.export_dot(gr)
+        assert "edges" not in vars(gr)
