@@ -49,6 +49,9 @@ QUANTUM = "quantum"
 
 @dataclass(frozen=True)
 class QuantumBruhatGraph:
+    """``steps[k][i]`` is ``(j, quantum)`` for the edge from ``vertices[i]``
+    labelled ``datum.pos_coroots[k]`` to ``vertices[j]``, or None; the walks
+    read these columns, and ``edges`` is a dict view built on first use."""
     datum: RootDatum
     vertices: tuple           # all WeylElt, sorted by (length, word)
     steps: tuple              # per positive coroot: [(j, quantum) or None per vertex]
@@ -70,7 +73,8 @@ class QuantumBruhatGraph:
     def reversed(self) -> "QuantumBruhatGraph":
         """The graph with every edge turned around, built on first use: the
         edge ``w -> w s_gamma`` becomes ``w s_gamma -> w`` of the same kind.
-        ``w -> w s_gamma`` is a bijection, so each column stays one."""
+        ``w -> w s_gamma`` is a bijection of the vertices, so each turned
+        column again holds at most one edge per vertex."""
         records = [((i, False), (i, True)) for i in range(len(self.vertices))]
         steps = []
         for col in self.steps:
