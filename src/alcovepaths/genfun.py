@@ -5,8 +5,9 @@ The generating function attached to a pair (u, w) of extended affine
 elements sums ``x^{wt(end)} q^{qwt-degree}`` over the admissible folded
 paths built from a reduced word of w, started at u*w.  The one-step
 recursion that peels off one ``t_{-omega_i}`` factor is checked with two
-fold walks for t_{lam - omega_i}: one over its derived word, one over
-the shifted fundamental betas followed by the lambda-chain of lam.
+fold walks for t_{lam - omega_i}, from the same starts: one over its
+derived word, one over the shifted fundamental betas followed by the
+lambda-chain of lam.
 """
 
 from __future__ import annotations
@@ -167,13 +168,16 @@ def recursion_check(
     walk over the shifted fundamental betas followed by the lambda-chain
     of lam, one beta sequence of t_mu.  Returns (lhs, rhs, equal).
 
-    ``cache`` maps mu to ``{v: C_v^{t_mu}}`` over every vertex v, one
-    ``paths.fold_table`` over the word ``reduced_word_ext`` gives t_mu, and
-    ``(i, lam)`` to the same over the joined sequence, both from the starts
-    ``{v: v(mu)}`` (the paths of C_v^{t_mu} start at v t_mu = t_{v(mu)} v);
-    a miss fills all v.  Where the two tables agree the second keeps the
-    first's dict, so a passing check stores its terms once.  The returned
-    sides share no dict with the cache.
+    ``cache`` maps mu to ``{v: C_v^{t_mu}}`` over every vertex v, the
+    table over the word ``reduced_word_ext`` gives t_mu, and ``(i, lam)``
+    to the same over the joined sequence, both from the starts ``{v:
+    v(mu)}`` (the paths of C_v^{t_mu} start at v t_mu = t_{v(mu)} v); a
+    miss fills all v.  A miss on mu walks both sequences in one
+    ``paths.fold_tables`` call, which hands the second table the first's
+    dict wherever the two agree; when mu is cached, the one
+    ``paths.fold_table`` over the joined sequence keeps the cached dict
+    wherever they agree.  So a passing check stores its terms once.  The
+    returned sides share no dict with the cache.
     """
     datum.check_antidominant(lam)
     if cache is None:
@@ -183,15 +187,16 @@ def recursion_check(
     # miss on (i, lam), and the starts are built once for both walks
     if (i, lam) not in cache:
         starts = {v: wg.act_weight(v, mu) for v in graph.vertices}
-        if mu not in cache:
+        right = af.shifted_beta(datum, i, lam) + af.lambda_chain(datum, lam)
+        if mu in cache:
+            left = cache[mu]
+            cache[i, lam] = {
+                v: left[v] if left[v] == c else c
+                for v, c in pth.fold_table(datum, graph, starts, right).items()}
+        else:
             _, word = af.reduced_word_ext(datum, af.translation(datum, mu))
-            betas = af.beta_sequence(datum, word)
-            cache[mu] = pth.fold_table(datum, graph, starts, betas)
-        left = cache[mu]
-        betas = af.shifted_beta(datum, i, lam) + af.lambda_chain(datum, lam)
-        right = pth.fold_table(datum, graph, starts, betas)
-        cache[i, lam] = {v: left[v] if left[v] == c else c
-                         for v, c in right.items()}
+            cache[mu], cache[i, lam] = pth.fold_tables(
+                datum, graph, starts, [af.beta_sequence(datum, word), right])
     lhs = LaurentPoly._adopt(dict(cache[mu][u]))
     rhs = LaurentPoly._adopt(dict(cache[i, lam][u]))
     return lhs, rhs, lhs == rhs

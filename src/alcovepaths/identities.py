@@ -173,14 +173,16 @@ def word_choice(datum, graph, lams):
     """``C_u^{t_lam}`` is the same for every u whichever reduced word of
     ``t_lam`` its paths are built from, for dominant or anti-dominant lam.
 
-    Each word gets one ``paths.fold_table`` from the starts ``{v: v(lam)}``
-    over every vertex.  Against the word of ``reduced_word_ext`` go
-    ``affine.lambda_chain(lam)`` and, for each j with ``lam_j < 0``, the
-    lexicographic chain ``shifted_beta(j, lam + omega_j)`` followed by the
-    betas of ``t_{lam + omega_j}``; ``shifted_beta`` needs anti-dominant
-    lam, so at a dominant lam the chain is the only other word.  A failure
-    names the word's source and the first u whose table differs.  A lam of
-    mixed signs is refused with a ValueError before any walk.
+    All the words of one lam are walked in one ``paths.fold_tables`` call
+    from the starts ``{v: v(lam)}`` over every vertex.  Against the word of
+    ``reduced_word_ext`` go ``affine.lambda_chain(lam)`` and, for each j
+    with ``lam_j < 0``, the lexicographic chain ``shifted_beta(j, lam +
+    omega_j)`` followed by the betas of ``t_{lam + omega_j}``;
+    ``shifted_beta`` needs anti-dominant lam, so at a dominant lam the
+    chain is the only other word.  A table equal to the reference is the
+    reference's own dict, so only the others are compared term by term.
+    A failure names the word's source and the first u whose table differs.
+    A lam of mixed signs is refused with a ValueError before any walk.
     """
     def betas(mu):
         return af.beta_sequence(
@@ -190,16 +192,17 @@ def word_choice(datum, graph, lams):
         raise ValueError(f"weight is neither dominant nor anti-dominant: {mixed[0]!r}")
     for lam in lams:
         starts = {v: wg.act_weight(v, lam) for v in graph.vertices}
-        want = pth.fold_table(datum, graph, starts, betas(lam))
         sources = [("lambda_chain", af.lambda_chain(datum, lam))]
         for j in range(1, datum.rank + 1):
             if lam[j - 1] < 0:
                 up = add(lam, datum.fundamental_weight(j))
                 sources.append(
                     (f"lex_chain={j}", af.shifted_beta(datum, j, up) + betas(up)))
-        for source, seq in sources:
-            got = pth.fold_table(datum, graph, starts, seq)
-            u = next((v for v in graph.vertices if got[v] != want[v]), None)
+        want, *tables = pth.fold_tables(
+            datum, graph, starts, [betas(lam), *(seq for _, seq in sources)])
+        for (source, _), got in zip(sources, tables):
+            u = next((v for v in graph.vertices
+                      if got[v] is not want[v] and got[v] != want[v]), None)
             if u is not None:
                 yield _failure(datum, lam=list(lam), source=source,
                                u=_word(datum, u))

@@ -23,8 +23,9 @@ from . import qbg
 from .qbg import QuantumBruhatGraph
 
 __all__ = [
-    "AlcovePath", "enumerate_paths", "fold_table", "end_weight", "end_dir",
-    "qwt_degree", "path_record", "export_json", "export_csv",
+    "AlcovePath", "enumerate_paths", "fold_table", "fold_tables",
+    "end_weight", "end_dir", "qwt_degree", "path_record", "export_json",
+    "export_csv",
 ]
 
 
@@ -104,37 +105,29 @@ def enumerate_paths(
 def fold_table(
     datum: RootDatum, graph: QuantumBruhatGraph, starts, betas
 ) -> dict:
-    """``{v: {(end weight, q-degree): count}}``, the paths from t_mu v.
+    """``{v: {(end weight, q-degree): count}}``, the paths from t_mu v over
+    ``betas``: ``fold_tables`` with the one sequence.
 
     ``starts`` is a mapping ``{v: mu}``; the table of v is the terms of the
     paths from t_mu v.  Every v must be a vertex of ``graph`` (equal to
-    one, not necessarily the same object).
+    one, not necessarily the same object).  Each start gets a dict of its
+    own, and equal terms share one key tuple.
+    """
+    return fold_tables(datum, graph, starts, [betas])[0]
+
+
+def _sweep(datum, graph, at, betas, labels, packed, qdigit) -> list:
+    """The packed tables ``{key: count}`` of the vertices ``at`` over one
+    beta sequence, each for the paths from t_0 v.
+
     A forward sweep finds the directions and folds at each position; a
     backward sweep builds T(v, p), the terms of folds at positions >= p, as
     T(v, p + 1) plus, if v folds at p, T(v s_p, p + 1) shifted by v(wt_p)
     and deg_p.  Both sweeps run on vertex numbers and read each fold off
     the column ``graph.steps`` of beta_p's label.  At ``beta_p = gamma +
     deg_p delta``, v(wt_p) is ``-deg_p`` times the root weight of v(gamma),
-    read at ``v.perm[index of gamma]``.
-    Inside the sweeps a term key is one integer, the weight and q-degree as
-    balanced digits in base ``2 * bound + 1``: ``bound`` is ``sum_p |deg_p|``
-    times the largest root-weight coordinate plus the largest ``|mu|``
-    coordinate, so every partial sum plus mu lies in ``[-bound, bound]``.
-    Each distinct key is decoded once per call, one pass per digit; each
-    start gets a dict of its own, and equal terms share one key tuple.
+    whose packed form is read at ``v.perm[index of gamma]``.
     """
-    betas = tuple(betas)
-    labels = _fold_labels(datum, betas)
-    for mu in starts.values():  # refused before either sweep
-        datum.check_rank(mu)
-    at = _vertex_ids(graph, starts)
-    # root_weights holds each root weight and its negative
-    top = max(map(max, datum.root_weights))
-    span = max((abs(m) for mu in starts.values() for m in mu), default=0)
-    bound = top * sum(abs(b.deg) for b in betas) + span
-    base = 2 * bound + 1
-    digits = [base ** i for i in range(datum.rank + 1)]
-    packed = [dot(wt, digits) for wt in datum.root_weights]
     vertices, reached, folds = graph.vertices, set(at), []
     for g, b in zip(labels, betas):
         col, k, deg, here = graph.steps[g], datum.coroot_index[b.re], b.deg, {}
@@ -143,7 +136,7 @@ def fold_table(
                 j, quantum = edge
                 shift = -deg * packed[vertices[v].perm[k]]
                 if quantum:
-                    shift += deg * digits[-1]
+                    shift += deg * qdigit
                 here[v] = (j, shift)
         folds.append(here)
         reached.update(j for j, _ in here.values())
@@ -158,24 +151,72 @@ def fold_table(
                 key += s
                 terms[key] = terms.get(key, 0) + c
         below.update(new)
+    return [below[i] for i in at]
+
+
+def fold_tables(
+    datum: RootDatum, graph: QuantumBruhatGraph, starts, sequences
+) -> list:
+    """One ``{v: {(end weight, q-degree): count}}`` per beta sequence in
+    ``sequences``, each for the paths from t_mu v over that sequence.
+
+    ``starts`` is a mapping ``{v: mu}`` shared by every sequence, and every
+    v must be a vertex of ``graph`` (equal to one, not necessarily the same
+    object); an empty list of sequences is refused.  Each sequence is
+    swept on its own (see ``_sweep``), and only the first one's packed
+    start tables are kept past its decode.
+    Inside the sweeps a term key is one integer, the weight and q-degree as
+    balanced digits in base ``2 * bound + 1``: ``bound`` is the largest
+    ``sum_p |deg_p|`` over the sequences times the largest root-weight
+    coordinate, plus the largest ``|mu|`` coordinate, so every partial sum
+    plus mu lies in ``[-bound, bound]`` and two packed tables are equal
+    exactly when their terms are.  A start whose packed table over a later
+    sequence equals its table over the first gets the first sequence's
+    dict itself, not decoded again.  Every other table is a dict of its
+    own: each distinct key is decoded once per call, one pass per digit,
+    and equal terms share one key tuple.
+    """
+    sequences = [tuple(betas) for betas in sequences]
+    if not sequences:
+        raise ValueError("no beta sequence to walk")
+    labels = [_fold_labels(datum, betas) for betas in sequences]
+    for mu in starts.values():  # refused before any sweep
+        datum.check_rank(mu)
+    at = _vertex_ids(graph, starts)
+    # root_weights holds each root weight and its negative
+    top = max(map(max, datum.root_weights))
+    span = max((abs(m) for mu in starts.values() for m in mu), default=0)
+    bound = top * max(sum(abs(b.deg) for b in betas) for betas in sequences) + span
+    base = 2 * bound + 1
+    digits = [base ** i for i in range(datum.rank + 1)]
+    packed = [dot(wt, digits) for wt in datum.root_weights]
     # adding bound to every weight digit leaves each in [0, 2 * bound], so
     # digit i is a plain remainder and the q-degree what is left at the top
     lift = bound * sum(digits[:-1])
-    name, out = {}, {}
-    for (v, mu), i in zip(starts.items(), at):
-        off = dot(mu, digits) + lift
-        keys = [key + off for key in below[i]]
-        fresh = tops = [key for key in keys if key not in name] if name else keys
-        cols = []
-        for _ in range(datum.rank):
-            cols.append([key % base - bound for key in tops])
-            tops = [key // base for key in tops]
-        terms = zip(zip(*cols), tops)
-        if len(starts) > 1:  # a later start may name the same keys
-            name.update(zip(fresh, terms))
-            terms = map(name.__getitem__, keys)
-        out[v] = dict(zip(terms, below[i].values()))
-    return out
+    offs = [dot(mu, digits) + lift for mu in starts.values()]
+    many = len(starts) * len(sequences) > 1  # a later table may name the same keys
+    name, tables, first = {}, [], None
+    for betas, labs in zip(sequences, labels):
+        mine, out = _sweep(datum, graph, at, betas, labs, packed, digits[-1]), {}
+        for n, (v, off, below) in enumerate(zip(starts, offs, mine)):
+            if first is not None and below == first[n]:
+                out[v] = tables[0][v]
+                continue
+            keys = [key + off for key in below]
+            fresh = tops = [key for key in keys if key not in name] if name else keys
+            cols = []
+            for _ in range(datum.rank):
+                cols.append([key % base - bound for key in tops])
+                tops = [key // base for key in tops]
+            terms = zip(zip(*cols), tops)
+            if many:
+                name.update(zip(fresh, terms))
+                terms = map(name.__getitem__, keys)
+            out[v] = dict(zip(terms, below.values()))
+        if first is None:
+            first = mine
+        tables.append(out)
+    return tables
 
 
 def end_weight(p: AlcovePath):

@@ -108,13 +108,16 @@ def edge_kind(graph: QuantumBruhatGraph, w: WeylElt, gamma):
     """Kind of the edge ``w -> w s_gamma``, or None if there is none.
 
     The label may be given with either sign; ``s_gamma = s_{-gamma}``.
+    An element that is not a vertex of the graph is refused.
     """
     d = graph.datum
     if not d.is_coroot(gamma):
         raise ValueError(f"not a coroot: {gamma!r}")
-    g = tuple(gamma) if d.is_pos_coroot(gamma) else neg(gamma)
     i = graph.ids.get(w)
-    edge = None if i is None else graph.steps[d.coroot_index[g]][i]
+    if i is None:
+        raise ValueError(f"element is not a vertex of the graph: {w!r}")
+    g = tuple(gamma) if d.is_pos_coroot(gamma) else neg(gamma)
+    edge = graph.steps[d.coroot_index[g]][i]
     return edge and (BRUHAT, QUANTUM)[edge[1]]
 
 

@@ -301,9 +301,9 @@ def test_10_non_negativity():
     # every fold table differs from every other; at {0, -1}^2 the words
     # besides the reference number 1, 2, 2 and 3: the lambda-chain at each
     # weight, and one lexicographic chain per negative coordinate
-    ("word_choice", (pth, "fold_table",
-                     lambda d, g, starts, betas, n=itertools.count():
-                     dict.fromkeys(starts, next(n))),
+    ("word_choice", (pth, "fold_tables",
+                     lambda d, g, starts, seqs, n=itertools.count():
+                     [dict.fromkeys(starts, next(n)) for _ in seqs]),
      "G", 2, (itertools.product((0, -1), repeat=2),), 8),
 ])
 def test_checkers_yield_one_record_per_failing_case(

@@ -318,6 +318,28 @@ def test_recursion_right_table_shares_the_left_dicts():
             assert all(right[v] is left[v] for v in left), (i, lam)
 
 
+def test_recursion_sides_share_no_dict_with_the_cache():
+    # changing a returned side changes neither the cache nor a later call,
+    # after a miss on mu (both sequences walked in one call) and after a
+    # hit on mu (only the right side walked): mu = (-1, -1) is reached
+    # from i = 1, lam = (0, -1) and again from i = 2, lam = (-1, 0)
+    d, g = datum_and_graph("A", 2)
+    cache = {}
+    for u in g.vertices:
+        for i in (1, 2):
+            for lam in itertools.product((0, -1), repeat=2):
+                lhs, rhs, ok = gf.recursion_check(d, g, u, i, lam, cache)
+                assert ok
+                before = {k: {v: dict(t) for v, t in c.items()}
+                          for k, c in cache.items()}
+                want = dict(lhs.terms), dict(rhs.terms)
+                lhs.terms[(0, 0), 99] = 1
+                rhs.terms.clear()
+                again = gf.recursion_check(d, g, u, i, lam, cache)
+                assert cache == before, (u, i, lam)
+                assert (again[0].terms, again[1].terms) == want, (u, i, lam)
+
+
 def _typed_paths(d, g, i, lam):
     """Paths over the shifted betas of omega_i, started at t_{lam - omega_i}."""
     t = af.translation(d, sub(lam, d.fundamental_weight(i)))

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from alcovepaths.lattice import neg
+from alcovepaths.lattice import add, neg
 from alcovepaths import weylgroup as wg
 from alcovepaths import affine as af
 from alcovepaths.affine import AffineCoroot
@@ -219,6 +219,65 @@ def test_fold_table_gives_each_start_its_own_table():
             for v in rest:
                 z0 = af.ExtAffineElt((0, 0), v)
                 assert table[v] == _walk_terms(d, gr, z0, betas), (v, betas)
+
+
+def _word_betas(d, lam):
+    """The betas of the word ``reduced_word_ext`` derives for t_lam."""
+    return af.beta_sequence(d, af.reduced_word_ext(d, af.translation(d, lam))[1])
+
+
+@pytest.mark.parametrize("family,rank,lam,mixed", [
+    ("B", 3, (0, -1, -1), (1, 1, -1)),
+    ("C", 3, (-1, 0, -1), (1, 1, -1)),
+    ("G", 2, (-1, -1), (1, -2)),
+])
+def test_fold_tables_match_one_call_per_sequence(family, rank, lam, mixed):
+    # the words identities.word_choice walks at an anti-dominant lam, where
+    # every table agrees with the first, and two words of a mixed-sign
+    # weight at which C_v depends on the word for some v but not all; each
+    # table is the one-sequence call's, and a later table holds the first
+    # one's dict exactly where the two agree
+    d, g = datum_of(family, rank), graph_of(family, rank)
+    words = [_word_betas(d, lam), af.lambda_chain(d, lam)]
+    for j in range(1, rank + 1):
+        if lam[j - 1] < 0:
+            up = add(lam, d.fundamental_weight(j))
+            words.append(af.shifted_beta(d, j, up) + _word_betas(d, up))
+    cases = [(lam, words), (mixed, [_word_betas(d, mixed), af.lambda_chain(d, mixed)])]
+    for weight, seqs in cases:
+        starts = {v: wg.act_weight(v, weight) for v in g.vertices}
+        for gr in (g, g.reversed):
+            tables = pth.fold_tables(d, gr, starts, seqs)
+            assert tables == [pth.fold_table(d, gr, starts, b) for b in seqs]
+            first, *rest = tables
+            shared = 0
+            for table in tables:
+                assert len({id(terms) for terms in table.values()}) == len(starts)
+            for table in rest:
+                for v in starts:
+                    assert (table[v] is first[v]) == (table[v] == first[v]), v
+                    shared += table[v] is first[v]
+            if weight == lam:
+                assert shared == len(rest) * len(starts), gr is g
+            else:
+                assert 0 < shared < len(starts), gr is g
+
+
+def test_fold_tables_take_the_bound_from_every_sequence():
+    # in A1 the words of t_{-omega} and t_{-4 omega} have sum |deg| 1 and
+    # 10; the second's end weights reach +-8, past the digits a bound set
+    # by the first sequence alone would give
+    d, g = datum_of("A", 1), graph_of("A", 1)
+    short, long = _word_betas(d, (-1,)), _word_betas(d, (-4,))
+    starts = dict.fromkeys(g.vertices, (0,))
+    for seqs in ([short, long], [long, short]):
+        for gr in (g, g.reversed):
+            tables = pth.fold_tables(d, gr, starts, seqs)
+            assert tables == [pth.fold_table(d, gr, starts, b) for b in seqs]
+    weights = {wt for terms in tables[0].values() for (wt,), _ in terms}
+    assert {-8, 8} <= weights
+    with pytest.raises(ValueError, match="no beta sequence"):
+        pth.fold_tables(d, g, starts, [])
 
 
 @pytest.mark.parametrize("family,rank,lam", [

@@ -288,9 +288,10 @@ def test_step_columns_are_the_edges(family, rank):
         assert found == len(gr.edges)
         assert gr.reversed.reversed.steps == gr.steps
         assert gr.ids == {w: i for i, w in enumerate(vs)}
-        # an element of another group is no vertex and has no edge
+        # an element of another group is no vertex, and is refused
         other = wg.longest_element(datum_of("A", 1))
-        assert qbg.edge_kind(gr, other, d.pos_coroots[0]) is None
+        with pytest.raises(ValueError, match="not a vertex"):
+            qbg.edge_kind(gr, other, d.pos_coroots[0])
 
 
 def test_walks_and_exports_build_no_edges_view():
