@@ -215,6 +215,8 @@ def fold_tables(
             out[v] = dict(zip(terms, below.values()))
         if first is None:
             first = mine
+        # the next sweep runs with no packed tables but the first's alive
+        del mine
         tables.append(out)
     return tables
 
