@@ -254,7 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, ("table", "json", "csv"), sigma=True)
     p.add_argument("--word", default=None,
                    help="explicit affine word (0-based letters), overrides --weight")
-    p.add_argument("--reversed", action="store_true")
+    p.add_argument("--reversed", action="store_true",
+                   help="walk every edge w -> w s_gamma turned around (w0 relabelling)")
     p.set_defaults(func=cmd_paths)
 
     p = sp.add_parser("emac", help="specialized Macdonald polynomial")

@@ -209,7 +209,8 @@ def word_choice(datum, graph, lams):
 
 
 def dual_route(datum, graph, lams):
-    """The two ``t = infinity`` routes of ``specialization_report`` agree."""
+    """The two ``t = infinity`` routes of ``specialization_report`` agree:
+    a check of ``graph.reversed``'s ``w0`` relabelling and ``w0_twist``."""
     for lam in lams:
         if not mac.specialization_report(datum, graph, lam).agree:
             yield _failure(datum, lam=list(lam))

@@ -2,12 +2,12 @@
 Specialized nonsymmetric Macdonald polynomials and Weyl module data.
 
 For anti-dominant lam, the t=0 specialization is the generating function
-started at the identity, and the t=infinity specialization is computed by
-two independent routes (a twist of the longest-element value, and a
-reversed-graph enumeration) that must agree.  Characters and dimensions
-of generalized Weyl modules are read off the same machinery.  The checks
-of identities between these values, the cominuscule twist among them,
-live in ``identities``.
+started at the identity.  The t=infinity one is the ``w0`` twist of the
+longest-element value, checked against the walk from the identity on
+``graph.reversed``: that graph is the forward columns relabelled by
+``w0``, so the check covers the relabelling and ``genfun.w0_twist``, not
+the walk.  Characters and dimensions of generalized Weyl modules are read
+off the same machinery; the identity checks live in ``identities``.
 """
 
 from __future__ import annotations
@@ -77,8 +77,8 @@ def _e_inf_routes(datum: RootDatum, graph: QuantumBruhatGraph, t_lam, word=None)
 def e_infinity(datum: RootDatum, graph: QuantumBruhatGraph, lam) -> LaurentPoly:
     """The t=infinity specialization (q-exponents as printed at q^{-1}).
 
-    Computed by two independent routes; a disagreement raises with both
-    values attached.
+    Computed by the module's two routes, which share the forward walk; a
+    disagreement raises with both values attached.
     """
     datum.check_antidominant(lam)
     by_word, by_reversal = _e_inf_routes(datum, graph, af.translation(datum, lam))

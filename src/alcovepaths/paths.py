@@ -73,9 +73,9 @@ def enumerate_paths(
 
     Admissibility is prefix-closed, so the search folds at position p only
     when the step dir(z) -> dir(z) s_{|Re beta_p|} is an edge of ``graph``
-    (pass ``graph.reversed`` to walk the edges backwards); the subtree is
-    pruned otherwise.  The search reads the edges off ``graph.steps`` by
-    vertex number, and a start direction that is no vertex is refused.
+    (``graph.reversed``, the columns relabelled by ``w0``, turns edges
+    around); the subtree is pruned otherwise.  Edges are read off
+    ``graph.steps`` by vertex number; a start that is no vertex is refused.
     The empty fold set is always admissible and comes first.
     """
     betas = tuple(betas)

@@ -53,7 +53,7 @@ class QuantumBruhatGraph:
     labelled ``datum.pos_coroots[k]`` to ``vertices[j]``, or None; the walks
     read these columns, and ``edges`` is a dict view built on first use."""
     datum: RootDatum
-    vertices: tuple           # all WeylElt, sorted by (length, word)
+    vertices: tuple           # all WeylElt; (length, word) order in build's graph
     steps: tuple              # per positive coroot: [(j, quantum) or None per vertex]
 
     @cached_property
@@ -73,17 +73,15 @@ class QuantumBruhatGraph:
     def reversed(self) -> "QuantumBruhatGraph":
         """The graph with every edge turned around, built on first use: the
         edge ``w -> w s_gamma`` becomes ``w s_gamma -> w`` of the same kind.
-        ``w -> w s_gamma`` is a bijection of the vertices, so each turned
-        column again holds at most one edge per vertex."""
-        records = [((i, False), (i, True)) for i in range(len(self.vertices))]
-        steps = []
-        for col in self.steps:
-            rev = [None] * len(col)
-            for i, e in enumerate(col):
-                if e:
-                    rev[e[0]] = records[i][e[1]]
-            steps.append(rev)
-        return QuantumBruhatGraph(self.datum, self.vertices, tuple(steps))
+        As ``w -> w s_gamma`` is an edge iff ``w0 w s_gamma -> w0 w`` is, of
+        the same kind (``identities.w0_inversion``), that is these ``steps``
+        with vertex ``i`` renamed ``w0 vertices[i]``, found by its images of
+        the simple coroots as in ``build``: no element or column is made."""
+        simple, w0 = self.datum.simple_index, wg.longest_element(self.datum).perm
+        by_images = {tuple(map(w.perm.__getitem__, simple)): w for w in self.vertices}
+        relabelled = tuple(by_images[tuple(w0[w.perm[k]] for k in simple)]
+                           for w in self.vertices)
+        return QuantumBruhatGraph(self.datum, relabelled, self.steps)
 
 
 def build(datum: RootDatum) -> QuantumBruhatGraph:

@@ -246,6 +246,7 @@ def test_08_length_zero_invariance():
 
 @pytest.mark.parametrize("family,rank", [
     ("A", 1), ("A", 2), ("A", 3), ("C", 2), ("G", 2),
+    ("B", 3), ("C", 3), ("D", 4), ("F", 4),
 ])
 def test_08_w0_inversion(family, rank):
     assert list(ids.w0_inversion(*datum_and_graph(family, rank))) == []

@@ -6,7 +6,10 @@ fold-walk kernel ``paths.fold_table``, when the path count and
 specializations and the twisted characters over small weight boxes in
 A2/C2/G2/A3/B3, plus one forward and one reversed path export, so any
 change to the fold walk, the edge oracle or the polynomial printing that
-alters a single byte fails here.
+alters a single byte fails here.  Three more reversed path exports (C3 as
+JSON, a twisted G2 start as CSV, B3 as text) were recorded from the
+implementation that still built ``graph.reversed`` by turning every column
+around, before it became the ``w0`` relabelling of the forward columns.
 
 The graph exports (``qbg`` as JSON for G2/C4/D4/F4 and as DOT for
 G2/C4/D4) and every ``beta --index`` of E6-E8/F4/G2 were recorded from
@@ -184,6 +187,12 @@ GOLDEN = {
         "f5438b376784432cf9f8f0657ffb13a3c0b98d22d817107429048d29575e8602",
     "paths --type C2 --weight -1,-1 --reversed":
         "22f48bb41983ff494aada079bdd2a9c5e7897ac12dc6e8892d5a98e394fdb1fc",
+    "paths --type C3 --weight -1,0,0 --reversed --format json":
+        "e86d020963eb78e18078b0f6178f6176e2ef92d5466f418e0c800ee44149ef1c",
+    "paths --type G2 --weight -1,-1 --sigma 1,2 --reversed --format csv":
+        "b16bb05e4c4b2be85101073deac7e0099fd973ad23c265603b6fa00b46de59ca",
+    "paths --type B3 --weight 0,-1,0 --reversed":
+        "f7baed21cb6b2ec21524c521b1d6ffb140de678dfa0bad0912aa9cbe4689f3e5",
     "qbg --type G2 --format json":
         "7841854a2fa1242e2a6cc358b655660cd4c7aa7d166a3bb7d5f52e46fdb4330f",
     "qbg --type C4 --format json":

@@ -329,6 +329,40 @@ def test_path_invariants():
         assert pth.qwt_degree(p) == sum(betas[j - 1].deg for j in p.quantum_folds)
 
 
+def _nonzero(values, rank, most=None):
+    """The nonzero weights with coordinates in ``values`` and at most
+    ``most`` nonzero coordinates."""
+    return [w for w in itertools.product(values, repeat=rank)
+            if 0 < sum(map(bool, w)) <= (most or rank)]
+
+
+@pytest.mark.parametrize("family,rank,wts", [
+    # w0 = -1 in every type here but A3, where w0 v and v w0 differ
+    ("A", 3, _nonzero((-1, 0, 1), 3)),
+    ("G", 2, _nonzero(range(-2, 3), 2)),
+    ("B", 3, _nonzero((-1, 0, 1), 3)),
+    ("C", 3, _nonzero((-1, 0, 1), 3)),
+    # two nonzero coordinates at most, and two full weights, keep D4 near 0.5 s
+    ("D", 4, _nonzero((-1, 0, 1), 4, most=2) + [(1, 1, 1, 1), (1, -1, 1, -1)]),
+])
+def test_reversed_walk_is_the_w0_image_of_the_forward_walk(family, rank, wts):
+    # at anti-dominant, dominant and mixed-sign wt, the reversed table from
+    # {v: v(wt)} is the w0 twist of the forward table from {w0 v: (w0 v)(wt)}
+    # at every vertex v: the walk on graph.reversed is the forward walk read
+    # through w0
+    d, g = datum_of(family, rank), graph_of(family, rank)
+    w0 = wg.longest_element(d)
+    for wt in wts:
+        _, word = af.reduced_word_ext(d, af.translation(d, wt))
+        betas = af.beta_sequence(d, word)
+        starts = {v: wg.act_weight(v, wt) for v in g.vertices}
+        fwd = pth.fold_table(d, g, starts, betas)
+        back = pth.fold_table(d, g.reversed, starts, betas)
+        for v in g.vertices:
+            want = gf.w0_twist(d, gf.LaurentPoly(fwd[wg.multiply(w0, v)]))
+            assert gf.LaurentPoly(back[v]) == want, (wt, wg.reduced_word(d, v))
+
+
 def test_reversed_enumeration_swaps_edge_kinds():
     d, g, t, betas = _translation_input("A", 1, (-1,))
     fwd = list(pth.enumerate_paths(d, g, t, betas))

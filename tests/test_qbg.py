@@ -67,15 +67,24 @@ def test_reflect_table(family, rank):
             assert ws is vertex[ws]
 
 
-@pytest.mark.parametrize("family,rank", sorted(EDGE_COUNTS))
+@pytest.mark.parametrize("family,rank", sorted(EDGE_COUNTS) + [
+    ("B", 3), ("C", 3), ("D", 4), ("F", 4),
+])
 def test_reversed_graph(family, rank):
-    # the edge w -> w s_gamma of g is the edge w s_gamma -> w of g.reversed
+    # the edge w -> w s_gamma of g is the edge w s_gamma -> w of g.reversed,
+    # and g.reversed is g's own columns with vertex i renamed w0 vertices[i],
+    # each name one of g's vertex objects
+    d = datum_of(family, rank)
     g = graph_of(family, rank)
     rev = g.reversed
     assert len(rev.edges) == len(g.edges)
     for (w, gamma), (kind, ws) in g.edges.items():
         assert rev.edges[(ws, gamma)] == (kind, w)
-    assert rev.vertices is g.vertices
+    assert rev.steps is g.steps
+    w0, vertex = wg.longest_element(d), {w: w for w in g.vertices}
+    for v, w in zip(rev.vertices, g.vertices, strict=True):
+        assert v == wg.multiply(w0, w)
+        assert v is vertex[v]
     assert rev.reversed.edges == g.edges
 
 
