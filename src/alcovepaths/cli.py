@@ -8,8 +8,9 @@ checkers of ``alcovepaths.identities`` on the small-rank cases listed in
 values it prints (``dims`` has none).  All output is deterministic for a
 fixed invocation.
 
-Exit codes: 0 success, 2 argument/parse error, 3 size-cap exceeded,
-4 identity-verification failure.
+Exit codes: 0 success, 2 argument/parse error, 3 a size cap exceeded
+(the group order, or the translation length of ``char``, ``dims`` and
+``emac``), 4 identity-verification failure.
 """
 
 from __future__ import annotations
@@ -35,9 +36,18 @@ EXIT_PARSE = 2
 EXIT_CAP = 3
 EXIT_IDENTITY = 4
 
+# the longest l(t_lam) whose fold walk char, dims and emac run: a dims run
+# at 64 takes 0.4 s in A1 and 2-3 s in A2, and its time grows fast beyond
+TRANSLATION_LENGTH_CAP = 64
+
 
 class CliError(Exception):
     """A refused argument; ``main`` exits with ``EXIT_PARSE``."""
+
+
+class TranslationLengthCapExceeded(RuntimeError):
+    """A ``--weight`` whose translation is longer than
+    ``TRANSLATION_LENGTH_CAP``; ``main`` exits with ``EXIT_CAP``."""
 
 
 def _parse_type(s: str, whole_group: bool = True) -> RootDatum:
@@ -91,6 +101,16 @@ def _antidominant(weight, missing="need --weight") -> tuple:
     if any(x > 0 for x in weight):
         raise CliError(f"weight must be anti-dominant: {weight}")
     return weight
+
+
+def _walk_weight(datum: RootDatum, weight) -> None:
+    """Refuse a ``--weight`` that is not anti-dominant, or whose ``l(t_lam)``
+    is over ``TRANSLATION_LENGTH_CAP``, before the graph is built."""
+    n = af.length_ext(datum, af.translation(datum, _antidominant(weight)))
+    if n > TRANSLATION_LENGTH_CAP:
+        raise TranslationLengthCapExceeded(
+            f"l(t_lam) = {n} at lam = {weight} exceeds the translation "
+            f"length cap {TRANSLATION_LENGTH_CAP}")
 
 
 def _print_poly(poly, fmt: str) -> None:
@@ -167,7 +187,7 @@ def cmd_paths(args) -> int:
 
 def cmd_emac(args) -> int:
     datum, weight, _ = _inputs(args)
-    _antidominant(weight)
+    _walk_weight(datum, weight)
     if args.spec == "both" and args.format not in (None, "json"):
         raise CliError("--spec both prints JSON; --format table is not "
                        "implemented")
@@ -191,7 +211,7 @@ def cmd_emac(args) -> int:
 def cmd_char(args) -> int:
     """``char`` prints the character, ``dims`` its value at x = q = 1."""
     datum, weight, sigma = _inputs(args)
-    _antidominant(weight)
+    _walk_weight(datum, weight)
     graph = qbg.build(datum)
     if args.command == "dims":
         print(mac.weyl_dimension(datum, graph, sigma, weight))
@@ -310,7 +330,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except wg.GroupSizeCapExceeded as exc:
+    except (wg.GroupSizeCapExceeded, TranslationLengthCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
 

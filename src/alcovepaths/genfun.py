@@ -141,14 +141,15 @@ def c_function(
     For a translation by a dominant or anti-dominant weight the value does
     not depend on the choice (``identities.word_choice`` checks this); at
     some mixed-sign weights it does.  The paths start at u*w and are
-    counted by ``paths.fold_table`` from the start ``{dir(u*w): wt(u*w)}``,
-    whose table is the polynomial as it comes out of the walk.
+    counted by ``paths.fold_tables`` over the one sequence from the one
+    start ``{dir(u*w): wt(u*w)}``, whose table is the polynomial as it
+    comes out of the walk.
     """
     if word is None:
         _, word = af.reduced_word_ext(datum, w)
     z0 = af.multiply(u, w)
     betas = af.beta_sequence(datum, word)
-    terms = pth.fold_table(datum, graph, {z0.dir: z0.wt}, betas)[z0.dir]
+    terms = pth.fold_tables(datum, graph, {z0.dir: z0.wt}, [betas])[0][z0.dir]
     return LaurentPoly._adopt(terms)
 
 
@@ -174,10 +175,10 @@ def recursion_check(
     v(mu)}`` (the paths of C_v^{t_mu} start at v t_mu = t_{v(mu)} v); a
     miss fills all v.  A miss on mu walks both sequences in one
     ``paths.fold_tables`` call, which hands the second table the first's
-    dict wherever the two agree; when mu is cached, the one
-    ``paths.fold_table`` over the joined sequence keeps the cached dict
-    wherever they agree.  So a passing check stores its terms once.  The
-    returned sides share no dict with the cache.
+    dict wherever the two agree; when mu is cached, the call walks only
+    the joined sequence and keeps the cached dict wherever they agree.
+    So a passing check stores its terms once.  The returned sides share
+    no dict with the cache.
     """
     datum.check_antidominant(lam)
     if cache is None:
@@ -190,9 +191,9 @@ def recursion_check(
         right = af.shifted_beta(datum, i, lam) + af.lambda_chain(datum, lam)
         if mu in cache:
             left = cache[mu]
-            cache[i, lam] = {
-                v: left[v] if left[v] == c else c
-                for v, c in pth.fold_table(datum, graph, starts, right).items()}
+            (table,) = pth.fold_tables(datum, graph, starts, [right])
+            cache[i, lam] = {v: left[v] if left[v] == c else c
+                             for v, c in table.items()}
         else:
             _, word = af.reduced_word_ext(datum, af.translation(datum, mu))
             cache[mu], cache[i, lam] = pth.fold_tables(

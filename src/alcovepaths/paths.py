@@ -23,7 +23,7 @@ from . import qbg
 from .qbg import QuantumBruhatGraph
 
 __all__ = [
-    "AlcovePath", "enumerate_paths", "fold_table", "fold_tables",
+    "AlcovePath", "enumerate_paths", "fold_tables",
     "end_weight", "end_dir", "qwt_degree", "path_record", "export_json",
     "export_csv",
 ]
@@ -45,25 +45,20 @@ class AlcovePath:
     quantum_folds: tuple
 
 
-def _fold_labels(datum: RootDatum, betas) -> list:
-    """Per position: the index of the positive coroot ``|Re beta|`` that
-    labels beta's QBG edges, which is its column of ``graph.steps``."""
-    n = len(datum.pos_coroots)
+def _positions(datum: RootDatum, betas) -> list:
+    """Per position, ``(column, k, deg)`` for ``beta = gamma + deg delta``:
+    ``k`` is the index of gamma in ``datum.coroots``, and ``column`` that of
+    the positive coroot ``|gamma|`` labelling beta's QBG edges, its column
+    of ``graph.steps``."""
+    n, out = len(datum.pos_coroots), []
     for b in betas:
         if not any(b.re):
             raise ValueError(f"beta with zero real part: {b!r}")
         if not datum.is_coroot(b.re):
             raise ValueError(f"beta real part is not a coroot: {b!r}")
-    return [datum.coroot_index[b.re] % n for b in betas]
-
-
-def _vertex_ids(graph: QuantumBruhatGraph, starts) -> list:
-    """Each start's vertex number; a start that is no vertex is refused."""
-    ids = graph.ids
-    for v in starts:
-        if v not in ids:
-            raise ValueError(f"start is not a vertex of the graph: {v!r}")
-    return [ids[v] for v in starts]
+        k = datum.coroot_index[b.re]
+        out.append((k % n, k, b.deg))
+    return out
 
 
 def enumerate_paths(
@@ -79,21 +74,21 @@ def enumerate_paths(
     The empty fold set is always admissible and comes first.
     """
     betas = tuple(betas)
-    labels = _fold_labels(datum, betas)
-    index = [datum.coroot_index[b.re] for b in betas]
-    vertices, (v0,) = graph.vertices, _vertex_ids(graph, [z0.dir])
-    cols = [graph.steps[k] for k in labels]
+    positions = _positions(datum, betas)
+    vertices, v0 = graph.vertices, graph.index(z0.dir)
+    cols = [(graph.steps[g], k, deg) for g, k, deg in positions]
 
     def walk(z, v, pos, folds, ends, qfolds):
         yield AlcovePath(z0, betas, folds, ends, qfolds)
         for p in range(pos, len(betas)):
-            edge = cols[p][v]
+            col, k, deg = cols[p]
+            edge = col[v]
             if edge is None:
                 continue
             j, quantum = edge
             # z s_{beta_p} = t_{wt + shift} ws with shift = -deg_p times the
-            # root weight of z.dir(Re beta_p), as in fold_table
-            deg, shift = betas[p].deg, datum.root_weights[z.dir.perm[index[p]]]
+            # root weight of z.dir(Re beta_p), as in fold_tables
+            shift = datum.root_weights[z.dir.perm[k]]
             z1 = ExtAffineElt(tuple(x - deg * y for x, y in zip(z.wt, shift)),
                               vertices[j])
             q1 = qfolds + (p + 1,) if quantum else qfolds
@@ -102,21 +97,7 @@ def enumerate_paths(
     yield from walk(z0, v0, 0, (), (z0,), ())
 
 
-def fold_table(
-    datum: RootDatum, graph: QuantumBruhatGraph, starts, betas
-) -> dict:
-    """``{v: {(end weight, q-degree): count}}``, the paths from t_mu v over
-    ``betas``: ``fold_tables`` with the one sequence.
-
-    ``starts`` is a mapping ``{v: mu}``; the table of v is the terms of the
-    paths from t_mu v.  Every v must be a vertex of ``graph`` (equal to
-    one, not necessarily the same object).  Each start gets a dict of its
-    own, and equal terms share one key tuple.
-    """
-    return fold_tables(datum, graph, starts, [betas])[0]
-
-
-def _sweep(datum, graph, at, betas, labels, packed, qdigit) -> list:
+def _sweep(graph, at, positions, packed, qdigit) -> list:
     """The packed tables ``{key: count}`` of the vertices ``at`` over one
     beta sequence, each for the paths from t_0 v.
 
@@ -124,13 +105,14 @@ def _sweep(datum, graph, at, betas, labels, packed, qdigit) -> list:
     backward sweep builds T(v, p), the terms of folds at positions >= p, as
     T(v, p + 1) plus, if v folds at p, T(v s_p, p + 1) shifted by v(wt_p)
     and deg_p.  Both sweeps run on vertex numbers and read each fold off
-    the column ``graph.steps`` of beta_p's label.  At ``beta_p = gamma +
-    deg_p delta``, v(wt_p) is ``-deg_p`` times the root weight of v(gamma),
-    whose packed form is read at ``v.perm[index of gamma]``.
+    column ``graph.steps[column]`` of each ``(column, k, deg)`` in
+    ``positions`` (``_positions``).  At ``beta_p = gamma + deg_p delta``,
+    v(wt_p) is ``-deg_p`` times the root weight of v(gamma), whose packed
+    form is read at ``v.perm[k]``.
     """
     vertices, reached, folds = graph.vertices, set(at), []
-    for g, b in zip(labels, betas):
-        col, k, deg, here = graph.steps[g], datum.coroot_index[b.re], b.deg, {}
+    for g, k, deg in positions:
+        col, here = graph.steps[g], {}
         for v in reached:
             if edge := col[v]:
                 j, quantum = edge
@@ -161,10 +143,10 @@ def fold_tables(
     ``sequences``, each for the paths from t_mu v over that sequence.
 
     ``starts`` is a mapping ``{v: mu}`` shared by every sequence, and every
-    v must be a vertex of ``graph`` (equal to one, not necessarily the same
-    object); an empty list of sequences is refused.  Each sequence is
-    swept on its own (see ``_sweep``), and only the first one's packed
-    start tables are kept past its decode.
+    v must be a vertex of ``graph`` (``graph.index``); a single sequence
+    is ``[betas]``, and an empty list of sequences is refused.  Each
+    sequence is swept on its own (see ``_sweep``), and only the first
+    one's packed start tables are kept past its decode.
     Inside the sweeps a term key is one integer, the weight and q-degree as
     balanced digits in base ``2 * bound + 1``: ``bound`` is the largest
     ``sum_p |deg_p|`` over the sequences times the largest root-weight
@@ -176,17 +158,16 @@ def fold_tables(
     own: each distinct key is decoded once per call, one pass per digit,
     and equal terms share one key tuple.
     """
-    sequences = [tuple(betas) for betas in sequences]
+    sequences = [_positions(datum, betas) for betas in sequences]
     if not sequences:
         raise ValueError("no beta sequence to walk")
-    labels = [_fold_labels(datum, betas) for betas in sequences]
     for mu in starts.values():  # refused before any sweep
         datum.check_rank(mu)
-    at = _vertex_ids(graph, starts)
+    at = list(map(graph.index, starts))
     # root_weights holds each root weight and its negative
     top = max(map(max, datum.root_weights))
     span = max((abs(m) for mu in starts.values() for m in mu), default=0)
-    bound = top * max(sum(abs(b.deg) for b in betas) for betas in sequences) + span
+    bound = top * max(sum(abs(deg) for *_, deg in s) for s in sequences) + span
     base = 2 * bound + 1
     digits = [base ** i for i in range(datum.rank + 1)]
     packed = [dot(wt, digits) for wt in datum.root_weights]
@@ -196,8 +177,8 @@ def fold_tables(
     offs = [dot(mu, digits) + lift for mu in starts.values()]
     many = len(starts) * len(sequences) > 1  # a later table may name the same keys
     name, tables, first = {}, [], None
-    for betas, labs in zip(sequences, labels):
-        mine, out = _sweep(datum, graph, at, betas, labs, packed, digits[-1]), {}
+    for positions in sequences:
+        mine, out = _sweep(graph, at, positions, packed, digits[-1]), {}
         for n, (v, off, below) in enumerate(zip(starts, offs, mine)):
             if first is not None and below == first[n]:
                 out[v] = tables[0][v]

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .lattice import RootDatum, neg
+from .lattice import RootDatum
 from . import weylgroup as wg
 from .weylgroup import WeylElt
 
@@ -58,8 +58,19 @@ class QuantumBruhatGraph:
 
     @cached_property
     def ids(self) -> dict:
-        """Each vertex's position in ``vertices``."""
+        """Each vertex's position in ``vertices``; read it through ``index``."""
         return {w: i for i, w in enumerate(self.vertices)}
+
+    def index(self, w: WeylElt) -> int:
+        """The vertex number of ``w``, which must equal a vertex (not
+        necessarily be the same object).  An element that is not a vertex is
+        refused, and so is one of another root datum: elements compare by
+        their coroot permutations alone."""
+        d = w.datum
+        i = self.ids.get(w) if d is self.datum or d == self.datum else None
+        if i is None:
+            raise ValueError(f"element is not a vertex of the graph: {w!r}")
+        return i
 
     @cached_property
     def edges(self) -> dict:
@@ -111,11 +122,8 @@ def edge_kind(graph: QuantumBruhatGraph, w: WeylElt, gamma):
     d = graph.datum
     if not d.is_coroot(gamma):
         raise ValueError(f"not a coroot: {gamma!r}")
-    i = graph.ids.get(w)
-    if i is None:
-        raise ValueError(f"element is not a vertex of the graph: {w!r}")
-    g = tuple(gamma) if d.is_pos_coroot(gamma) else neg(gamma)
-    edge = graph.steps[d.coroot_index[g]][i]
+    i = graph.index(w)
+    edge = graph.steps[d.coroot_index[tuple(gamma)] % len(d.pos_coroots)][i]
     return edge and (BRUHAT, QUANTUM)[edge[1]]
 
 

@@ -327,6 +327,29 @@ def test_group_cap_refused_before_the_datum(capsys, monkeypatch, command, type_)
     assert f"|W({type_})| = " in err and "cap" in err
 
 
+@pytest.mark.parametrize("argv,length", [
+    (("dims", "--type", "A1", "--weight", "-400"), 400),
+    (("char", "--type", "A2", "--weight", "-34,-34"), 136),
+    (("emac", "--type", "A1", "--weight", "-65", "--spec", "both"), 65),
+    (("dims", "--type", "E6", "--weight", "0,0,0,-3,0,0", "--sigma", "4"), 126),
+], ids=["dims-A1", "char-A2", "emac-A1", "dims-E6"])
+def test_translation_length_cap_refused_before_the_graph(
+        capsys, monkeypatch, argv, length):
+    # l(t_lam) is read off the weight, so the walk's size is refused
+    # before the graph that it would walk is built
+    monkeypatch.setattr(qbg, "build", built)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert f"l(t_lam) = {length} " in err and "cap" in err
+
+
+@pytest.mark.parametrize("command", ["emac", "char", "dims"])
+def test_translation_length_cap_is_inclusive(capsys, monkeypatch, command):
+    monkeypatch.setattr(cli, "TRANSLATION_LENGTH_CAP", 3)
+    assert run(capsys, command, "--type", "A1", "--weight", "-3")[0] == 0
+    assert run(capsys, command, "--type", "A1", "--weight", "-4")[0] == 3
+
+
 def test_beta_builds_no_graph(capsys):
     # W(E7) is above the group size cap, but the layout never reads W
     code, out, _ = run(capsys, "beta", "--type", "E7", "--index", "1")

@@ -166,7 +166,7 @@ def _walked(*args):
 def test_word_choice_refuses_a_mixed_sign_weight(monkeypatch):
     # the checker claims nothing at a mixed-sign lam (above): it refuses lam
     # as given, before any fold table
-    monkeypatch.setattr(pth, "fold_table", _walked)
+    monkeypatch.setattr(pth, "fold_tables", _walked)
     with pytest.raises(ValueError, match=re.escape("anti-dominant: (-1, 2)")):
         list(ids.word_choice(*datum_and_graph("A", 2), [(0, -1), (-1, 2)]))
 
@@ -363,7 +363,7 @@ def test_recursion_collapses_at_zero():
 def test_recursion_check_refuses_a_weight_before_any_walk(monkeypatch, lam):
     # the error names lam itself, and no fold table is filled first
     d, g = datum_and_graph("A", 2)
-    monkeypatch.setattr(pth, "fold_table", _walked)
+    monkeypatch.setattr(pth, "fold_tables", _walked)
     with pytest.raises(ValueError, match=re.escape(f"not anti-dominant: {lam}")):
         gf.recursion_check(d, g, wg.identity(d), 1, lam)
 

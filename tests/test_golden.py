@@ -1,7 +1,7 @@
 """Golden CLI outputs: the sha256 of stdout for fixed invocations.
 
 The digests were recorded from the implementation that predates the shared
-fold-walk kernel ``paths.fold_table``, when the path count and
+fold-walk kernel, now ``paths.fold_tables``, when the path count and
 ``genfun.c_function`` still had separate walkers.  They cover both
 specializations and the twisted characters over small weight boxes in
 A2/C2/G2/A3/B3, plus one forward and one reversed path export, so any

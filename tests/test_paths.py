@@ -14,6 +14,7 @@ from alcovepaths import weylgroup as wg
 from alcovepaths import affine as af
 from alcovepaths.affine import AffineCoroot
 from alcovepaths import paths as pth
+from alcovepaths import qbg
 from alcovepaths import genfun as gf
 from conftest import datum_of, graph_of
 
@@ -28,12 +29,12 @@ def _translation_input(family, rank, lam):
 
 def _kernel_terms(d, g, z0, betas):
     """The kernel's terms from z0, read as ``genfun.c_function`` reads them."""
-    return pth.fold_table(d, g, {z0.dir: z0.wt}, betas)[z0.dir]
+    return pth.fold_tables(d, g, {z0.dir: z0.wt}, [betas])[0][z0.dir]
 
 
 def _kernel_count(d, g, z0, betas):
     starts = {z0.dir: (0,) * d.rank}
-    return sum(pth.fold_table(d, g, starts, betas)[z0.dir].values())
+    return sum(pth.fold_tables(d, g, starts, [betas])[0][z0.dir].values())
 
 
 def _walk_terms(d, g, z0, betas):
@@ -52,12 +53,13 @@ def _assert_table_matches_walks(d, g, starts, betas):
     zero = (0,) * d.rank
     starts = dict.fromkeys(starts, zero)
     for gr in (g, g.reversed):
-        table = pth.fold_table(d, gr, starts, betas)
+        table = pth.fold_tables(d, gr, starts, [betas])[0]
         assert set(table) == set(starts)
         for v in starts:
             want = _walk_terms(d, gr, af.ExtAffineElt(zero, v), betas)
             assert table[v] == want, (v, gr is g)
-            assert pth.fold_table(d, gr, {v: zero}, betas)[v] == want, (v, gr is g)
+            (alone,) = pth.fold_tables(d, gr, {v: zero}, [betas])
+            assert alone[v] == want, (v, gr is g)
 
 
 def test_g2_fundamental_counts():
@@ -108,10 +110,10 @@ def test_fold_table_matches_walks_from_each_start(family, rank, lam):
     d, g, t, betas = _translation_input(family, rank, lam)
     zero = (0,) * rank
     for gr in (g, g.reversed):
-        table = pth.fold_table(d, gr, dict.fromkeys(g.vertices, zero), betas)
+        table = pth.fold_tables(d, gr, dict.fromkeys(g.vertices, zero), [betas])[0]
         assert set(table) == set(g.vertices)
         for v, terms in table.items():
-            assert pth.fold_table(d, gr, {v: zero}, betas)[v] == terms
+            assert pth.fold_tables(d, gr, {v: zero}, [betas])[0][v] == terms
             z0 = af.ExtAffineElt(wg.act_weight(v, lam), v)
             want = _walk_terms(d, gr, z0, betas)
             assert _kernel_terms(d, gr, z0, betas) == want, (v, gr is g)
@@ -125,14 +127,14 @@ def test_fold_table_at_the_digit_bound_in_a1(m):
     # the end weights of t_{-m omega} span [-2m, 2m], both ends reached
     d, g, t, betas = _translation_input("A", 1, (-m,))
     _assert_table_matches_walks(d, g, g.vertices, betas)
-    plain = pth.fold_table(d, g, dict.fromkeys(g.vertices, (0,)), betas)
+    plain = pth.fold_tables(d, g, dict.fromkeys(g.vertices, (0,)), [betas])[0]
     weights = {wt for terms in plain.values() for (wt,), _ in terms}
     assert {-2 * m, 2 * m} <= weights
     # a start weight is packed into the keys, and the digit bound grows by
     # its largest coordinate, so one far outside the sweeps' own range gets
     # the weight-zero table shifted
     far, near = g.vertices
-    table = pth.fold_table(d, g, {far: (10 ** 6,), near: (0,)}, betas)
+    table = pth.fold_tables(d, g, {far: (10 ** 6,), near: (0,)}, [betas])[0]
     assert table[far] == {((x + 10 ** 6,), q): c
                           for ((x,), q), c in plain[far].items()}
     assert table[near] == plain[near]
@@ -159,10 +161,10 @@ def test_fold_table_packs_start_weights_at_the_extremes(family, rank, lam):
            tuple(big if j % 2 else -big for j in range(rank))]
     for gr in (g, g.reversed):
         starts = {v: mus[n % len(mus)] for n, v in enumerate(gr.vertices)}
-        table = pth.fold_table(d, gr, starts, betas)
+        table = pth.fold_tables(d, gr, starts, [betas])[0]
         keys, shared = {}, 0
         for v, mu in starts.items():
-            plain = pth.fold_table(d, gr, {v: zero}, betas)[v]
+            plain = pth.fold_tables(d, gr, {v: zero}, [betas])[0][v]
             assert table[v] == {
                 (tuple(x + m for x, m in zip(wt, mu)), q): c
                 for (wt, q), c in plain.items()}, (v, mu)
@@ -212,7 +214,8 @@ def test_fold_table_gives_each_start_its_own_table():
     d, g = datum_of("A", 2), graph_of("A", 2)
     for betas in ((), (af.affine_simple_coroot(d, 0),)):
         for gr in (g, g.reversed):
-            table = pth.fold_table(d, gr, dict.fromkeys(gr.vertices, (0, 0)), betas)
+            starts = dict.fromkeys(gr.vertices, (0, 0))
+            (table,) = pth.fold_tables(d, gr, starts, [betas])
             assert len({id(terms) for terms in table.values()}) == len(table)
             first, *rest = gr.vertices
             table[first].clear()
@@ -248,7 +251,7 @@ def test_fold_tables_match_one_call_per_sequence(family, rank, lam, mixed):
         starts = {v: wg.act_weight(v, weight) for v in g.vertices}
         for gr in (g, g.reversed):
             tables = pth.fold_tables(d, gr, starts, seqs)
-            assert tables == [pth.fold_table(d, gr, starts, b) for b in seqs]
+            assert tables == [pth.fold_tables(d, gr, starts, [b])[0] for b in seqs]
             first, *rest = tables
             shared = 0
             for table in tables:
@@ -273,7 +276,7 @@ def test_fold_tables_take_the_bound_from_every_sequence():
     for seqs in ([short, long], [long, short]):
         for gr in (g, g.reversed):
             tables = pth.fold_tables(d, gr, starts, seqs)
-            assert tables == [pth.fold_table(d, gr, starts, b) for b in seqs]
+            assert tables == [pth.fold_tables(d, gr, starts, [b])[0] for b in seqs]
     weights = {wt for terms in tables[0].values() for (wt,), _ in terms}
     assert {-8, 8} <= weights
     with pytest.raises(ValueError, match="no beta sequence"):
@@ -289,7 +292,7 @@ def test_fold_table_start_weights(family, rank, lam):
     d, g, t, betas = _translation_input(family, rank, lam)
     starts = {v: wg.act_weight(v, lam) for v in g.vertices}
     for gr in (g, g.reversed):
-        table = pth.fold_table(d, gr, starts, betas)
+        table = pth.fold_tables(d, gr, starts, [betas])[0]
         assert set(table) == set(starts)
         for v, mu in starts.items():
             z0 = af.ExtAffineElt(mu, v)
@@ -301,7 +304,7 @@ def test_fold_table_start_weights(family, rank, lam):
     unread = SimpleNamespace(edges=SimpleNamespace(get=read))
     for bad in ({t.dir: (0,) * (rank + 1)}, {**starts, t.dir: (0,) * (rank - 1)}):
         with pytest.raises(ValueError, match="length"):
-            pth.fold_table(d, unread, bad, betas)
+            pth.fold_tables(d, unread, bad, [betas])
 
 
 def test_enumeration_prefix_closed():
@@ -356,8 +359,8 @@ def test_reversed_walk_is_the_w0_image_of_the_forward_walk(family, rank, wts):
         _, word = af.reduced_word_ext(d, af.translation(d, wt))
         betas = af.beta_sequence(d, word)
         starts = {v: wg.act_weight(v, wt) for v in g.vertices}
-        fwd = pth.fold_table(d, g, starts, betas)
-        back = pth.fold_table(d, g.reversed, starts, betas)
+        fwd = pth.fold_tables(d, g, starts, [betas])[0]
+        back = pth.fold_tables(d, g.reversed, starts, [betas])[0]
         for v in g.vertices:
             want = gf.w0_twist(d, gf.LaurentPoly(fwd[wg.multiply(w0, v)]))
             assert gf.LaurentPoly(back[v]) == want, (wt, wg.reduced_word(d, v))
@@ -379,9 +382,9 @@ def test_malformed_betas_rejected():
     g = graph_of("A", 2)
     z0 = af.ext_identity(d)
     with pytest.raises(ValueError, match="zero real part"):
-        pth.fold_table(d, g, {z0.dir: z0.wt}, [AffineCoroot((0, 0), 1)])
+        pth.fold_tables(d, g, {z0.dir: z0.wt}, [[AffineCoroot((0, 0), 1)]])
     with pytest.raises(ValueError, match="not a coroot"):
-        pth.fold_table(d, g, {z0.dir: z0.wt}, [AffineCoroot((2, 0), 1)])
+        pth.fold_tables(d, g, {z0.dir: z0.wt}, [[AffineCoroot((2, 0), 1)]])
 
 
 def test_export_json_records():
@@ -412,17 +415,22 @@ class _Unread:
 
 def test_a_start_that_is_no_vertex_is_refused():
     # the longest element of B2 is no vertex of the A2 graph; the walks
-    # used to read no edge from it and count the empty path alone
+    # used to read no edge from it and count the empty path alone.  The
+    # duck graph offers only what the walks and edge_kind read: datum,
+    # vertices, steps and index
     d, g, t, betas = _translation_input("A", 2, (-1, -1))
     bad = wg.longest_element(datum_of("B", 2))
     good = {v: (0, 0) for v in g.vertices}
     for gr in (g, g.reversed):
-        unread = SimpleNamespace(ids=gr.ids, vertices=gr.vertices, steps=_Unread())
+        unread = SimpleNamespace(datum=gr.datum, vertices=gr.vertices,
+                                 steps=_Unread(), index=gr.index)
         for starts in ({bad: (0, 0)}, {**good, bad: (0, 0)}):
             with pytest.raises(ValueError, match="not a vertex"):
-                pth.fold_table(d, unread, starts, betas)
+                pth.fold_tables(d, unread, starts, [betas])
         with pytest.raises(ValueError, match="not a vertex"):
             next(pth.enumerate_paths(d, unread, af.ExtAffineElt((0, 0), bad), betas))
+        with pytest.raises(ValueError, match="not a vertex"):
+            qbg.edge_kind(unread, bad, d.pos_coroots[0])
     with pytest.raises(ValueError, match="not a vertex"):
         gf.c_function(d, g, af.ExtAffineElt((0, 0), bad), t)
 
@@ -438,7 +446,8 @@ def test_fold_table_reads_starts_equal_to_vertices(family, rank, lam):
     e = wg.identity(d)
     assert e == g.vertices[0] and e is not g.vertices[0]
     for gr in (g, g.reversed):
-        want = pth.fold_table(d, gr, starts, betas)
-        assert pth.fold_table(d, gr, copies, betas) == want
-        assert pth.fold_table(d, gr, {e: (0,) * rank}, betas)[e] == (
-            pth.fold_table(d, gr, {g.vertices[0]: (0,) * rank}, betas)[g.vertices[0]])
+        want = pth.fold_tables(d, gr, starts, [betas])[0]
+        assert pth.fold_tables(d, gr, copies, [betas])[0] == want
+        zero, first = (0,) * rank, g.vertices[0]
+        assert pth.fold_tables(d, gr, {e: zero}, [betas])[0][e] == (
+            pth.fold_tables(d, gr, {first: zero}, [betas])[0][first])

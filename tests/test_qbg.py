@@ -8,8 +8,10 @@ conditions give 8 covering plus 7 quantum = 15, and so does the
 criterion.  The fixture asserts 15.
 """
 
+import ast
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -86,6 +88,7 @@ def test_reversed_graph(family, rank):
         assert v == wg.multiply(w0, w)
         assert v is vertex[v]
     assert rev.reversed.edges == g.edges
+    assert [rev.index(v) for v in rev.vertices] == list(range(len(g.vertices)))
 
 
 def test_reversed_graph_built_once_on_demand():
@@ -301,6 +304,53 @@ def test_step_columns_are_the_edges(family, rank):
         other = wg.longest_element(datum_of("A", 1))
         with pytest.raises(ValueError, match="not a vertex"):
             qbg.edge_kind(gr, other, d.pos_coroots[0])
+
+
+@pytest.mark.parametrize("family,rank,other", [("B", 3, "C3"), ("A", 3, "G2")])
+def test_an_element_of_another_datum_is_refused(family, rank, other):
+    # elements compare by their coroot permutations alone, and some of
+    # C3's (w0 among them) and G2's identity have the permutation of a
+    # vertex of B3 or A3; index refuses them, and so does every walk
+    d, g = datum_of(family, rank), graph_of(family, rank)
+    od = datum_of(other[0], int(other[1]))
+    equal = [w for w in wg.enumerate_group(od) if w in g.ids]
+    assert equal and (other != "C3" or wg.longest_element(od) in equal)
+    lam = (-1,) + (0,) * (rank - 1)
+    t = af.translation(d, lam)
+    betas = af.beta_sequence(d, af.reduced_word_ext(d, t)[1])
+    for w in equal:
+        for gr in (g, g.reversed):
+            with pytest.raises(ValueError, match="not a vertex"):
+                gr.index(w)
+            with pytest.raises(ValueError, match="not a vertex"):
+                qbg.edge_kind(gr, w, d.pos_coroots[0])
+            with pytest.raises(ValueError, match="not a vertex"):
+                pth.fold_tables(d, gr, {w: lam}, [betas])
+            with pytest.raises(ValueError, match="not a vertex"):
+                next(pth.enumerate_paths(d, gr, af.ExtAffineElt(lam, w), betas))
+        # G2's twist acts on no weight of rank 3, and is refused for that first
+        with pytest.raises(ValueError, match="not a vertex|lengths differ"):
+            mac.weyl_dimension(d, g, w, lam)
+    # an element of an equal datum built apart is a vertex
+    again = build_datum(family, rank)
+    assert g.index(wg.longest_element(again)) == g.index(wg.longest_element(d))
+
+
+def test_only_index_reads_the_vertex_numbers():
+    # the walks and edge_kind read a graph through datum, vertices, steps
+    # and index, so a graph that numbers its vertices another way needs
+    # only index: nothing in the package but index reads graph.ids
+    reads = []
+    for path in sorted(Path(qbg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        funcs = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "ids":
+                around = [f for f in funcs
+                          if f.lineno <= node.lineno <= f.end_lineno]
+                inner = max(around, key=lambda f: f.lineno, default=None)
+                reads.append((path.name, inner and inner.name))
+    assert reads == [("qbg.py", "index")]
 
 
 def test_walks_and_exports_build_no_edges_view():
