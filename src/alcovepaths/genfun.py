@@ -178,9 +178,11 @@ def recursion_check(
     dict wherever the two agree; when mu is cached, the call walks only
     the joined sequence and keeps the cached dict wherever they agree.
     So a passing check stores its terms once.  The returned sides share
-    no dict with the cache.
+    no dict with the cache.  ``u`` must be a vertex of ``graph``
+    (``graph.index``), and is refused before the cache is read.
     """
     datum.check_antidominant(lam)
+    graph.index(u)  # refuses a non-vertex before the cache is read
     if cache is None:
         cache = {}
     lam, mu = tuple(lam), sub(lam, datum.fundamental_weight(i))

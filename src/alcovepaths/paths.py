@@ -54,9 +54,9 @@ def _positions(datum: RootDatum, betas) -> list:
     for b in betas:
         if not any(b.re):
             raise ValueError(f"beta with zero real part: {b!r}")
-        if not datum.is_coroot(b.re):
+        k = datum.coroot_index.get(tuple(b.re))
+        if k is None:
             raise ValueError(f"beta real part is not a coroot: {b!r}")
-        k = datum.coroot_index[b.re]
         out.append((k % n, k, b.deg))
     return out
 

@@ -7,25 +7,31 @@ one and quantum when it drops by ``<2 rho, gamma> - 1``.  The graph is
 built from one rule that needs no lengths, the obstruction criterion: the
 kind is the sign of ``w(gamma)``, and existence is read off ``w``'s
 inversion mask, one bit per positive coroot, against a fixed mask per
-label.  An edge's end ``w s_gamma`` is looked up by its images of the
-simple coroots, which fix a Weyl group element.  That criterion is the
-one edge rule in the package; the tests check it against the length
-definition, and ``identities.lenart`` against Lenart's one-line rules in
-types A and C.
+label.  That criterion is the one edge rule in the package; the tests
+check it against the length definition, and ``identities.lenart`` against
+Lenart's one-line rules in types A and C.
 
 The graph is stored as one column per positive coroot, indexed by vertex
 number: ``steps[k][i]`` is ``(j, quantum)`` for the edge from
 ``vertices[i]`` labelled ``pos_coroots[k]`` to ``vertices[j]``, or None.
 Walks run on these integers and hash no Weyl group element; ``edges`` is
-a dict view of the same edges, built on first use.
+a dict view of the same edges, built on first use.  A Weyl group element
+is fixed by its images of the simple coroots, and ``ids``, the graph's one
+vertex table, keys each vertex number by them: ``build`` finds each edge's
+end ``w s_gamma`` there, ``index`` any element equal to a vertex, and
+``reversed`` each ``w0 vertices[i]``.
 
 >>> from alcovepaths.lattice import build_datum
 >>> from alcovepaths import weylgroup as wg
 >>> d = build_datum("A", 2)
->>> quantum = [e[1] for col in build(d).steps for e in col if e]
+>>> g = build(d)
+>>> quantum = [e[1] for col in g.steps for e in col if e]
 >>> quantum.count(False), quantum.count(True)
 (8, 7)
->>> criterion_edge(d, wg.longest_element(d), (1, 1))
+>>> e, w0 = wg.identity(d), wg.longest_element(d)
+>>> g.index(e), g.index(w0), g.reversed.index(e) == g.index(w0)
+(0, 5, True)
+>>> criterion_edge(d, w0, (1, 1))
 True
 """
 
@@ -58,16 +64,20 @@ class QuantumBruhatGraph:
 
     @cached_property
     def ids(self) -> dict:
-        """Each vertex's position in ``vertices``; read it through ``index``."""
-        return {w: i for i, w in enumerate(self.vertices)}
+        """Each vertex's position in ``vertices``, keyed by its images of the
+        simple coroots (``perm`` at ``datum.simple_index``), which fix a
+        Weyl group element; built once per graph, and read by ``build``,
+        ``index`` and ``reversed``."""
+        return {_images(w): i for i, w in enumerate(self.vertices)}
 
     def index(self, w: WeylElt) -> int:
         """The vertex number of ``w``, which must equal a vertex (not
-        necessarily be the same object).  An element that is not a vertex is
-        refused, and so is one of another root datum: elements compare by
-        their coroot permutations alone."""
+        necessarily be the same object), found by its images of the simple
+        coroots.  An element of another root datum is refused first:
+        elements compare by their coroot permutations alone, and its images
+        could name a vertex."""
         d = w.datum
-        i = self.ids.get(w) if d is self.datum or d == self.datum else None
+        i = self.ids.get(_images(w)) if d is self.datum or d == self.datum else None
         if i is None:
             raise ValueError(f"element is not a vertex of the graph: {w!r}")
         return i
@@ -86,31 +96,29 @@ class QuantumBruhatGraph:
         edge ``w -> w s_gamma`` becomes ``w s_gamma -> w`` of the same kind.
         As ``w -> w s_gamma`` is an edge iff ``w0 w s_gamma -> w0 w`` is, of
         the same kind (``identities.w0_inversion``), that is these ``steps``
-        with vertex ``i`` renamed ``w0 vertices[i]``, found by its images of
-        the simple coroots as in ``build``: no element or column is made."""
+        with vertex ``i`` renamed ``w0 vertices[i]``, found in ``ids`` by
+        its images of the simple coroots: no element or column is made."""
         simple, w0 = self.datum.simple_index, wg.longest_element(self.datum).perm
-        by_images = {tuple(map(w.perm.__getitem__, simple)): w for w in self.vertices}
-        relabelled = tuple(by_images[tuple(w0[w.perm[k]] for k in simple)]
-                           for w in self.vertices)
+        vs, ids = self.vertices, self.ids
+        relabelled = tuple(vs[ids[tuple(w0[w.perm[k]] for k in simple)]] for w in vs)
         return QuantumBruhatGraph(self.datum, relabelled, self.steps)
 
 
 def build(datum: RootDatum) -> QuantumBruhatGraph:
     vertices = tuple(wg.enumerate_group(datum))
-    # an element is fixed by its images of the simple coroots: an edge's
-    # end is looked up by them, and its (Bruhat, quantum) records are
-    # shared by every edge into it
-    records = {tuple(map(w.perm.__getitem__, datum.simple_index)):
-               ((j, False), (j, True)) for j, w in enumerate(vertices)}
     labels = _edge_labels(datum)
-    steps = [[None] * len(vertices) for _ in labels]
+    graph = QuantumBruhatGraph(datum, vertices,
+                               tuple([None] * len(vertices) for _ in labels))
+    # an edge's end is found in ids by its images of the simple coroots,
+    # and its (Bruhat, quantum) records are shared by every edge into it
+    ids, records = graph.ids, [((j, False), (j, True)) for j in range(len(vertices))]
     for i, w in enumerate(vertices):
         at, mask = w.perm.__getitem__, _inversions(w)
-        for col, label in zip(steps, labels):
+        for col, label in zip(graph.steps, labels):
             kind = _edge_rule(mask, label)
             if kind:
-                col[i] = records[tuple(map(at, label[4]))][kind is QUANTUM]
-    return QuantumBruhatGraph(datum, vertices, tuple(steps))
+                col[i] = records[ids[tuple(map(at, label[4]))]][kind is QUANTUM]
+    return graph
 
 
 def edge_kind(graph: QuantumBruhatGraph, w: WeylElt, gamma):
@@ -184,6 +192,11 @@ def _inversions(w: WeylElt) -> int:
     """Bit k is set when w sends the positive coroot of index k negative."""
     n = len(w.datum.pos_coroots)
     return sum(1 << k for k, j in enumerate(w.perm[:n]) if j >= n)
+
+
+def _images(w: WeylElt) -> tuple:
+    """The indices of w's images of the simple coroots, the key of ``ids``."""
+    return tuple(map(w.perm.__getitem__, w.datum.simple_index))
 
 
 def criterion_edge(datum: RootDatum, sigma: WeylElt, gamma) -> bool:

@@ -50,19 +50,12 @@ class GroupSizeCapExceeded(RuntimeError):
 @dataclass(frozen=True, slots=True)
 class WeylElt:
     """A Weyl group element; ``perm[k]`` is the index of ``w(datum.coroots[k])``.
-
-    ``hash(perm)`` is computed once, at construction, because walks probe
-    dicts keyed by elements far more often than they build elements.
-    """
+    It compares and hashes as ``perm`` does."""
     perm: tuple
     datum: RootDatum = field(compare=False, repr=False)
-    _hash: int = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(self.perm))
 
     def __hash__(self):
-        return self._hash
+        return hash(self.perm)
 
 
 def identity(datum: RootDatum) -> WeylElt:
@@ -86,8 +79,10 @@ def inverse(a: WeylElt) -> WeylElt:
 
 def act_weight(a: WeylElt, w):
     """a(w): coordinate j is <a^{-1}(alpha_j^vee), w>, and a^{-1}(alpha_j^vee)
-    is the coroot that a sends to alpha_j^vee."""
+    is the coroot that a sends to alpha_j^vee.  A weight of another rank is
+    refused."""
     d = a.datum
+    d.check_rank(w)
     source = a.perm.index
     return tuple(
         sum(map(operator.mul, d.coroots[source(k)], w)) for k in d.simple_index

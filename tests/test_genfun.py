@@ -368,6 +368,18 @@ def test_recursion_check_refuses_a_weight_before_any_walk(monkeypatch, lam):
         gf.recursion_check(d, g, wg.identity(d), 1, lam)
 
 
+def test_c_function_refuses_a_translation_of_another_rank():
+    # with an explicit word, w's weight is read only to find the start
+    d, g = datum_and_graph("A", 2)
+    e = wg.identity(d)
+    t = af.translation(d, (-1, 0))
+    word = af.reduced_word_ext(d, t)[1]
+    u = ExtAffineElt((0, 0), e)
+    assert gf.c_function(d, g, u, ExtAffineElt((-1, 0), e), word=word)
+    with pytest.raises(ValueError, match="length-2"):
+        gf.c_function(d, g, u, ExtAffineElt((-1,), e), word=word)
+
+
 def test_typed_paths_structure():
     d = datum_of("A", 2)
     g = graph_of("A", 2)

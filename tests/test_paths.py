@@ -387,6 +387,16 @@ def test_malformed_betas_rejected():
         pth.fold_tables(d, g, {z0.dir: z0.wt}, [[AffineCoroot((2, 0), 1)]])
 
 
+def test_a_beta_with_a_list_real_part_is_read_as_its_tuple():
+    # the coroot lookup converts the real part once, for the check and the
+    # index alike, so a list is the coroot it lists
+    d, g, t, betas = _translation_input("A", 2, (-1, -1))
+    e = wg.identity(d)
+    listed = [AffineCoroot(list(b.re), b.deg) for b in betas]
+    assert pth.fold_tables(d, g, {e: (0, 0)}, [listed]) == (
+        pth.fold_tables(d, g, {e: (0, 0)}, [betas]))
+
+
 def test_export_json_records():
     d, g, t, betas = _translation_input("A", 1, (-1,))
     out = json.loads(pth.export_json(d, pth.enumerate_paths(d, g, t, betas)))

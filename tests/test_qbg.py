@@ -20,6 +20,7 @@ from alcovepaths import weylgroup as wg
 from alcovepaths import affine as af
 from alcovepaths import qbg
 from alcovepaths import paths as pth
+from alcovepaths import genfun as gf
 from alcovepaths import identities as ids
 from alcovepaths import macdonald as mac
 from conftest import (TYPES_UP_TO_RANK_8, datum_of, graph_of, length_rule_edges,
@@ -299,7 +300,9 @@ def test_step_columns_are_the_edges(family, rank):
                     assert (w, gamma) not in gr.edges
         assert found == len(gr.edges)
         assert gr.reversed.reversed.steps == gr.steps
-        assert gr.ids == {w: i for i, w in enumerate(vs)}
+        # ids keys each vertex number by the vertex's simple coroot images
+        assert gr.ids == {tuple(w.perm[k] for k in d.simple_index): i
+                          for i, w in enumerate(vs)}
         # an element of another group is no vertex, and is refused
         other = wg.longest_element(datum_of("A", 1))
         with pytest.raises(ValueError, match="not a vertex"):
@@ -310,10 +313,11 @@ def test_step_columns_are_the_edges(family, rank):
 def test_an_element_of_another_datum_is_refused(family, rank, other):
     # elements compare by their coroot permutations alone, and some of
     # C3's (w0 among them) and G2's identity have the permutation of a
-    # vertex of B3 or A3; index refuses them, and so does every walk
+    # vertex of B3 or A3; index refuses them, and so does every walk and
+    # the recursion check, before it reads its cache
     d, g = datum_of(family, rank), graph_of(family, rank)
     od = datum_of(other[0], int(other[1]))
-    equal = [w for w in wg.enumerate_group(od) if w in g.ids]
+    equal = [w for w in wg.enumerate_group(od) if w in set(g.vertices)]
     assert equal and (other != "C3" or wg.longest_element(od) in equal)
     lam = (-1,) + (0,) * (rank - 1)
     t = af.translation(d, lam)
@@ -328,9 +332,14 @@ def test_an_element_of_another_datum_is_refused(family, rank, other):
                 pth.fold_tables(d, gr, {w: lam}, [betas])
             with pytest.raises(ValueError, match="not a vertex"):
                 next(pth.enumerate_paths(d, gr, af.ExtAffineElt(lam, w), betas))
+            with pytest.raises(ValueError, match="not a vertex"):
+                gf.recursion_check(d, gr, w, 1, lam)
         # G2's twist acts on no weight of rank 3, and is refused for that first
-        with pytest.raises(ValueError, match="not a vertex|lengths differ"):
+        with pytest.raises(ValueError, match="not a vertex|length-2 vector"):
             mac.weyl_dimension(d, g, w, lam)
+    # an element of a group of another rank is refused too, not looked up
+    with pytest.raises(ValueError, match="not a vertex"):
+        gf.recursion_check(d, g, wg.longest_element(datum_of("A", 1)), 1, lam)
     # an element of an equal datum built apart is a vertex
     again = build_datum(family, rank)
     assert g.index(wg.longest_element(again)) == g.index(wg.longest_element(d))
@@ -339,7 +348,8 @@ def test_an_element_of_another_datum_is_refused(family, rank, other):
 def test_only_index_reads_the_vertex_numbers():
     # the walks and edge_kind read a graph through datum, vertices, steps
     # and index, so a graph that numbers its vertices another way needs
-    # only index: nothing in the package but index reads graph.ids
+    # only index: nothing in the package reads graph.ids but build, which
+    # finds each edge's end in it, index and reversed
     reads = []
     for path in sorted(Path(qbg.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -350,7 +360,8 @@ def test_only_index_reads_the_vertex_numbers():
                           if f.lineno <= node.lineno <= f.end_lineno]
                 inner = max(around, key=lambda f: f.lineno, default=None)
                 reads.append((path.name, inner and inner.name))
-    assert reads == [("qbg.py", "index")]
+    assert sorted(reads) == [("qbg.py", "build"), ("qbg.py", "index"),
+                             ("qbg.py", "reversed")]
 
 
 def test_walks_and_exports_build_no_edges_view():

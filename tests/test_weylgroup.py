@@ -91,6 +91,16 @@ def test_inverse_and_actions(family, rank):
             assert d.pair(wg.act_coroot(w, g), wg.act_weight(w, mu)) == d.pair(g, mu)
 
 
+def test_act_weight_refuses_a_weight_of_another_rank():
+    # zip would pair the coroots with a short or long weight's first entries
+    d = datum_of("A", 2)
+    w0 = wg.longest_element(d)
+    assert wg.act_weight(w0, (1, 0)) == (0, -1)
+    for wt in ((1,), (1, 0, 5)):
+        with pytest.raises(ValueError, match="length-2"):
+            wg.act_weight(w0, wt)
+
+
 @pytest.mark.parametrize("family,rank", [("A", 2), ("C", 2), ("G", 2)])
 def test_reflection_of(family, rank):
     d = datum_of(family, rank)
@@ -211,9 +221,11 @@ def test_actions_match_cartan_formulas(family, rank):
 @pytest.mark.parametrize("family,rank", [("A", 2), ("B", 3), ("G", 2)])
 def test_equal_elements_hash_equal_and_find_each_other(family, rank):
     # elements built by four routes are separate objects with one perm;
-    # they must be ==, hash alike, and find each other as graph.edges keys
+    # they must be ==, hash alike, find each other as graph.edges keys, and
+    # get v's number from index and w0 v's from the reversed graph's
     d, g = datum_of(family, rank), graph_of(family, rank)
-    for v in g.vertices:
+    w0 = wg.longest_element(d)
+    for n, v in enumerate(g.vertices):
         word = wg.reduced_word(d, v)
         built = [
             wg.from_word(d, word),
@@ -228,6 +240,8 @@ def test_equal_elements_hash_equal_and_find_each_other(family, rank):
             assert w is not v
             assert w == v and hash(w) == hash(v) == hash(v.perm)
             assert {gamma: g.edges[w, gamma] for gamma in out} == out
+            assert g.index(w) == n
+            assert g.reversed.index(w) == g.index(wg.multiply(w0, w))
 
 
 def test_cached_hash_is_not_compared_or_shown():
@@ -237,7 +251,3 @@ def test_cached_hash_is_not_compared_or_shown():
     assert [name for name, f in fields.items() if f.compare] == ["perm"]
     assert [name for name, f in fields.items() if f.repr] == ["perm"]
     assert repr(w) == f"WeylElt(perm={w.perm!r})"
-    # equality reads only perm: a wrong cached hash does not make it unequal
-    twin = wg.from_word(d, (1, 2))
-    object.__setattr__(twin, "_hash", hash(w.perm) + 1)
-    assert twin == w
