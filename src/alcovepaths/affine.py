@@ -128,13 +128,12 @@ def affine_simple_reflection(datum: RootDatum, i: int) -> ExtAffineElt:
 
 
 def length_ext(datum: RootDatum, a: ExtAffineElt) -> int:
-    """Closed length formula for ``t_mu v``."""
-    v_inv = wg.inverse(a.dir)
-    total = 0
-    for g in datum.pos_coroots:
-        chi = int(not datum.is_pos_coroot(wg.act_coroot(v_inv, g)))
-        total += abs(datum.pair(g, a.wt) - chi)
-    return total
+    """Closed length formula for ``t_mu v``: the sum over the positive
+    coroots ``c`` of ``|<v(c), mu> + [v(c) < 0]|``, with ``v(c)`` the coroot
+    at ``perm[c]``, negative when that index is at least ``N``."""
+    datum.check_rank(a.wt)
+    n, coroots, mu = len(datum.pos_coroots), datum.coroots, a.wt
+    return sum(abs(dot(coroots[j], mu) + (j >= n)) for j in a.dir.perm[:n])
 
 
 def _simple_steps(datum: RootDatum) -> tuple:

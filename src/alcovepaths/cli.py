@@ -6,7 +6,9 @@ specializations, characters and dimensions, and ``verify``, which runs the
 checkers of ``alcovepaths.identities`` on the small-rank cases listed in
 ``identities.SUITES``.  Each subcommand accepts only the ``--format``
 values it prints (``dims`` has none).  All output is deterministic for a
-fixed invocation.
+fixed invocation.  ``qbg`` and ``paths`` hand their one exporter
+``sys.stdout`` as it is at the call, so a redirect is followed, and it
+writes each vertex, edge or path record as it is made.
 
 Exit codes: 0 success, 2 argument/parse error, 3 a size cap exceeded
 (the group order, or the translation length of ``char``, ``dims`` and
@@ -122,15 +124,9 @@ def _print_poly(poly, fmt: str) -> None:
 
 def cmd_qbg(args) -> int:
     graph = qbg.build(_parse_type(args.type))
-    if args.format == "dot":
-        print(qbg.export_dot(graph), end="")
-    elif args.format == "json":
-        print(qbg.export_json(graph))
-    else:
-        quantum = [e[1] for col in graph.steps for e in col if e]
-        print(f"vertices: {len(graph.vertices)}")
-        print(f"bruhat edges: {quantum.count(False)}")
-        print(f"quantum edges: {quantum.count(True)}")
+    # looked up on the module at each call, so a wrapper put there (as
+    # perfbench's tracer does) is the one called
+    getattr(qbg, f"export_{args.format}")(graph, sys.stdout)
     return EXIT_OK
 
 
@@ -166,22 +162,8 @@ def cmd_paths(args) -> int:
     graph = qbg.build(datum)
     if args.reversed:
         graph = graph.reversed
-    stream = pth.enumerate_paths(datum, graph, z0, betas)
-    if args.format == "json":
-        print(pth.export_json(datum, stream))
-    elif args.format == "csv":
-        print(pth.export_csv(datum, stream), end="")
-    else:
-        total = 0
-        for p in stream:
-            rec = pth.path_record(datum, p)
-            print(
-                f"J={rec['folds']} J-={rec['quantum_folds']} "
-                f"wt={rec['end_weight']} dir={rec['end_dir']} "
-                f"qdeg={rec['qwt_degree']}"
-            )
-            total += 1
-        print(f"total: {total}")
+    paths = pth.enumerate_paths(datum, graph, z0, betas)
+    pth.export(datum, paths, args.format, sys.stdout)
     return EXIT_OK
 
 

@@ -7,13 +7,13 @@ running element by the reflection in the *original* coroot ``beta_j``;
 positions that are skipped leave the element unchanged.  A fold set is
 admissible when each folded step projects to an edge of the quantum
 Bruhat graph, and the fold is quantum exactly when that edge is.
+Both walks take the datum and the graph apart and refuse a graph of
+another root datum.  ``export`` writes each path's record as the walk
+yields it, as a table, JSON or CSV.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass
 
 from .lattice import RootDatum, dot
@@ -24,8 +24,7 @@ from .qbg import QuantumBruhatGraph
 
 __all__ = [
     "AlcovePath", "enumerate_paths", "fold_tables",
-    "end_weight", "end_dir", "qwt_degree", "path_record", "export_json",
-    "export_csv",
+    "end_weight", "end_dir", "qwt_degree", "path_record", "export",
 ]
 
 
@@ -61,6 +60,15 @@ def _positions(datum: RootDatum, betas) -> list:
     return out
 
 
+def _check_graph(datum: RootDatum, graph: QuantumBruhatGraph) -> None:
+    """Refuse a graph of another root datum: a walk reads coroot indices
+    and root weights from ``datum`` and columns from ``graph``, and would
+    mix the two."""
+    if graph.datum is not datum and graph.datum != datum:
+        raise ValueError(f"graph of another root datum: {graph.datum.family}"
+                         f"{graph.datum.rank}, not {datum.family}{datum.rank}")
+
+
 def enumerate_paths(
     datum: RootDatum, graph: QuantumBruhatGraph, z0: ExtAffineElt, betas
 ):
@@ -70,11 +78,13 @@ def enumerate_paths(
     when the step dir(z) -> dir(z) s_{|Re beta_p|} is an edge of ``graph``
     (``graph.reversed``, the columns relabelled by ``w0``, turns edges
     around); the subtree is pruned otherwise.  Edges are read off
-    ``graph.steps`` by vertex number; a start that is no vertex is refused.
-    The empty fold set is always admissible and comes first.
+    ``graph.steps`` by vertex number; a graph of another root datum and a
+    start that is no vertex are refused.  The empty fold set is always
+    admissible and comes first.
     """
     betas = tuple(betas)
     positions = _positions(datum, betas)
+    _check_graph(datum, graph)
     vertices, v0 = graph.vertices, graph.index(z0.dir)
     cols = [(graph.steps[g], k, deg) for g, k, deg in positions]
 
@@ -142,8 +152,9 @@ def fold_tables(
     """One ``{v: {(end weight, q-degree): count}}`` per beta sequence in
     ``sequences``, each for the paths from t_mu v over that sequence.
 
-    ``starts`` is a mapping ``{v: mu}`` shared by every sequence, and every
-    v must be a vertex of ``graph`` (``graph.index``); a single sequence
+    ``starts`` is a mapping ``{v: mu}`` shared by every sequence, ``graph``
+    must be of ``datum``, and every v a vertex of it (``graph.index``),
+    all checked before any column is read; a single sequence
     is ``[betas]``, and an empty list of sequences is refused.  Each
     sequence is swept on its own (see ``_sweep``), and only the first
     one's packed start tables are kept past its decode.
@@ -163,6 +174,7 @@ def fold_tables(
         raise ValueError("no beta sequence to walk")
     for mu in starts.values():  # refused before any sweep
         datum.check_rank(mu)
+    _check_graph(datum, graph)
     at = list(map(graph.index, starts))
     # root_weights holds each root weight and its negative
     top = max(map(max, datum.root_weights))
@@ -216,7 +228,8 @@ def qwt_degree(p: AlcovePath) -> int:
 
 
 def path_record(datum: RootDatum, p: AlcovePath) -> dict:
-    """Flat export record for one path."""
+    """Flat export record for one path; each format of ``export`` writes
+    its fields in this order."""
     return {
         "folds": list(p.folds),
         "quantum_folds": list(p.quantum_folds),
@@ -226,19 +239,44 @@ def path_record(datum: RootDatum, p: AlcovePath) -> dict:
     }
 
 
-def export_json(datum: RootDatum, paths) -> str:
-    return json.dumps([path_record(datum, p) for p in paths], indent=1)
+def _table(records):
+    total = 0
+    for total, r in enumerate(records, 1):
+        yield "J={} J-={} wt={} dir={} qdeg={}\n".format(*r.values())
+    yield f"total: {total}\n"
 
 
-def export_csv(datum: RootDatum, paths) -> str:
-    buf = io.StringIO()
-    fields = ["folds", "quantum_folds", "end_weight", "end_dir", "qwt_degree"]
-    writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
-    writer.writeheader()
-    for p in paths:
-        rec = path_record(datum, p)
-        rec["folds"] = " ".join(map(str, rec["folds"]))
-        rec["quantum_folds"] = " ".join(map(str, rec["quantum_folds"]))
-        rec["end_weight"] = " ".join(map(str, rec["end_weight"]))
-        writer.writerow(rec)
-    return buf.getvalue()
+def _json_list(xs) -> str:
+    return "[\n   " + ",\n   ".join(map(str, xs)) + "\n  ]" if xs else "[]"
+
+
+def _json(records):
+    sep = "[\n"
+    for *lists, name, qdeg in map(dict.values, records):
+        yield sep + _JSON_RECORD.format(*map(_json_list, lists), name, qdeg)
+        sep = ",\n"
+    yield "[]\n" if sep == "[\n" else "\n]\n"
+
+
+def _csv(records):
+    yield "folds,quantum_folds,end_weight,end_dir,qwt_degree\n"
+    for *lists, name, qdeg in map(dict.values, records):
+        name = f'"{name}"' if "," in name else name
+        yield ",".join([*(" ".join(map(str, x)) for x in lists), name, f"{qdeg}\n"])
+
+
+_JSON_RECORD = (' {{\n  "folds": {},\n  "quantum_folds": {},\n  "end_weight": {},\n'
+                '  "end_dir": "{}",\n  "qwt_degree": {}\n }}')
+_FORMATS = {"table": _table, "json": _json, "csv": _csv}
+
+
+def export(datum: RootDatum, paths, fmt: str, out) -> None:
+    """Write each path's ``path_record`` to the text stream ``out`` as
+    ``paths`` yields it, before the next path is drawn, so no record is
+    kept.  ``fmt`` is ``"table"``, one line per path and then the total;
+    ``"json"``, the bytes of ``json.dumps(records, indent=1)`` and a
+    newline; or ``"csv"``, a header and one row per path, each list
+    space-separated and a name with a comma quoted, as ``csv``'s minimal
+    quoting does.  JSON and CSV are written from fixed templates: the
+    stdlib JSON encoder is pure Python once ``indent`` is set."""
+    out.writelines(_FORMATS[fmt](path_record(datum, p) for p in paths))

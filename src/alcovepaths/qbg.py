@@ -19,7 +19,13 @@ a dict view of the same edges, built on first use.  A Weyl group element
 is fixed by its images of the simple coroots, and ``ids``, the graph's one
 vertex table, keys each vertex number by them: ``build`` finds each edge's
 end ``w s_gamma`` there, ``index`` any element equal to a vertex, and
-``reversed`` each ``w0 vertices[i]``.
+``reversed`` each ``w0 vertices[i]``; the key is one ``itemgetter`` per
+datum (``_images``).
+
+The exports ``export_table``, ``export_json`` and ``export_dot`` write to
+a text stream they are given.  Each vertex line and each edge record is
+written as it is made, vertices in name order and each vertex's edges by
+label, so no document or sorted edge list is held whole.
 
 >>> from alcovepaths.lattice import build_datum
 >>> from alcovepaths import weylgroup as wg
@@ -39,6 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 from .lattice import RootDatum
 from . import weylgroup as wg
@@ -46,7 +53,7 @@ from .weylgroup import WeylElt
 
 __all__ = [
     "QuantumBruhatGraph", "build", "edge_kind", "criterion_edge",
-    "word_name", "export_dot", "export_json",
+    "word_name", "export_table", "export_json", "export_dot",
 ]
 
 BRUHAT = "bruhat"
@@ -65,10 +72,11 @@ class QuantumBruhatGraph:
     @cached_property
     def ids(self) -> dict:
         """Each vertex's position in ``vertices``, keyed by its images of the
-        simple coroots (``perm`` at ``datum.simple_index``), which fix a
-        Weyl group element; built once per graph, and read by ``build``,
-        ``index`` and ``reversed``."""
-        return {_images(w): i for i, w in enumerate(self.vertices)}
+        simple coroots (``_images``: ``perm`` at ``datum.simple_index``),
+        which fix a Weyl group element; built once per graph, and read by
+        ``build``, ``index`` and ``reversed``."""
+        key = _images(self.datum)
+        return {key(w.perm): i for i, w in enumerate(self.vertices)}
 
     def index(self, w: WeylElt) -> int:
         """The vertex number of ``w``, which must equal a vertex (not
@@ -76,8 +84,8 @@ class QuantumBruhatGraph:
         coroots.  An element of another root datum is refused first:
         elements compare by their coroot permutations alone, and its images
         could name a vertex."""
-        d = w.datum
-        i = self.ids.get(_images(w)) if d is self.datum or d == self.datum else None
+        d = self.datum
+        i = self.ids.get(_images(d)(w.perm)) if w.datum is d or w.datum == d else None
         if i is None:
             raise ValueError(f"element is not a vertex of the graph: {w!r}")
         return i
@@ -88,7 +96,7 @@ class QuantumBruhatGraph:
         first use; the walks and exports read ``steps``."""
         vs = self.vertices
         records = [((BRUHAT, w), (QUANTUM, w)) for w in vs]
-        return {(vs[i], g): records[j][q] for i, g, q, j in _edges(self)}
+        return {(vs[i], g): records[j][q] for i, g, q, j in _edges(self, range(len(vs)))}
 
     @cached_property
     def reversed(self) -> "QuantumBruhatGraph":
@@ -98,9 +106,10 @@ class QuantumBruhatGraph:
         the same kind (``identities.w0_inversion``), that is these ``steps``
         with vertex ``i`` renamed ``w0 vertices[i]``, found in ``ids`` by
         its images of the simple coroots: no element or column is made."""
-        simple, w0 = self.datum.simple_index, wg.longest_element(self.datum).perm
+        key, w0 = _images(self.datum), wg.longest_element(self.datum).perm
         vs, ids = self.vertices, self.ids
-        relabelled = tuple(vs[ids[tuple(w0[w.perm[k]] for k in simple)]] for w in vs)
+        # the permutation of w0 w is w0's read at w.perm
+        relabelled = tuple(vs[ids[key(itemgetter(*w.perm)(w0))]] for w in vs)
         return QuantumBruhatGraph(self.datum, relabelled, self.steps)
 
 
@@ -113,11 +122,11 @@ def build(datum: RootDatum) -> QuantumBruhatGraph:
     # and its (Bruhat, quantum) records are shared by every edge into it
     ids, records = graph.ids, [((j, False), (j, True)) for j in range(len(vertices))]
     for i, w in enumerate(vertices):
-        at, mask = w.perm.__getitem__, _inversions(w)
+        perm, mask = w.perm, _inversions(w)
         for col, label in zip(graph.steps, labels):
             kind = _edge_rule(mask, label)
             if kind:
-                col[i] = records[ids[tuple(map(at, label[4]))]][kind is QUANTUM]
+                col[i] = records[ids[label[4](perm)]][kind is QUANTUM]
     return graph
 
 
@@ -159,8 +168,9 @@ def _edge_labels(datum: RootDatum) -> tuple:
     Brenti–Fomin–Postnikov condition ``l(s_gamma) = <2 rho, gamma> - 1``
     read off the root datum; ``test_qbg.test_exclusion_rule_is_the_bfp_condition``
     checks the two agree on every positive coroot through E8.  ``ends``
-    holds ``s`` at the simple coroots, so ``w s_gamma`` sends them to
-    ``w.perm`` at ``ends``.  Built once per datum.
+    reads a permutation at ``s`` of the simple coroots, so ``ends(w.perm)``
+    is the key of ``w s_gamma`` in ``ids``, in ``_images``'s form.  Built
+    once per datum.
     """
     def build():
         n, labels = len(datum.pos_coroots), []
@@ -169,7 +179,7 @@ def _edge_labels(datum: RootDatum) -> tuple:
             paired = [a for a in range(n) if s[a] >= n and a != k]
             excluded = any(c > r for c, r in zip(gamma, datum.roots[k]))
             labels.append((1 << k, sum(1 << a for a in paired), len(paired) // 2,
-                           excluded, tuple(s[j] for j in datum.simple_index)))
+                           excluded, itemgetter(*(s[j] for j in datum.simple_index))))
         return tuple(labels)
     return datum.memoized("edge_labels", build)
 
@@ -194,9 +204,12 @@ def _inversions(w: WeylElt) -> int:
     return sum(1 << k for k, j in enumerate(w.perm[:n]) if j >= n)
 
 
-def _images(w: WeylElt) -> tuple:
-    """The indices of w's images of the simple coroots, the key of ``ids``."""
-    return tuple(map(w.perm.__getitem__, w.datum.simple_index))
+def _images(datum: RootDatum) -> itemgetter:
+    """The key of ``ids``: a getter of a permutation at
+    ``datum.simple_index``, so of the indices of an element's images of the
+    simple coroots.  One per datum; at rank 1 it gives a bare index, and
+    every key takes that form."""
+    return datum.memoized("images", lambda: itemgetter(*datum.simple_index))
 
 
 def criterion_edge(datum: RootDatum, sigma: WeylElt, gamma) -> bool:
@@ -217,25 +230,52 @@ def word_name(word) -> str:
     return ",".join(map(str, word)) or "e"
 
 
-def _names(graph: QuantumBruhatGraph) -> dict:
-    """Each vertex's name, its word in ``weylgroup.smallest_words``."""
-    return {w: word_name(x) for w, x in wg.smallest_words(graph.datum).items()}
+def _by_name(graph: QuantumBruhatGraph):
+    """Each vertex's name, its word in ``weylgroup.smallest_words``, by
+    vertex number, and the vertex numbers sorted by name."""
+    words = wg.smallest_words(graph.datum)
+    names = [word_name(words[w]) for w in graph.vertices]
+    return names, sorted(range(len(names)), key=names.__getitem__)
 
 
-def _edges(graph: QuantumBruhatGraph):
-    """``(src, label, quantum, dst)`` per edge, ends by vertex number."""
-    for g, col in zip(graph.datum.pos_coroots, graph.steps):
-        for i, e in enumerate(col):
-            if e:
+def _edges(graph: QuantumBruhatGraph, order):
+    """``(src, label, quantum, dst)`` per edge, ends by vertex number: the
+    edges out of each vertex of ``order`` in turn, by label.  A vertex has
+    at most one edge per label, so with ``order`` sorted by name this is
+    the exports' order, sorted by source name, label and kind."""
+    cols = sorted(zip(graph.datum.pos_coroots, graph.steps), key=itemgetter(0))
+    for i in order:
+        for g, col in cols:
+            if e := col[i]:
                 yield i, g, e[1], e[0]
 
 
-def export_json(graph: QuantumBruhatGraph) -> str:
-    """The bytes of ``json.dumps({"vertices": [...], "edges": [...]},
-    indent=1)``, with the names sorted and one ``{"src", "label", "kind"}``
-    record per edge sorted by those fields, written from fixed templates:
-    the stdlib encoder is pure Python once ``indent`` is set."""
-    name = _names(graph)
+def _joined(items):
+    """The pieces of ``items`` joined by a comma and a newline, as
+    ``json.dumps`` lays out a list with ``indent``, to be written one at a
+    time."""
+    items = iter(items)
+    yield next(items, "")
+    for x in items:
+        yield ",\n" + x
+
+
+def export_table(graph: QuantumBruhatGraph, out) -> None:
+    """Write the numbers of vertices, Bruhat edges and quantum edges to the
+    text stream ``out``, one line each."""
+    quantum = [e[1] for col in graph.steps for e in col if e]
+    out.write(f"vertices: {len(graph.vertices)}\nbruhat edges: "
+              f"{quantum.count(False)}\nquantum edges: {quantum.count(True)}\n")
+
+
+def export_json(graph: QuantumBruhatGraph, out) -> None:
+    """Write the bytes of ``json.dumps({"vertices": [...], "edges": [...]},
+    indent=1)`` and a newline to the text stream ``out``, with the names
+    sorted and one ``{"src", "label", "kind"}`` record per edge sorted by
+    those fields.  Each vertex line and each edge record is written as it
+    is made, from fixed templates (the stdlib encoder is pure Python once
+    ``indent`` is set), so the document is never held whole."""
+    names, order = _by_name(graph)
     # everything of a record after its source name, by label and kind
     tail = {}
     for g in graph.datum.pos_coroots:
@@ -243,22 +283,23 @@ def export_json(graph: QuantumBruhatGraph) -> str:
         for quantum, kind in enumerate((BRUHAT, QUANTUM)):
             tail[g, quantum] = (f'",\n   "label": [\n{label}\n   ],\n'
                                 f'   "kind": "{kind}"\n  }}')
-    names = list(map(name.__getitem__, graph.vertices))
-    items = sorted((names[i], g, q) for i, g, q, _ in _edges(graph))
-    vertices = ",\n".join(f'  "{v}"' for v in sorted(names))
-    edges = ",\n".join(f'  {{\n   "src": "{src}{tail[g, q]}'
-                        for src, g, q in items)
-    return f'{{\n "vertices": [\n{vertices}\n ],\n "edges": [\n{edges}\n ]\n}}'
+    out.write('{\n "vertices": [\n')
+    out.writelines(_joined(f'  "{names[i]}"' for i in order))
+    out.write('\n ],\n "edges": [\n')
+    out.writelines(_joined(f'  {{\n   "src": "{names[i]}{tail[g, q]}'
+                           for i, g, q, _ in _edges(graph, order)))
+    out.write("\n ]\n}\n")
 
 
-def export_dot(graph: QuantumBruhatGraph) -> str:
-    names = list(map(_names(graph).__getitem__, graph.vertices))
+def export_dot(graph: QuantumBruhatGraph, out) -> None:
+    """Write the graph in DOT to the text stream ``out``: one line per
+    vertex, then one per edge with quantum edges dashed, in
+    ``export_json``'s order, each written as it is made."""
+    names, order = _by_name(graph)
     label = {g: str(list(g)) for g in graph.datum.pos_coroots}
-    lines = ["digraph qbg {"]
-    lines += [f'  "{v}";' for v in sorted(names)]
-    items = sorted((names[i], g, q, names[j]) for i, g, q, j in _edges(graph))
-    for src, g, q, dst in items:
-        style = ' style=dashed kind="quantum"' if q else ""
-        lines.append(f'  "{src}" -> "{dst}" [label="{label[g]}"{style}];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    style = ("", ' style=dashed kind="quantum"')
+    out.write("digraph qbg {\n")
+    out.writelines(f'  "{names[i]}";\n' for i in order)
+    out.writelines(f'  "{names[i]}" -> "{names[j]}" [label="{label[g]}"{style[q]}];\n'
+                   for i, g, q, j in _edges(graph, order))
+    out.write("}\n")

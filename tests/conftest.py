@@ -1,6 +1,7 @@
 """Shared fixtures and helpers: root data and quantum Bruhat graphs are
 expensive to rebuild, so they are cached per type for the whole session."""
 
+import io
 from functools import lru_cache
 
 import pytest
@@ -27,6 +28,13 @@ def datum_of(family: str, rank: int):
 @lru_cache(maxsize=None)
 def graph_of(family: str, rank: int):
     return qbg.build(datum_of(family, rank))
+
+
+def written(export, *args) -> str:
+    """What ``export(*args, out)`` writes to the text stream ``out``."""
+    out = io.StringIO()
+    export(*args, out)
+    return out.getvalue()
 
 
 def datum_and_graph(family: str, rank: int):

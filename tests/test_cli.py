@@ -1,6 +1,8 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -44,6 +46,25 @@ def test_qbg_dot(capsys):
     code, out, _ = run(capsys, "qbg", "--type", "A1", "--format", "dot")
     assert code == 0
     assert out.startswith("digraph qbg {")
+
+
+@pytest.mark.parametrize("argv", [
+    ("qbg", "--type", "A2"),
+    ("qbg", "--type", "A2", "--format", "json"),
+    ("qbg", "--type", "A2", "--format", "dot"),
+    ("paths", "--type", "A2", "--weight", "-1,0"),
+    ("paths", "--type", "A2", "--weight", "-1,0", "--format", "json"),
+    ("paths", "--type", "A2", "--weight", "-1,0", "--format", "csv"),
+], ids=" ".join)
+def test_output_follows_redirect_stdout(capsys, argv):
+    # the exports write to sys.stdout as it is at the call, so output that
+    # is redirected in process (as perfbench's qbg_cli captures it) is
+    # all there, and nothing reaches the stream that was replaced
+    code, want, _ = run(capsys, *argv)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert cli.main(list(argv)) == code == 0
+    assert buf.getvalue() == want and capsys.readouterr().out == ""
 
 
 def test_parser_is_built_once(capsys):

@@ -16,7 +16,7 @@ from alcovepaths.affine import AffineCoroot
 from alcovepaths import paths as pth
 from alcovepaths import qbg
 from alcovepaths import genfun as gf
-from conftest import datum_of, graph_of
+from conftest import datum_of, graph_of, written
 
 
 def _translation_input(family, rank, lam):
@@ -399,7 +399,7 @@ def test_a_beta_with_a_list_real_part_is_read_as_its_tuple():
 
 def test_export_json_records():
     d, g, t, betas = _translation_input("A", 1, (-1,))
-    out = json.loads(pth.export_json(d, pth.enumerate_paths(d, g, t, betas)))
+    out = json.loads(written(pth.export, d, pth.enumerate_paths(d, g, t, betas), "json"))
     assert len(out) == 2
     assert out[0] == {
         "folds": [], "quantum_folds": [], "end_weight": [-1],
@@ -411,11 +411,57 @@ def test_export_json_records():
 
 def test_export_csv_parses_back():
     d, g, t, betas = _translation_input("A", 2, (-1, 0))
-    text = pth.export_csv(d, pth.enumerate_paths(d, g, t, betas))
+    text = written(pth.export, d, pth.enumerate_paths(d, g, t, betas), "csv")
     rows = list(csv.DictReader(io.StringIO(text)))
     assert len(rows) == 3
     assert rows[0]["end_dir"] == "e"
     assert {r["end_weight"] for r in rows} == {"-1 0", "1 -1", "0 1"}
+
+
+@pytest.mark.parametrize("family,rank,lam", [("A", 3, (-1, 0, -1)), ("G", 2, (-1, -1))])
+def test_export_is_the_stdlib_encoding(family, rank, lam):
+    # oracle: the stdlib json and csv writers on the path records, both ways
+    d, g, t, betas = _translation_input(family, rank, lam)
+    for gr in (g, g.reversed):
+        paths = list(pth.enumerate_paths(d, gr, t, betas))
+        records = [pth.path_record(d, p) for p in paths]
+        assert written(pth.export, d, paths, "json") == json.dumps(records, indent=1) + "\n"
+        buf = io.StringIO()
+        rows = csv.DictWriter(buf, fieldnames=list(records[0]), lineterminator="\n")
+        rows.writeheader()
+        rows.writerows({**r, **{k: " ".join(map(str, r[k])) for k in
+                                ("folds", "quantum_folds", "end_weight")}} for r in records)
+        assert written(pth.export, d, paths, "csv") == buf.getvalue()
+        assert '"' in buf.getvalue()  # an end name with a comma is quoted
+    # no record is the empty JSON list
+    assert written(pth.export, d, [], "json") == "[]\n"
+
+
+class _Broken(Exception):
+    pass
+
+
+def _then_broken(paths, k):
+    yield from paths[:k]
+    raise _Broken
+
+
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+def test_export_writes_each_record_before_the_next_is_drawn(fmt):
+    # a walk that fails after k paths leaves exactly k records written
+    d, g, t, betas = _translation_input("A", 2, (-1, -1))
+    paths = list(pth.enumerate_paths(d, g, t, betas))
+    whole = written(pth.export, d, paths, fmt)
+    for k in (0, 1, 3, len(paths)):
+        out = io.StringIO()
+        with pytest.raises(_Broken):
+            pth.export(d, _then_broken(paths, k), fmt, out)
+        text = out.getvalue()
+        assert whole.startswith(text)
+        if fmt == "json":
+            assert text.count('"folds"') == k
+        else:
+            assert len(text.splitlines()) == k + (fmt == "csv")
 
 
 class _Unread:

@@ -9,7 +9,9 @@ criterion.  The fixture asserts 15.
 """
 
 import ast
+import io
 import json
+import operator
 import random
 from pathlib import Path
 
@@ -24,7 +26,7 @@ from alcovepaths import genfun as gf
 from alcovepaths import identities as ids
 from alcovepaths import macdonald as mac
 from conftest import (TYPES_UP_TO_RANK_8, datum_of, graph_of, length_rule_edges,
-                      two_rho)
+                      two_rho, written)
 
 EDGE_COUNTS = {
     ("A", 1): (1, 1),
@@ -199,8 +201,8 @@ def test_signed_one_line_notation():
 
 def test_export_json_deterministic():
     g = graph_of("A", 2)
-    out1 = qbg.export_json(g)
-    out2 = qbg.export_json(g)
+    out1 = written(qbg.export_json, g)
+    out2 = written(qbg.export_json, g)
     assert out1 == out2
     data = json.loads(out1)
     assert len(data["vertices"]) == 6
@@ -210,10 +212,34 @@ def test_export_json_deterministic():
 
 
 def test_export_dot():
-    out = qbg.export_dot(graph_of("A", 1))
-    assert out.startswith("digraph qbg {")
+    out = written(qbg.export_dot, graph_of("A", 1))
+    assert out.startswith("digraph qbg {") and out.endswith("}\n")
     assert out.count("->") == 2
     assert 'style=dashed kind="quantum"' in out
+
+
+class _Writes(io.StringIO):
+    """A text stream that records the size of each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, s):
+        self.sizes.append(len(s))
+        return super().write(s)
+
+
+@pytest.mark.parametrize("export", [qbg.export_json, qbg.export_dot],
+                         ids=["json", "dot"])
+def test_exports_write_as_they_go(export):
+    # each vertex line and edge record is written as it is made: no write
+    # holds the whole F4 document, nor a hundredth of it
+    out = _Writes()
+    export(graph_of("F", 4), out)
+    whole = len(out.getvalue())
+    assert whole == sum(out.sizes) and max(out.sizes) < whole / 100
+    assert len(out.sizes) > 1152 + 9968  # F4: one write per vertex and edge
 
 
 NAME_TYPES = [
@@ -233,7 +259,9 @@ def word_names(d, g):
 def test_names_are_smallest_reduced_words(family, rank):
     d = datum_of(family, rank)
     g = graph_of(family, rank)
-    assert qbg._names(g) == word_names(d, g)
+    names, order = qbg._by_name(g)
+    assert dict(zip(g.vertices, names)) == word_names(d, g)
+    assert [names[i] for i in order] == sorted(names)
 
 
 def _walked(*args):
@@ -252,11 +280,13 @@ def test_exports_read_the_one_group_walk(monkeypatch):
         d, g, t, af.beta_sequence(d, af.reduced_word_ext(d, t)[1])))
     monkeypatch.setattr(wg, "enumerate_group", _walked)
     monkeypatch.setattr(wg, "reduced_word", _walked)
-    assert qbg._names(qbg.QuantumBruhatGraph(d, g.vertices, {})) == want
-    assert qbg.export_json(g) and qbg.export_dot(g)
+    names, _ = qbg._by_name(qbg.QuantumBruhatGraph(d, g.vertices, {}))
+    assert dict(zip(g.vertices, names)) == want
+    assert written(qbg.export_json, g) and written(qbg.export_dot, g)
     assert [pth.path_record(d, p)["end_dir"] for p in paths] == [
         want[pth.end_dir(p)] for p in paths]
-    assert pth.export_json(d, paths) and pth.export_csv(d, paths)
+    for fmt in ("table", "json", "csv"):
+        assert written(pth.export, d, paths, fmt)
     assert d.memo["smallest_words"] is words
 
 
@@ -274,7 +304,7 @@ def test_export_json_is_the_stdlib_encoding(family, rank):
     )
     expected = json.dumps(
         {"vertices": sorted(name.values()), "edges": edges}, indent=1)
-    assert qbg.export_json(g) == expected
+    assert written(qbg.export_json, g) == expected + "\n"
 
 
 @pytest.mark.parametrize("family,rank", [("B", 3), ("C", 3), ("G", 2)])
@@ -300,13 +330,25 @@ def test_step_columns_are_the_edges(family, rank):
                     assert (w, gamma) not in gr.edges
         assert found == len(gr.edges)
         assert gr.reversed.reversed.steps == gr.steps
-        # ids keys each vertex number by the vertex's simple coroot images
-        assert gr.ids == {tuple(w.perm[k] for k in d.simple_index): i
-                          for i, w in enumerate(vs)}
+        # ids keys each vertex number by the vertex's simple coroot images,
+        # read by one itemgetter per datum
+        key = operator.itemgetter(*d.simple_index)
+        assert gr.ids == {key(w.perm): i for i, w in enumerate(vs)}
         # an element of another group is no vertex, and is refused
         other = wg.longest_element(datum_of("A", 1))
         with pytest.raises(ValueError, match="not a vertex"):
             qbg.edge_kind(gr, other, d.pos_coroots[0])
+
+
+def test_rank_one_keys_are_bare_indices():
+    # the per-datum itemgetter gives a bare index at rank 1, and build,
+    # index and reversed all take that form
+    d, g = datum_of("A", 1), graph_of("A", 1)
+    (k,) = d.simple_index
+    assert g.ids == {w.perm[k]: i for i, w in enumerate(g.vertices)}
+    e, w0 = wg.identity(d), wg.longest_element(d)
+    assert [g.index(e), g.index(w0)] == [0, 1]
+    assert g.reversed.index(e) == g.index(w0) and g.steps[0] == [(1, False), (0, True)]
 
 
 @pytest.mark.parametrize("family,rank,other", [("B", 3, "C3"), ("A", 3, "G2")])
@@ -340,6 +382,21 @@ def test_an_element_of_another_datum_is_refused(family, rank, other):
     # an element of a group of another rank is refused too, not looked up
     with pytest.raises(ValueError, match="not a vertex"):
         gf.recursion_check(d, g, wg.longest_element(datum_of("A", 1)), 1, lam)
+    # a walk given the graph of the other datum, either way round, refuses
+    # it before it reads a column, also from a start that is its vertex
+    for wd, gr in ((d, graph_of(od.family, od.rank)), (od, g)):
+        e, mu = wg.identity(gr.datum), (-1,) + (0,) * (wd.rank - 1)
+        t = af.translation(wd, mu)
+        wbetas = af.beta_sequence(wd, af.reduced_word_ext(wd, t)[1])
+        with pytest.raises(ValueError, match="another root datum"):
+            pth.fold_tables(wd, gr, {e: mu}, [wbetas])
+        with pytest.raises(ValueError, match="another root datum"):
+            next(pth.enumerate_paths(wd, gr, af.ExtAffineElt(mu, e), wbetas))
+        # C3's datum on B3's graph would read 5 (C3 has 6, B3 7); the
+        # identity of another rank acts on no weight of this one, and is
+        # refused for that first
+        with pytest.raises(ValueError, match="another root datum|length-[23] vector"):
+            mac.weyl_dimension(wd, gr, e, mu)
     # an element of an equal datum built apart is a vertex
     again = build_datum(family, rank)
     assert g.index(wg.longest_element(again)) == g.index(wg.longest_element(d))
@@ -376,5 +433,5 @@ def test_walks_and_exports_build_no_edges_view():
     betas = af.beta_sequence(d, af.reduced_word_ext(d, t)[1])
     for gr in (g, g.reversed):
         assert list(pth.enumerate_paths(d, gr, t, betas))
-        assert qbg.export_json(gr) and qbg.export_dot(gr)
+        assert written(qbg.export_json, gr) and written(qbg.export_dot, gr)
         assert "edges" not in vars(gr)
