@@ -96,6 +96,7 @@ def inverse(a: ExtAffineElt) -> ExtAffineElt:
 
 
 def act_on_affine_coroot(datum: RootDatum, a: ExtAffineElt, c: AffineCoroot) -> AffineCoroot:
+    datum.check_same(a.dir.datum)
     datum.check_rank(a.wt)
     vg = wg.act_coroot(a.dir, c.re)
     return AffineCoroot(vg, c.deg - dot(vg, a.wt))
@@ -130,7 +131,9 @@ def affine_simple_reflection(datum: RootDatum, i: int) -> ExtAffineElt:
 def length_ext(datum: RootDatum, a: ExtAffineElt) -> int:
     """Closed length formula for ``t_mu v``: the sum over the positive
     coroots ``c`` of ``|<v(c), mu> + [v(c) < 0]|``, with ``v(c)`` the coroot
-    at ``perm[c]``, negative when that index is at least ``N``."""
+    at ``perm[c]``, negative when that index is at least ``N``.  An element
+    of another root datum is refused."""
+    datum.check_same(a.dir.datum)
     datum.check_rank(a.wt)
     n, coroots, mu = len(datum.pos_coroots), datum.coroots, a.wt
     return sum(abs(dot(coroots[j], mu) + (j >= n)) for j in a.dir.perm[:n])
@@ -176,6 +179,7 @@ def _times_simple(datum: RootDatum, wt, perm, step) -> tuple:
 def is_right_descent_ext(datum: RootDatum, a: ExtAffineElt, i: int) -> bool:
     """l(a s_i) < l(a), i.e. ``t_mu v`` sends ``a_i`` to a negative affine
     coroot; the rule itself is ``_descends``."""
+    datum.check_same(a.dir.datum)
     datum.check_rank(a.wt)
     _check_affine_index(datum, i)
     return _descends(datum, a.wt, a.dir.perm, _simple_steps(datum)[i])
@@ -188,7 +192,9 @@ def reduced_word_ext(datum: RootDatum, a: ExtAffineElt):
     one obtained by repeatedly peeling the smallest right descent.  The
     peeling stops after ``N + sum_g |<g, mu>|`` letters, a bound on
     ``l(t_mu v)``, so a wrong descent answer raises instead of looping.
+    An element of another root datum is refused first.
     """
+    datum.check_same(a.dir.datum)
     datum.check_rank(a.wt)
     cap = len(datum.pos_coroots) + sum(abs(dot(g, a.wt)) for g in datum.pos_coroots)
     steps = _simple_steps(datum)

@@ -10,9 +10,18 @@ fixed invocation.  ``qbg`` and ``paths`` hand their one exporter
 ``sys.stdout`` as it is at the call, so a redirect is followed, and it
 writes each vertex, edge or path record as it is made.
 
-Exit codes: 0 success, 2 argument/parse error, 3 a size cap exceeded
-(the group order, or the translation length of ``char``, ``dims`` and
-``emac``), 4 identity-verification failure.
+The CLI checks only what the library cannot see: the ``--type`` and
+integer-list syntax, a missing ``--weight``, a non-reduced word, the
+formats a command prints, and the suite names.  Every other rule on an
+input (a weight's rank and sign, the letters of ``--sigma`` and
+``--word``, the ``beta --index`` range, a type of no simple kind) is the
+library's, which refuses with ``ValueError``; ``main`` prints either
+refusal's message as ``error: <message>`` on stderr.
+
+Exit codes: 0 success, 2 a refused argument (``ValueError``, from the
+CLI's syntax checks or the library, or an ``argparse`` usage error), 3 a
+size cap exceeded (the group order, or the translation length of
+``char``, ``dims`` and ``emac``), 4 identity-verification failure.
 """
 
 from __future__ import annotations
@@ -43,10 +52,6 @@ EXIT_IDENTITY = 4
 TRANSLATION_LENGTH_CAP = 64
 
 
-class CliError(Exception):
-    """A refused argument; ``main`` exits with ``EXIT_PARSE``."""
-
-
 class TranslationLengthCapExceeded(RuntimeError):
     """A ``--weight`` whose translation is longer than
     ``TRANSLATION_LENGTH_CAP``; ``main`` exits with ``EXIT_CAP``."""
@@ -57,12 +62,9 @@ def _parse_type(s: str, whole_group: bool = True) -> RootDatum:
     over the group size cap is refused before its datum is built."""
     m = re.fullmatch(r"([A-G])(\d+)", s.strip())
     if not m:
-        raise CliError(f"bad --type {s!r}; expected e.g. A2, C3, G2")
+        raise ValueError(f"bad --type {s!r}; expected e.g. A2, C3, G2")
     family, rank = m.group(1), int(m.group(2))
-    try:
-        lattice.check_type(family, rank)
-    except ValueError as exc:  # a letter and a rank of no simple type
-        raise CliError(str(exc)) from None
+    lattice.check_type(family, rank)
     if whole_group:
         wg.check_group_size(family, rank)
     return lattice.build_datum(family, rank)
@@ -75,40 +77,35 @@ def _parse_ints(s: str) -> tuple:
     try:
         return tuple(int(x) for x in s.split(","))
     except ValueError:
-        raise CliError(f"bad integer list {s!r}") from None
+        raise ValueError(f"bad integer list {s!r}") from None
 
 
 def _inputs(args):
     """``(datum, weight, sigma)``: the datum of ``--type`` (over the group
     size cap refused first), the ``--weight`` of the rank or None, and the
     element of the reduced ``--sigma`` word (the identity if none)."""
-    datum = _parse_type(args.type)
-    rank, weight = datum.rank, args.weight
+    datum, weight = _parse_type(args.type), args.weight
     if weight is not None:
         weight = _parse_ints(weight)
-        if len(weight) != rank:
-            raise CliError(f"weight has {len(weight)} coordinates, expected {rank}")
+        datum.check_rank(weight)
     word = _parse_ints(getattr(args, "sigma", None) or "")
-    if any(not 1 <= i <= rank for i in word):
-        raise CliError(f"sigma word uses invalid indices: {word}")
     sigma = wg.from_word(datum, word)
     if wg.length(datum, sigma) != len(word):
-        raise CliError(f"sigma word is not reduced: {word}")
+        raise ValueError(f"sigma word is not reduced: {word}")
     return datum, weight, sigma
 
 
-def _antidominant(weight, missing="need --weight") -> tuple:
+def _antidominant(datum: RootDatum, weight, missing="need --weight") -> tuple:
     if weight is None:
-        raise CliError(missing)
-    if any(x > 0 for x in weight):
-        raise CliError(f"weight must be anti-dominant: {weight}")
+        raise ValueError(missing)
+    datum.check_antidominant(weight)
     return weight
 
 
 def _walk_weight(datum: RootDatum, weight) -> None:
     """Refuse a ``--weight`` that is not anti-dominant, or whose ``l(t_lam)``
     is over ``TRANSLATION_LENGTH_CAP``, before the graph is built."""
-    n = af.length_ext(datum, af.translation(datum, _antidominant(weight)))
+    n = af.length_ext(datum, af.translation(datum, _antidominant(datum, weight)))
     if n > TRANSLATION_LENGTH_CAP:
         raise TranslationLengthCapExceeded(
             f"l(t_lam) = {n} at lam = {weight} exceeds the translation "
@@ -133,10 +130,7 @@ def cmd_qbg(args) -> int:
 def cmd_beta(args) -> int:
     # the layout needs no graph, so this also works where W is too large
     datum = _parse_type(args.type, whole_group=False)
-    i = args.index
-    if not 1 <= i <= datum.rank:
-        raise CliError(f"--index out of range for rank {datum.rank}")
-    betas = af.canonical_beta_order(datum, i)
+    betas = af.canonical_beta_order(datum, args.index)
     if args.format == "json":
         print(json.dumps([{"re": list(b.re), "deg": b.deg} for b in betas]))
     else:
@@ -149,13 +143,11 @@ def cmd_paths(args) -> int:
     datum, weight, sigma = _inputs(args)
     if args.word is not None:  # overrides --weight
         word = _parse_ints(args.word)
-        if any(not 0 <= j <= datum.rank for j in word):
-            raise CliError(f"word uses invalid affine indices: {word}")
         w = af.from_word_ext(datum, word)
         if len(word) != af.length_ext(datum, w):
-            raise CliError(f"word is not reduced: {word}")
+            raise ValueError(f"word is not reduced: {word}")
     else:
-        w = af.translation(datum, _antidominant(weight, "need --weight or --word"))
+        w = af.translation(datum, _antidominant(datum, weight, "need --weight or --word"))
         _, word = af.reduced_word_ext(datum, w)
     z0 = af.multiply(af.ExtAffineElt((0,) * datum.rank, sigma), w)
     betas = af.beta_sequence(datum, word)
@@ -171,7 +163,7 @@ def cmd_emac(args) -> int:
     datum, weight, _ = _inputs(args)
     _walk_weight(datum, weight)
     if args.spec == "both" and args.format not in (None, "json"):
-        raise CliError("--spec both prints JSON; --format table is not "
+        raise ValueError("--spec both prints JSON; --format table is not "
                        "implemented")
     graph = qbg.build(datum)
     try:
@@ -208,7 +200,7 @@ def cmd_verify(args) -> int:
         names = list(dict.fromkeys(args.suites.split(",")))
     for name in names:
         if name not in ids.SUITES:
-            raise CliError(f"unknown suite {name!r}; have {sorted(ids.SUITES)}")
+            raise ValueError(f"unknown suite {name!r}; have {sorted(ids.SUITES)}")
     failures: list = []
     for name in names:
         checker, cases = ids.SUITES[name]
@@ -309,7 +301,7 @@ def main(argv=None) -> int:
         return EXIT_PARSE if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except CliError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (wg.GroupSizeCapExceeded, TranslationLengthCapExceeded) as exc:

@@ -158,6 +158,14 @@ class RootDatum:
         if len(v) != self.rank:
             raise ValueError(f"expected a length-{self.rank} vector, got {v!r}")
 
+    def check_same(self, other: "RootDatum") -> None:
+        """Raise ValueError unless ``other``, the datum of a graph or an
+        element given with this one, is this datum or one equal to it:
+        the caller reads tables from both, and would mix two data."""
+        if other is not self and other != self:
+            raise ValueError(f"input of another root datum: {other.family}"
+                             f"{other.rank}, not {self.family}{self.rank}")
+
     def check_antidominant(self, lam) -> None:
         """Raise ValueError unless lam is a weight with no positive coordinate."""
         self.check_rank(lam)

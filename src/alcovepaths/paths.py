@@ -7,9 +7,11 @@ running element by the reflection in the *original* coroot ``beta_j``;
 positions that are skipped leave the element unchanged.  A fold set is
 admissible when each folded step projects to an edge of the quantum
 Bruhat graph, and the fold is quantum exactly when that edge is.
-Both walks take the datum and the graph apart and refuse a graph of
-another root datum.  ``export`` writes each path's record as the walk
-yields it, as a table, JSON or CSV.
+Both walks take the datum and the graph apart, since they read coroot
+indices and root weights from the one and columns from the other, and
+refuse a graph of another root datum (``RootDatum.check_same``).
+``export`` writes each path's record as the walk yields it, as a table,
+JSON or CSV, and refuses any other format.
 """
 
 from __future__ import annotations
@@ -60,15 +62,6 @@ def _positions(datum: RootDatum, betas) -> list:
     return out
 
 
-def _check_graph(datum: RootDatum, graph: QuantumBruhatGraph) -> None:
-    """Refuse a graph of another root datum: a walk reads coroot indices
-    and root weights from ``datum`` and columns from ``graph``, and would
-    mix the two."""
-    if graph.datum is not datum and graph.datum != datum:
-        raise ValueError(f"graph of another root datum: {graph.datum.family}"
-                         f"{graph.datum.rank}, not {datum.family}{datum.rank}")
-
-
 def enumerate_paths(
     datum: RootDatum, graph: QuantumBruhatGraph, z0: ExtAffineElt, betas
 ):
@@ -84,7 +77,7 @@ def enumerate_paths(
     """
     betas = tuple(betas)
     positions = _positions(datum, betas)
-    _check_graph(datum, graph)
+    datum.check_same(graph.datum)
     vertices, v0 = graph.vertices, graph.index(z0.dir)
     cols = [(graph.steps[g], k, deg) for g, k, deg in positions]
 
@@ -174,7 +167,7 @@ def fold_tables(
         raise ValueError("no beta sequence to walk")
     for mu in starts.values():  # refused before any sweep
         datum.check_rank(mu)
-    _check_graph(datum, graph)
+    datum.check_same(graph.datum)
     at = list(map(graph.index, starts))
     # root_weights holds each root weight and its negative
     top = max(map(max, datum.root_weights))
@@ -278,5 +271,8 @@ def export(datum: RootDatum, paths, fmt: str, out) -> None:
     newline; or ``"csv"``, a header and one row per path, each list
     space-separated and a name with a comma quoted, as ``csv``'s minimal
     quoting does.  JSON and CSV are written from fixed templates: the
-    stdlib JSON encoder is pure Python once ``indent`` is set."""
+    stdlib JSON encoder is pure Python once ``indent`` is set.  Any other
+    ``fmt`` is refused before a path is drawn."""
+    if fmt not in _FORMATS:
+        raise ValueError(f"unknown path format {fmt!r}; have {list(_FORMATS)}")
     out.writelines(_FORMATS[fmt](path_record(datum, p) for p in paths))

@@ -214,7 +214,9 @@ def _images(datum: RootDatum) -> itemgetter:
 
 def criterion_edge(datum: RootDatum, sigma: WeylElt, gamma) -> bool:
     """Existence of an edge ``sigma -> sigma s_gamma``, by the rule that
-    ``build`` uses (``_edge_rule``), from the root datum alone."""
+    ``build`` uses (``_edge_rule``), from the root datum alone.  An
+    element of another root datum is refused."""
+    datum.check_same(sigma.datum)
     if not datum.is_pos_coroot(gamma):
         raise ValueError(f"not a positive coroot: {gamma!r}")
     label = _edge_labels(datum)[datum.coroot_index[tuple(gamma)]]

@@ -1,7 +1,9 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
+import ast
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -14,7 +16,9 @@ import pytest
 from alcovepaths import cli
 from alcovepaths import affine as af
 from alcovepaths import identities as ids
+from alcovepaths import macdonald as mac
 from alcovepaths import qbg
+from alcovepaths import weylgroup as wg
 from conftest import datum_of
 
 
@@ -26,6 +30,14 @@ def run(capsys, *argv):
 
 def built(*args):
     raise AssertionError("the graph was built")
+
+
+def refusal(call, *args) -> str:
+    """What ``main`` prints on stderr for the input that ``call(*args)``,
+    the library rule, refuses: its own message after ``error:``."""
+    with pytest.raises(ValueError) as exc:
+        call(*args)
+    return f"error: {exc.value}\n"
 
 
 def test_qbg_table(capsys):
@@ -108,6 +120,11 @@ def test_beta_index_out_of_range(capsys):
     code, _, err = run(capsys, "beta", "--type", "C2", "--index", "5")
     assert code == 2
     assert "out of range" in err
+    # the library's refusal, for every index that names no fundamental weight
+    for i in (5, 3, 0, -1):
+        code, out, err = run(capsys, "beta", "--type", "C2", "--index", str(i))
+        assert (code, out) == (2, "")
+        assert err == refusal(af.canonical_beta_order, datum_of("C", 2), i)
 
 
 def test_paths_table_counts(capsys):
@@ -147,7 +164,12 @@ def test_paths_word_letters_are_affine_indices(capsys, monkeypatch):
     monkeypatch.setattr(qbg, "build", built)
     code, out, err = run(capsys, "paths", "--type", "A2", "--word", "0,5")
     assert (code, out) == (2, "")
-    assert "invalid affine indices" in err
+    assert err == "error: affine simple index out of range: 5\n"
+    for word in ("0,5", "3", "1,-1", "2,1,0,3"):
+        code, out, err = run(capsys, "paths", "--type", "A2", "--word", word)
+        assert (code, out) == (2, "")
+        letters = tuple(map(int, word.split(",")))
+        assert err == refusal(af.from_word_ext, datum_of("A", 2), letters)
 
 
 def test_emac_table(capsys):
@@ -184,6 +206,13 @@ def test_emac_rejects_dominant(capsys):
     code, _, err = run(capsys, "emac", "--type", "A2", "--weight", "1,0")
     assert code == 2
     assert "anti-dominant" in err
+    # the library's refusal, from every command that walks a weight
+    for command in ("emac", "char", "dims", "paths"):
+        for weight in ((1, 0), (-1, 2), (3, 3)):
+            code, out, err = run(capsys, command, "--type", "A2", "--weight",
+                                 ",".join(map(str, weight)))
+            assert (code, out) == (2, "")
+            assert err == refusal(datum_of("A", 2).check_antidominant, weight)
 
 
 @pytest.mark.parametrize("argv", [
@@ -295,13 +324,27 @@ def test_sigma_letters_are_simple_indices(capsys, monkeypatch, command):
     code, out, err = run(capsys, command, "--type", "A2", "--weight", "-1,-1",
                          "--sigma", "3")
     assert (code, out) == (2, "")
-    assert err == "error: sigma word uses invalid indices: (3,)\n"
+    assert err == "error: simple index out of range: 3\n"
+    for word in ((3,), (0,), (1, -2), (2, 1, 4)):
+        code, out, err = run(capsys, command, "--type", "A2", "--weight", "-1,-1",
+                             "--sigma", ",".join(map(str, word)))
+        assert (code, out) == (2, "")
+        assert err == refusal(wg.from_word, datum_of("A", 2), word)
 
 
-def test_bad_weight_length(capsys):
+def test_bad_weight_length(capsys, monkeypatch):
     code, _, err = run(capsys, "emac", "--type", "A2", "--weight", "-1")
     assert code == 2
-    assert "expected 2" in err
+    assert "expected a length-2 vector" in err
+    # the library's refusal, from every command that reads --weight, before
+    # the graph is built
+    monkeypatch.setattr(qbg, "build", built)
+    for command in ("emac", "char", "dims", "paths"):
+        for weight in ((-1,), (-1, 0, 0), (0, 0, 0, 0)):
+            code, out, err = run(capsys, command, "--type", "A2", "--weight",
+                                 ",".join(map(str, weight)))
+            assert (code, out) == (2, "")
+            assert err == refusal(datum_of("A", 2).check_rank, weight)
 
 
 def test_unknown_flag_is_parse_error(capsys):
@@ -441,6 +484,33 @@ def test_verify_refuses_an_empty_suite_name(capsys, value):
     assert code == 2
     assert out == ""
     assert "unknown suite ''" in err
+
+
+def test_every_raise_is_a_refusal_an_invariant_or_a_cap():
+    # main maps ValueError to exit 2 and the two caps to exit 3; that holds
+    # only while the package raises nothing else: a refused input is a
+    # ValueError, a broken invariant an AssertionError (or a subclass, as
+    # SpecializationMismatch), and the CLI adds no exception but its cap
+    allowed = (ValueError, AssertionError, wg.GroupSizeCapExceeded,
+               cli.TranslationLengthCapExceeded)
+    raised = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        module = importlib.import_module(f"alcovepaths.{path.stem}")
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise):
+                assert isinstance(node.exc, ast.Call), (path.name, node.lineno)
+                kind = eval(ast.unparse(node.exc.func), vars(module))
+                assert issubclass(kind, allowed), (path.name, node.lineno, kind)
+                raised.append(kind)
+        if path.name == "cli.py":
+            classes = [getattr(module, c.name) for c in ast.walk(tree)
+                       if isinstance(c, ast.ClassDef)]
+            assert [c for c in classes if issubclass(c, BaseException)] == [
+                cli.TranslationLengthCapExceeded]
+    assert set(raised) == {ValueError, AssertionError, wg.GroupSizeCapExceeded,
+                           cli.TranslationLengthCapExceeded,
+                           mac.SpecializationMismatch}
 
 
 def test_output_determinism(capsys):

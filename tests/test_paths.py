@@ -464,6 +464,14 @@ def test_export_writes_each_record_before_the_next_is_drawn(fmt):
             assert len(text.splitlines()) == k + (fmt == "csv")
 
 
+def test_export_refuses_an_unknown_format():
+    # a ValueError that names the three formats, before a path is drawn
+    d, out = datum_of("A", 1), io.StringIO()
+    with pytest.raises(ValueError, match=r"'xml'; have \['table', 'json', 'csv'\]"):
+        pth.export(d, _then_broken([], 0), "xml", out)
+    assert out.getvalue() == ""
+
+
 class _Unread:
     def __getitem__(self, k):
         raise AssertionError("an edge was read")

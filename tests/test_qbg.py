@@ -397,9 +397,26 @@ def test_an_element_of_another_datum_is_refused(family, rank, other):
         # refused for that first
         with pytest.raises(ValueError, match="another root datum|length-[23] vector"):
             mac.weyl_dimension(wd, gr, e, mu)
+    # the affine functions and criterion_edge take the datum and an element
+    # apart and refuse an element of the other datum before any table is
+    # read: read with C3's tables, B3's t_(-1,0,0) s1 s2 s3 has length 8,
+    # not 9, and its descents do not peel it to the identity
+    for wd, ed in ((d, od), (od, d)):
+        v = wg.from_word(ed, range(1, ed.rank + 1))
+        a = af.ExtAffineElt((-1,) + (0,) * (wd.rank - 1), v)
+        c = af.affine_simple_coroot(wd, 0)
+        for call, *args in ((af.length_ext, a), (af.reduced_word_ext, a),
+                            (af.is_right_descent_ext, a, 0),
+                            (af.act_on_affine_coroot, a, c),
+                            (qbg.criterion_edge, v, wd.pos_coroots[0])):
+            with pytest.raises(ValueError, match="another root datum"):
+                call(wd, *args)
     # an element of an equal datum built apart is a vertex
     again = build_datum(family, rank)
     assert g.index(wg.longest_element(again)) == g.index(wg.longest_element(d))
+    # and is read by the affine functions as the datum's own
+    a = af.ExtAffineElt(lam, wg.longest_element(again))
+    assert af.length_ext(d, a) == af.length_ext(again, a)
 
 
 def test_only_index_reads_the_vertex_numbers():
