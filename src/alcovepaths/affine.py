@@ -26,11 +26,14 @@ beta sequences are derived on plain ``(wt, perm)`` pairs; only a returned
 element is built.
 ``word_from_beta`` applies ``p^{-1}`` for ``p = t_mu v`` directly:
 ``p^{-1}(gamma + m*delta) = v^{-1}(gamma) + (m + <gamma, mu>)*delta``.
+A function given an element reads the root datum from it
+(``a.dir.datum``); ``reduced_word_ext`` also takes a datum, and refuses an
+element of another.
 
 >>> from alcovepaths.lattice import build_datum
 >>> d = build_datum("A", 2)
 >>> pi, word = reduced_word_ext(d, translation(d, (-1, 0)))
->>> word, pi.wt, length_ext(d, pi)
+>>> word, pi.wt, length_ext(pi)
 ((2, 0), (0, 1), 0)
 >>> [(b.re, b.deg) for b in canonical_beta_order(d, 1)]
 [((-1, 0), 1), ((-1, -1), 1)]
@@ -95,9 +98,8 @@ def inverse(a: ExtAffineElt) -> ExtAffineElt:
     return ExtAffineElt(neg(wg.act_weight(u_inv, a.wt)), u_inv)
 
 
-def act_on_affine_coroot(datum: RootDatum, a: ExtAffineElt, c: AffineCoroot) -> AffineCoroot:
-    datum.check_same(a.dir.datum)
-    datum.check_rank(a.wt)
+def act_on_affine_coroot(a: ExtAffineElt, c: AffineCoroot) -> AffineCoroot:
+    a.dir.datum.check_rank(a.wt)
     vg = wg.act_coroot(a.dir, c.re)
     return AffineCoroot(vg, c.deg - dot(vg, a.wt))
 
@@ -128,12 +130,11 @@ def affine_simple_reflection(datum: RootDatum, i: int) -> ExtAffineElt:
     return affine_reflection(datum, affine_simple_coroot(datum, i))
 
 
-def length_ext(datum: RootDatum, a: ExtAffineElt) -> int:
+def length_ext(a: ExtAffineElt) -> int:
     """Closed length formula for ``t_mu v``: the sum over the positive
     coroots ``c`` of ``|<v(c), mu> + [v(c) < 0]|``, with ``v(c)`` the coroot
-    at ``perm[c]``, negative when that index is at least ``N``.  An element
-    of another root datum is refused."""
-    datum.check_same(a.dir.datum)
+    at ``perm[c]``, negative when that index is at least ``N``."""
+    datum = a.dir.datum
     datum.check_rank(a.wt)
     n, coroots, mu = len(datum.pos_coroots), datum.coroots, a.wt
     return sum(abs(dot(coroots[j], mu) + (j >= n)) for j in a.dir.perm[:n])
@@ -176,10 +177,10 @@ def _times_simple(datum: RootDatum, wt, perm, step) -> tuple:
     return wt, tuple(map(perm.__getitem__, s))
 
 
-def is_right_descent_ext(datum: RootDatum, a: ExtAffineElt, i: int) -> bool:
+def is_right_descent_ext(a: ExtAffineElt, i: int) -> bool:
     """l(a s_i) < l(a), i.e. ``t_mu v`` sends ``a_i`` to a negative affine
     coroot; the rule itself is ``_descends``."""
-    datum.check_same(a.dir.datum)
+    datum = a.dir.datum
     datum.check_rank(a.wt)
     _check_affine_index(datum, i)
     return _descends(datum, a.wt, a.dir.perm, _simple_steps(datum)[i])
@@ -209,7 +210,7 @@ def reduced_word_ext(datum: RootDatum, a: ExtAffineElt):
         else:
             break
     pi = ExtAffineElt(wt, WeylElt(perm, datum))
-    if len(word) > cap or length_ext(datum, pi) != 0:
+    if len(word) > cap or length_ext(pi) != 0:
         raise AssertionError("descents do not peel the element to length zero")
     word.reverse()
     return pi, tuple(word)

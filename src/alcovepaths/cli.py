@@ -90,7 +90,7 @@ def _inputs(args):
         datum.check_rank(weight)
     word = _parse_ints(getattr(args, "sigma", None) or "")
     sigma = wg.from_word(datum, word)
-    if wg.length(datum, sigma) != len(word):
+    if wg.length(sigma) != len(word):
         raise ValueError(f"sigma word is not reduced: {word}")
     return datum, weight, sigma
 
@@ -105,7 +105,7 @@ def _antidominant(datum: RootDatum, weight, missing="need --weight") -> tuple:
 def _walk_weight(datum: RootDatum, weight) -> None:
     """Refuse a ``--weight`` that is not anti-dominant, or whose ``l(t_lam)``
     is over ``TRANSLATION_LENGTH_CAP``, before the graph is built."""
-    n = af.length_ext(datum, af.translation(datum, _antidominant(datum, weight)))
+    n = af.length_ext(af.translation(datum, _antidominant(datum, weight)))
     if n > TRANSLATION_LENGTH_CAP:
         raise TranslationLengthCapExceeded(
             f"l(t_lam) = {n} at lam = {weight} exceeds the translation "
@@ -144,7 +144,7 @@ def cmd_paths(args) -> int:
     if args.word is not None:  # overrides --weight
         word = _parse_ints(args.word)
         w = af.from_word_ext(datum, word)
-        if len(word) != af.length_ext(datum, w):
+        if len(word) != af.length_ext(w):
             raise ValueError(f"word is not reduced: {word}")
     else:
         w = af.translation(datum, _antidominant(datum, weight, "need --weight or --word"))
@@ -154,8 +154,7 @@ def cmd_paths(args) -> int:
     graph = qbg.build(datum)
     if args.reversed:
         graph = graph.reversed
-    paths = pth.enumerate_paths(datum, graph, z0, betas)
-    pth.export(datum, paths, args.format, sys.stdout)
+    pth.export(pth.enumerate_paths(graph, z0, betas), args.format, sys.stdout)
     return EXIT_OK
 
 
@@ -172,7 +171,7 @@ def cmd_emac(args) -> int:
         elif args.spec == "infinity":
             poly = mac.e_infinity(datum, graph, weight)
         else:
-            report = mac.specialization_report(datum, graph, weight)
+            report = mac.specialization_report(graph, weight)
             print(report.to_json())
             return EXIT_OK if report.agree else EXIT_IDENTITY
     except mac.SpecializationMismatch as exc:
@@ -188,9 +187,9 @@ def cmd_char(args) -> int:
     _walk_weight(datum, weight)
     graph = qbg.build(datum)
     if args.command == "dims":
-        print(mac.weyl_dimension(datum, graph, sigma, weight))
+        print(mac.weyl_dimension(graph, sigma, weight))
     else:
-        _print_poly(mac.weyl_character(datum, graph, sigma, weight), args.format)
+        _print_poly(mac.weyl_character(graph, sigma, weight), args.format)
     return EXIT_OK
 
 
@@ -205,8 +204,8 @@ def cmd_verify(args) -> int:
     for name in names:
         checker, cases = ids.SUITES[name]
         for family, rank, *inputs in cases:
-            datum = lattice.build_datum(family, rank)
-            for failure in checker(datum, qbg.build(datum), *inputs):
+            graph = qbg.build(lattice.build_datum(family, rank))
+            for failure in checker(graph, *inputs):
                 failures.append({"suite": name, **failure})
     print(json.dumps({
         "suites": names, "ok": not failures, "failures": failures,

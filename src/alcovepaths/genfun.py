@@ -129,11 +129,7 @@ def to_json(poly: LaurentPoly) -> str:
 
 
 def c_function(
-    datum: RootDatum,
-    graph: QuantumBruhatGraph,
-    u: ExtAffineElt,
-    w: ExtAffineElt,
-    word=None,
+    graph: QuantumBruhatGraph, u: ExtAffineElt, w: ExtAffineElt, word=None
 ) -> LaurentPoly:
     """Generating function over folded paths of the beta type of w.
 
@@ -143,13 +139,14 @@ def c_function(
     some mixed-sign weights it does.  The paths start at u*w and are
     counted by ``paths.fold_tables`` over the one sequence from the one
     start ``{dir(u*w): wt(u*w)}``, whose table is the polynomial as it
-    comes out of the walk.
+    comes out of the walk.  The root datum is ``graph``'s; ``u*w`` refuses
+    elements of two root data, and the walk a start that is not a vertex.
     """
     if word is None:
-        _, word = af.reduced_word_ext(datum, w)
+        _, word = af.reduced_word_ext(graph.datum, w)
     z0 = af.multiply(u, w)
-    betas = af.beta_sequence(datum, word)
-    terms = pth.fold_tables(datum, graph, {z0.dir: z0.wt}, [betas])[0][z0.dir]
+    betas = af.beta_sequence(graph.datum, word)
+    terms = pth.fold_tables(graph, {z0.dir: z0.wt}, [betas])[0][z0.dir]
     return LaurentPoly._adopt(terms)
 
 
@@ -178,9 +175,12 @@ def recursion_check(
     dict wherever the two agree; when mu is cached, the call walks only
     the joined sequence and keeps the cached dict wherever they agree.
     So a passing check stores its terms once.  The returned sides share
-    no dict with the cache.  ``u`` must be a vertex of ``graph``
-    (``graph.index``), and is refused before the cache is read.
+    no dict with the cache.  ``graph`` must be of ``datum``, and ``u`` a
+    vertex of it (``graph.index``); both are refused before the cache is
+    read.
     """
+    if graph.datum is not datum:
+        datum.check_same(graph.datum)
     datum.check_antidominant(lam)
     graph.index(u)  # refuses a non-vertex before the cache is read
     if cache is None:
@@ -193,13 +193,13 @@ def recursion_check(
         right = af.shifted_beta(datum, i, lam) + af.lambda_chain(datum, lam)
         if mu in cache:
             left = cache[mu]
-            (table,) = pth.fold_tables(datum, graph, starts, [right])
+            (table,) = pth.fold_tables(graph, starts, [right])
             cache[i, lam] = {v: left[v] if left[v] == c else c
                              for v, c in table.items()}
         else:
             _, word = af.reduced_word_ext(datum, af.translation(datum, mu))
             cache[mu], cache[i, lam] = pth.fold_tables(
-                datum, graph, starts, [af.beta_sequence(datum, word), right])
+                graph, starts, [af.beta_sequence(datum, word), right])
     lhs = LaurentPoly._adopt(dict(cache[mu][u]))
     rhs = LaurentPoly._adopt(dict(cache[i, lam][u]))
     return lhs, rhs, lhs == rhs

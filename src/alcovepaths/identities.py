@@ -1,14 +1,14 @@
 """
 One checker per headline identity.
 
-Each checker takes a root datum, its quantum Bruhat graph and the cases to
-run (any iterable), and yields one JSON-ready record per failing case,
-naming the type and the inputs of that case; an identity that holds yields
-nothing.  ``SUITES`` lists the small-rank cases of ``alcovepaths verify``.
-Every identity check lives here together with its independent oracle:
-Lenart's one-line edge rules in types A and C, against the graph's one
-edge rule in ``qbg``, and the cominuscule twist, against the two
-specializations of ``macdonald``.
+Each checker takes a quantum Bruhat graph, whose root datum it reads, and
+the cases to run (any iterable), and yields one JSON-ready record per
+failing case, naming the type and the inputs of that case; an identity that
+holds yields nothing.  ``SUITES`` lists the small-rank cases of
+``alcovepaths verify``.  Every identity check lives here together with its
+independent oracle: Lenart's one-line edge rules in types A and C, against
+the graph's one edge rule in ``qbg``, and the cominuscule twist, against
+the two specializations of ``macdonald``.
 """
 
 from __future__ import annotations
@@ -34,56 +34,58 @@ def _failure(datum, **inputs) -> dict:
     return {"type": f"{datum.family}{datum.rank}", **inputs}
 
 
-def _word(datum, w) -> list:
-    return list(wg.smallest_words(datum)[w])
+def _word(w) -> list:
+    return list(wg.smallest_words(w.datum)[w])
 
 
-def shift(datum, graph, lam, mus):
+def shift(graph, lam, mus):
     """``C_{t_mu u}^{t_lam} = x^mu C_u^{t_lam}`` for every u in W and each mu.
 
     The left side sums ``x^{end wt} q^{qdeg}`` over the paths of
     ``paths.enumerate_paths`` from ``t_mu u t_lam``, so it shares no code
     with ``genfun.c_function`` on the right.
     """
-    mus, w = tuple(mus), af.translation(datum, lam)
+    datum, mus = graph.datum, tuple(mus)
+    w = af.translation(datum, lam)
     _, word = af.reduced_word_ext(datum, w)
     betas = af.beta_sequence(datum, word)
     for u in graph.vertices:
-        base = gf.c_function(datum, graph, ExtAffineElt((0,) * datum.rank, u), w, word)
+        base = gf.c_function(graph, ExtAffineElt((0,) * datum.rank, u), w, word)
         for mu in mus:
             z0 = af.multiply(ExtAffineElt(tuple(mu), u), w)
             lhs = Counter((pth.end_weight(p), pth.qwt_degree(p))
-                          for p in pth.enumerate_paths(datum, graph, z0, betas))
+                          for p in pth.enumerate_paths(graph, z0, betas))
             if gf.LaurentPoly(lhs) != gf.shift(base, mu):
-                yield _failure(datum, lam=list(lam), u=_word(datum, u), mu=list(mu))
+                yield _failure(datum, lam=list(lam), u=_word(u), mu=list(mu))
 
 
-def recursion(datum, graph, lams):
+def recursion(graph, lams):
     """``genfun.recursion_check`` for every u in W, every i and each lam."""
-    lams, cache = tuple(lams), {}
+    datum, lams, cache = graph.datum, tuple(lams), {}
     for u in graph.vertices:
         for i in range(1, datum.rank + 1):
             for lam in lams:
                 if not gf.recursion_check(datum, graph, u, i, lam, cache)[2]:
-                    yield _failure(datum, u=_word(datum, u), i=i, lam=list(lam))
+                    yield _failure(datum, u=_word(u), i=i, lam=list(lam))
 
 
-def w0_inversion(datum, graph):
+def w0_inversion(graph):
     """``w -> w s_gamma`` is an edge iff ``w0 w s_gamma -> w0 w`` is, same kind.
 
     ``w0 w s_gamma`` is multiplied out, not read from the graph, so the
     check does not rest on the table the graph was built with.
     """
+    datum = graph.datum
     w0 = wg.longest_element(datum)
     labels = [(g, wg.reflection_of(datum, g)) for g in datum.pos_coroots]
     for w in graph.vertices:
         for gamma, s in labels:
             dual = wg.multiply(w0, wg.multiply(w, s))
             if qbg.edge_kind(graph, w, gamma) != qbg.edge_kind(graph, dual, gamma):
-                yield _failure(datum, w=_word(datum, w), gamma=list(gamma))
+                yield _failure(datum, w=_word(w), gamma=list(gamma))
 
 
-def _one_line(datum, w) -> tuple:
+def _one_line(w) -> tuple:
     """One-line notation of w, in type A or C, from any reduced word.
 
     Type A permutes 1..n+1.  Type C permutes 1..n, bar(n)..bar(1), with
@@ -91,9 +93,9 @@ def _one_line(datum, w) -> tuple:
     and position bar(i) is position 2n+1-i; ``s_i`` with ``i < n`` also
     swaps the mirrored positions bar(i+1) and bar(i).
     """
-    n, c = datum.rank, datum.family == "C"
+    n, c = w.datum.rank, w.datum.family == "C"
     p = list(range(1, 2 * n + 1 if c else n + 2))
-    for i in wg.smallest_words(datum)[w]:
+    for i in wg.smallest_words(w.datum)[w]:
         p[i - 1], p[i] = p[i], p[i - 1]
         if c and i < n:
             p[-i - 1], p[-i] = p[-i], p[-i - 1]
@@ -121,7 +123,7 @@ def _sum_window(p, i, j):
     return None
 
 
-def lenart(datum, graph):
+def lenart(graph):
     """Lenart's one-line edge rules (types A and C) give the graph's edges.
 
     Type A's root e_i - e_j and type C's class 1 (e_i - e_j) and class 3
@@ -129,6 +131,7 @@ def lenart(datum, graph):
     (e_i + e_j) has its own rule.  Each element's one-line notation is
     computed once.  Other types are refused before any vertex is read.
     """
+    datum = graph.datum
     n = datum.rank
 
     def root(i, j, twice=0):
@@ -148,18 +151,19 @@ def lenart(datum, graph):
         raise ValueError(f"Lenart's rules cover types A and C, not {datum.family}")
     labels = [(case, rule, at, datum.coroot_of_root(r)) for case, rule, at, r in cases]
     for w in graph.vertices:
-        p = _one_line(datum, w)
+        p = _one_line(w)
         for case, rule, at, label in labels:
             if rule(p, *at) != qbg.edge_kind(graph, w, label):
-                yield _failure(datum, w=_word(datum, w), case=list(case))
+                yield _failure(datum, w=_word(w), case=list(case))
 
 
-def beta(datum, graph=None):
+def beta(graph):
     """The layout of ``t_{-omega_i}`` is, as a multiset, the
     ``-gamma + k delta`` with ``gamma > 0`` and ``1 <= k <= <gamma, omega_i>``.
 
-    The layout needs no graph; ``graph`` only keeps the common call form.
+    The layout reads only ``graph.datum``.
     """
+    datum = graph.datum
     for i in range(1, datum.rank + 1):
         omega = datum.fundamental_weight(i)
         want = sorted((neg(g), k) for g in datum.pos_coroots
@@ -169,7 +173,7 @@ def beta(datum, graph=None):
             yield _failure(datum, i=i)
 
 
-def word_choice(datum, graph, lams):
+def word_choice(graph, lams):
     """``C_u^{t_lam}`` is the same for every u whichever reduced word of
     ``t_lam`` its paths are built from, for dominant or anti-dominant lam.
 
@@ -184,6 +188,8 @@ def word_choice(datum, graph, lams):
     A failure names the word's source and the first u whose table differs.
     A lam of mixed signs is refused with a ValueError before any walk.
     """
+    datum = graph.datum
+
     def betas(mu):
         return af.beta_sequence(
             datum, af.reduced_word_ext(datum, af.translation(datum, mu))[1])
@@ -199,21 +205,20 @@ def word_choice(datum, graph, lams):
                 sources.append(
                     (f"lex_chain={j}", af.shifted_beta(datum, j, up) + betas(up)))
         want, *tables = pth.fold_tables(
-            datum, graph, starts, [betas(lam), *(seq for _, seq in sources)])
+            graph, starts, [betas(lam), *(seq for _, seq in sources)])
         for (source, _), got in zip(sources, tables):
             u = next((v for v in graph.vertices
                       if got[v] is not want[v] and got[v] != want[v]), None)
             if u is not None:
-                yield _failure(datum, lam=list(lam), source=source,
-                               u=_word(datum, u))
+                yield _failure(datum, lam=list(lam), source=source, u=_word(u))
 
 
-def dual_route(datum, graph, lams):
+def dual_route(graph, lams):
     """The two ``t = infinity`` routes of ``specialization_report`` agree:
     a check of ``graph.reversed``'s ``w0`` relabelling and ``w0_twist``."""
     for lam in lams:
-        if not mac.specialization_report(datum, graph, lam).agree:
-            yield _failure(datum, lam=list(lam))
+        if not mac.specialization_report(graph, lam).agree:
+            yield _failure(graph.datum, lam=list(lam))
 
 
 def cominuscule_indices(datum) -> tuple:
@@ -238,7 +243,7 @@ def _root_coords(datum, mu):
     return tuple(int(x) for x in out)
 
 
-def _twisted(datum, graph, i, m) -> bool:
+def _twisted(graph, i, m) -> bool:
     """At lam = -m omega_i, the t = infinity specialization is the q-graded
     twist of the t = 0 one, and its two routes agree.
 
@@ -248,8 +253,9 @@ def _twisted(datum, graph, i, m) -> bool:
     extreme is fixed by the rank-one brute-force cases.  Both values come
     from one ``macdonald.specialization_report``.
     """
+    datum = graph.datum
     lam = tuple(-m * x for x in datum.fundamental_weight(i))
-    report = mac.specialization_report(datum, graph, lam)
+    report = mac.specialization_report(graph, lam)
     if not report.agree:
         return False
     twisted = Counter()
@@ -261,16 +267,17 @@ def _twisted(datum, graph, i, m) -> bool:
     return gf.LaurentPoly(twisted) == report.e_inf_word
 
 
-def twist(datum, graph, i, ms):
+def twist(graph, i, ms):
     """The cominuscule twist (``_twisted``) at ``-m omega_i`` for each m.
 
     An index i that is not cominuscule is refused with a ValueError before
     any specialization is computed.
     """
+    datum = graph.datum
     if i not in cominuscule_indices(datum):
         raise ValueError(f"index {i} is not cominuscule in {datum.family}{datum.rank}")
     for m in ms:
-        if not _twisted(datum, graph, i, m):
+        if not _twisted(graph, i, m):
             yield _failure(datum, i=i, m=m)
 
 

@@ -61,16 +61,17 @@ class SpecializationReport:
 
 
 def e_zero(datum: RootDatum, graph: QuantumBruhatGraph, lam) -> LaurentPoly:
-    """The t=0 specialization at anti-dominant lam."""
-    return weyl_character(datum, graph, wg.identity(datum), lam)
+    """The t=0 specialization at anti-dominant lam; ``graph`` must be of
+    ``datum``."""
+    datum.check_same(graph.datum)
+    return weyl_character(graph, wg.identity(datum), lam)
 
 
-def _e_inf_routes(datum: RootDatum, graph: QuantumBruhatGraph, t_lam, word=None):
+def _e_inf_routes(graph: QuantumBruhatGraph, t_lam, word=None):
+    datum = graph.datum
     w0 = ExtAffineElt((0,) * datum.rank, wg.longest_element(datum))
-    by_word = gf.w0_twist(datum, gf.c_function(datum, graph, w0, t_lam, word))
-    by_reversal = gf.c_function(
-        datum, graph.reversed, af.ext_identity(datum), t_lam, word
-    )
+    by_word = gf.w0_twist(datum, gf.c_function(graph, w0, t_lam, word))
+    by_reversal = gf.c_function(graph.reversed, af.ext_identity(datum), t_lam, word)
     return by_word, by_reversal
 
 
@@ -78,23 +79,24 @@ def e_infinity(datum: RootDatum, graph: QuantumBruhatGraph, lam) -> LaurentPoly:
     """The t=infinity specialization (q-exponents as printed at q^{-1}).
 
     Computed by the module's two routes, which share the forward walk; a
-    disagreement raises with both values attached.
+    disagreement raises with both values attached.  ``graph`` must be of
+    ``datum``.
     """
+    datum.check_same(graph.datum)
     datum.check_antidominant(lam)
-    by_word, by_reversal = _e_inf_routes(datum, graph, af.translation(datum, lam))
+    by_word, by_reversal = _e_inf_routes(graph, af.translation(datum, lam))
     if by_word != by_reversal:
         raise SpecializationMismatch(tuple(lam), by_word, by_reversal)
     return by_word
 
 
-def specialization_report(
-    datum: RootDatum, graph: QuantumBruhatGraph, lam
-) -> SpecializationReport:
+def specialization_report(graph: QuantumBruhatGraph, lam) -> SpecializationReport:
+    datum = graph.datum
     datum.check_antidominant(lam)
     t_lam = af.translation(datum, lam)
     _, word = af.reduced_word_ext(datum, t_lam)  # one word for all three
-    by_word, by_reversal = _e_inf_routes(datum, graph, t_lam, word)
-    zero = gf.c_function(datum, graph, af.ext_identity(datum), t_lam, word)
+    by_word, by_reversal = _e_inf_routes(graph, t_lam, word)
+    zero = gf.c_function(graph, af.ext_identity(datum), t_lam, word)
     return SpecializationReport(
         lam=tuple(lam),
         e_zero=zero,
@@ -104,20 +106,13 @@ def specialization_report(
     )
 
 
-def weyl_character(
-    datum: RootDatum, graph: QuantumBruhatGraph, sigma: WeylElt, lam
-) -> LaurentPoly:
+def weyl_character(graph: QuantumBruhatGraph, sigma: WeylElt, lam) -> LaurentPoly:
     """Graded character of the generalized Weyl module twisted by sigma."""
+    datum = graph.datum
     datum.check_antidominant(lam)
-    return gf.c_function(
-        datum,
-        graph,
-        ExtAffineElt((0,) * datum.rank, sigma),
-        af.translation(datum, lam),
-    )
+    return gf.c_function(graph, ExtAffineElt((0,) * datum.rank, sigma),
+                         af.translation(datum, lam))
 
 
-def weyl_dimension(
-    datum: RootDatum, graph: QuantumBruhatGraph, sigma: WeylElt, lam
-) -> int:
-    return gf.evaluate(weyl_character(datum, graph, sigma, lam))
+def weyl_dimension(graph: QuantumBruhatGraph, sigma: WeylElt, lam) -> int:
+    return gf.evaluate(weyl_character(graph, sigma, lam))

@@ -7,9 +7,9 @@ running element by the reflection in the *original* coroot ``beta_j``;
 positions that are skipped leave the element unchanged.  A fold set is
 admissible when each folded step projects to an edge of the quantum
 Bruhat graph, and the fold is quantum exactly when that edge is.
-Both walks take the datum and the graph apart, since they read coroot
-indices and root weights from the one and columns from the other, and
-refuse a graph of another root datum (``RootDatum.check_same``).
+Both walks read coroot indices and root weights from ``graph.datum`` and
+columns from ``graph.steps``, so the two cannot come from two root data,
+and refuse a start that is not a vertex (``graph.index``).
 ``export`` writes each path's record as the walk yields it, as a table,
 JSON or CSV, and refuses any other format.
 """
@@ -62,22 +62,20 @@ def _positions(datum: RootDatum, betas) -> list:
     return out
 
 
-def enumerate_paths(
-    datum: RootDatum, graph: QuantumBruhatGraph, z0: ExtAffineElt, betas
-):
+def enumerate_paths(graph: QuantumBruhatGraph, z0: ExtAffineElt, betas):
     """Yield every admissible fold set, in lexicographic order on J.
 
     Admissibility is prefix-closed, so the search folds at position p only
     when the step dir(z) -> dir(z) s_{|Re beta_p|} is an edge of ``graph``
     (``graph.reversed``, the columns relabelled by ``w0``, turns edges
     around); the subtree is pruned otherwise.  Edges are read off
-    ``graph.steps`` by vertex number; a graph of another root datum and a
-    start that is no vertex are refused.  The empty fold set is always
+    ``graph.steps`` by vertex number; a start that is no vertex, or whose
+    weight is not of the rank, is refused.  The empty fold set is always
     admissible and comes first.
     """
-    betas = tuple(betas)
+    datum, betas = graph.datum, tuple(betas)
     positions = _positions(datum, betas)
-    datum.check_same(graph.datum)
+    datum.check_rank(z0.wt)
     vertices, v0 = graph.vertices, graph.index(z0.dir)
     cols = [(graph.steps[g], k, deg) for g, k, deg in positions]
 
@@ -139,15 +137,13 @@ def _sweep(graph, at, positions, packed, qdigit) -> list:
     return [below[i] for i in at]
 
 
-def fold_tables(
-    datum: RootDatum, graph: QuantumBruhatGraph, starts, sequences
-) -> list:
+def fold_tables(graph: QuantumBruhatGraph, starts, sequences) -> list:
     """One ``{v: {(end weight, q-degree): count}}`` per beta sequence in
     ``sequences``, each for the paths from t_mu v over that sequence.
 
-    ``starts`` is a mapping ``{v: mu}`` shared by every sequence, ``graph``
-    must be of ``datum``, and every v a vertex of it (``graph.index``),
-    all checked before any column is read; a single sequence
+    ``starts`` is a mapping ``{v: mu}`` shared by every sequence, every v a
+    vertex of ``graph`` (``graph.index``) and every mu of its rank, all
+    checked before any column is read; a single sequence
     is ``[betas]``, and an empty list of sequences is refused.  Each
     sequence is swept on its own (see ``_sweep``), and only the first
     one's packed start tables are kept past its decode.
@@ -162,12 +158,12 @@ def fold_tables(
     own: each distinct key is decoded once per call, one pass per digit,
     and equal terms share one key tuple.
     """
+    datum = graph.datum
     sequences = [_positions(datum, betas) for betas in sequences]
     if not sequences:
         raise ValueError("no beta sequence to walk")
     for mu in starts.values():  # refused before any sweep
         datum.check_rank(mu)
-    datum.check_same(graph.datum)
     at = list(map(graph.index, starts))
     # root_weights holds each root weight and its negative
     top = max(map(max, datum.root_weights))
@@ -220,14 +216,15 @@ def qwt_degree(p: AlcovePath) -> int:
     return sum(p.betas[j - 1].deg for j in p.quantum_folds)
 
 
-def path_record(datum: RootDatum, p: AlcovePath) -> dict:
+def path_record(p: AlcovePath) -> dict:
     """Flat export record for one path; each format of ``export`` writes
     its fields in this order."""
+    v = end_dir(p)
     return {
         "folds": list(p.folds),
         "quantum_folds": list(p.quantum_folds),
         "end_weight": list(end_weight(p)),
-        "end_dir": qbg.word_name(wg.smallest_words(datum)[end_dir(p)]),
+        "end_dir": qbg.word_name(wg.smallest_words(v.datum)[v]),
         "qwt_degree": qwt_degree(p),
     }
 
@@ -263,7 +260,7 @@ _JSON_RECORD = (' {{\n  "folds": {},\n  "quantum_folds": {},\n  "end_weight": {}
 _FORMATS = {"table": _table, "json": _json, "csv": _csv}
 
 
-def export(datum: RootDatum, paths, fmt: str, out) -> None:
+def export(paths, fmt: str, out) -> None:
     """Write each path's ``path_record`` to the text stream ``out`` as
     ``paths`` yields it, before the next path is drawn, so no record is
     kept.  ``fmt`` is ``"table"``, one line per path and then the total;
@@ -275,4 +272,4 @@ def export(datum: RootDatum, paths, fmt: str, out) -> None:
     ``fmt`` is refused before a path is drawn."""
     if fmt not in _FORMATS:
         raise ValueError(f"unknown path format {fmt!r}; have {list(_FORMATS)}")
-    out.writelines(_FORMATS[fmt](path_record(datum, p) for p in paths))
+    out.writelines(_FORMATS[fmt](map(path_record, paths)))

@@ -37,7 +37,7 @@ label, so no document or sorted edge list is held whole.
 >>> e, w0 = wg.identity(d), wg.longest_element(d)
 >>> g.index(e), g.index(w0), g.reversed.index(e) == g.index(w0)
 (0, 5, True)
->>> criterion_edge(d, w0, (1, 1))
+>>> criterion_edge(w0, (1, 1))
 True
 """
 
@@ -212,11 +212,10 @@ def _images(datum: RootDatum) -> itemgetter:
     return datum.memoized("images", lambda: itemgetter(*datum.simple_index))
 
 
-def criterion_edge(datum: RootDatum, sigma: WeylElt, gamma) -> bool:
+def criterion_edge(sigma: WeylElt, gamma) -> bool:
     """Existence of an edge ``sigma -> sigma s_gamma``, by the rule that
-    ``build`` uses (``_edge_rule``), from the root datum alone.  An
-    element of another root datum is refused."""
-    datum.check_same(sigma.datum)
+    ``build`` uses (``_edge_rule``), from ``sigma``'s root datum alone."""
+    datum = sigma.datum
     if not datum.is_pos_coroot(gamma):
         raise ValueError(f"not a positive coroot: {gamma!r}")
     label = _edge_labels(datum)[datum.coroot_index[tuple(gamma)]]

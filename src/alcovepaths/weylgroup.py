@@ -6,7 +6,9 @@ of its root datum, in the order of ``RootDatum.coroots``: the N positive
 coroots first, then their negatives in the same order.  ``perm[k]`` is
 the index of ``w(coroots[k])``.  A product composes two tuples, the length
 counts the positive indices sent to indices ``>= N``, and ``w`` acts on a
-weight through the coroots it sends to the simple coroots.
+weight through the coroots it sends to the simple coroots.  A function
+given an element reads the root datum from it (``w.datum``), and a
+product of elements of two root data is refused.
 
 >>> from alcovepaths.lattice import build_datum
 >>> d = build_datum("A", 2)
@@ -15,7 +17,7 @@ weight through the coroots it sends to the simple coroots.
 >>> simple_reflection(d, 1).perm
 (2, 4, 0, 5, 1, 3)
 >>> w0 = longest_element(d)
->>> length(d, w0), reduced_word(d, w0)
+>>> length(w0), reduced_word(w0)
 (3, (1, 2, 1))
 >>> act_weight(w0, (1, 0)), act_coroot(w0, (1, 1))
 ((0, -1), (-1, -1))
@@ -68,6 +70,9 @@ def simple_reflection(datum: RootDatum, i: int) -> WeylElt:
 
 
 def multiply(a: WeylElt, b: WeylElt) -> WeylElt:
+    """The product ``ab``; an element of another root datum is refused."""
+    if a.datum is not b.datum:
+        a.datum.check_same(b.datum)
     # (ab)(c) = a(b(c))
     return WeylElt(tuple(map(a.perm.__getitem__, b.perm)), a.datum)
 
@@ -96,14 +101,15 @@ def act_coroot(a: WeylElt, c):
     return a.datum.coroots[a.perm[k]]
 
 
-def length(datum: RootDatum, a: WeylElt) -> int:
+def length(a: WeylElt) -> int:
     """Number of positive coroots sent to negative coroots."""
-    n = len(datum.pos_coroots)
+    n = len(a.datum.pos_coroots)
     return sum(map(n.__le__, a.perm[:n]))
 
 
-def is_right_descent(datum: RootDatum, a: WeylElt, i: int) -> bool:
+def is_right_descent(a: WeylElt, i: int) -> bool:
     """l(a s_i) < l(a), i.e. a(alpha_i^vee) is negative."""
+    datum = a.datum
     if not 1 <= i <= datum.rank:
         raise ValueError(f"simple index out of range: {i}")
     return a.perm[datum.simple_index[i - 1]] >= len(datum.pos_coroots)
@@ -116,8 +122,9 @@ def from_word(datum: RootDatum, word) -> WeylElt:
     return out
 
 
-def reduced_word(datum: RootDatum, a: WeylElt) -> tuple:
+def reduced_word(a: WeylElt) -> tuple:
     """Lexicographically smallest reduced word, as a tuple of 1-based indices."""
+    datum = a.datum
     n = len(datum.pos_coroots)
     gens = [simple_reflection(datum, i).perm for i in range(1, datum.rank + 1)]
     out = []
@@ -140,7 +147,7 @@ def longest_element(datum: RootDatum) -> WeylElt:
         cur = identity(datum)
         while True:
             for i in range(1, datum.rank + 1):
-                if not is_right_descent(datum, cur, i):
+                if not is_right_descent(cur, i):
                     nxt = multiply(cur, simple_reflection(datum, i))
                     break
             else:
@@ -224,7 +231,7 @@ def smallest_words(datum: RootDatum) -> dict:
             nxt = []
             for w in frontier:
                 for i, s in enumerate(gens, start=1):
-                    if not is_right_descent(datum, w, i):
+                    if not is_right_descent(w, i):
                         ws = multiply(w, s)
                         if ws not in seen:
                             seen[ws] = seen[w] + (i,)

@@ -38,7 +38,7 @@ def written(export, *args) -> str:
 
 
 def datum_and_graph(family: str, rank: int):
-    """The datum and the graph of one type, the first two checker inputs."""
+    """The datum and the graph of one type."""
     return datum_of(family, rank), graph_of(family, rank)
 
 
@@ -49,7 +49,7 @@ def length_zero_elements(d):
         for i in range(1, d.rank + 1)
         for mu in (d.fundamental_weight(i), neg(d.fundamental_weight(i)))
         for v in wg.enumerate_group(d)
-        if af.length_ext(d, af.ExtAffineElt(mu, v)) == 0
+        if af.length_ext(af.ExtAffineElt(mu, v)) == 0
     ]
 
 
@@ -66,10 +66,10 @@ def length_rule_edges(d, elements=None):
     rho2 = two_rho(d)
     edges = {}
     for w in wg.enumerate_group(d) if elements is None else elements:
-        lw = wg.length(d, w)
+        lw = wg.length(w)
         for gamma in d.pos_coroots:
             ws = wg.multiply(w, wg.reflection_of(d, gamma))
-            step = wg.length(d, ws) - lw
+            step = wg.length(ws) - lw
             if step == 1:
                 edges[(w, gamma)] = (qbg.BRUHAT, ws)
             elif step == 1 - dot(gamma, rho2):

@@ -29,7 +29,7 @@ from alcovepaths import paths as pth
 from alcovepaths import genfun as gf
 from alcovepaths import macdonald as mac
 from alcovepaths import identities as ids
-from conftest import (datum_and_graph, datum_of, graph_of, length_rule_edges,
+from conftest import (datum_of, graph_of, length_rule_edges,
                       length_zero_elements)
 
 
@@ -45,8 +45,8 @@ def test_01_g2_fundamental_counts():
     d = datum_of("G", 2)
     g = graph_of("G", 2)
     e = wg.identity(d)
-    assert mac.weyl_dimension(d, g, e, neg(d.fundamental_weight(1))) == 15
-    assert mac.weyl_dimension(d, g, e, neg(d.fundamental_weight(2))) == 7
+    assert mac.weyl_dimension(g, e, neg(d.fundamental_weight(1))) == 15
+    assert mac.weyl_dimension(g, e, neg(d.fundamental_weight(2))) == 7
     assert time.monotonic() - start < 1.0
 
 
@@ -58,7 +58,7 @@ def test_02_a1_tower():
     g = graph_of("A", 1)
     for sigma in wg.enumerate_group(d):
         for n in range(0, 9):
-            assert mac.weyl_dimension(d, g, sigma, (-n,)) == 2 ** n
+            assert mac.weyl_dimension(g, sigma, (-n,)) == 2 ** n
     assert time.monotonic() - start < 10.0
 
 
@@ -72,7 +72,7 @@ def test_03_a2_tower():
         for n1 in range(0, 6):
             for n2 in range(0, 6 - n1):
                 assert (
-                    mac.weyl_dimension(d, g, sigma, (-n1, -n2))
+                    mac.weyl_dimension(g, sigma, (-n1, -n2))
                     == 3 ** (n1 + n2)
                 )
     assert time.monotonic() - start < 60.0
@@ -84,33 +84,33 @@ def test_03_a2_tower():
     ("A", 2), ("C", 2), ("A", 3), ("G", 2),
 ])
 def test_04_recursion(family, rank):
-    assert list(ids.recursion(*datum_and_graph(family, rank), box(rank))) == []
+    assert list(ids.recursion(graph_of(family, rank), box(rank))) == []
 
 
 # 5. both t=infinity routes agree, exact ----------------------------------
 
 @pytest.mark.parametrize("family,rank", [("A", 1), ("A", 2), ("C", 2)])
 def test_05_dual_route(family, rank):
-    assert list(ids.dual_route(*datum_and_graph(family, rank), box(rank))) == []
+    assert list(ids.dual_route(graph_of(family, rank), box(rank))) == []
 
 
 # 6. the edge criteria agree with the length definition, exhaustively -----
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_06_edges_type_a_one_line(n):
-    assert list(ids.lenart(*datum_and_graph("A", n))) == []
+    assert list(ids.lenart(graph_of("A", n))) == []
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_06_edges_type_c_one_line(n):
-    assert list(ids.lenart(*datum_and_graph("C", n))) == []
+    assert list(ids.lenart(graph_of("C", n))) == []
 
 
 @pytest.mark.parametrize("family", ["B", "G"])
 def test_06_one_line_rules_refuse_other_types(family):
     # the graph has no vertices to read: the refusal comes first
     with pytest.raises(ValueError, match=f"types A and C, not {family}$"):
-        next(ids.lenart(datum_of(family, 2), SimpleNamespace()))
+        next(ids.lenart(SimpleNamespace(datum=datum_of(family, 2))))
 
 
 @pytest.mark.parametrize("family,rank", [
@@ -124,7 +124,7 @@ def test_06_edges_obstruction_criterion(family, rank):
     g = graph_of(family, rank)
     assert g.edges == length_rule_edges(d)
     assert {(w, gamma) for w in g.vertices for gamma in d.pos_coroots
-            if qbg.criterion_edge(d, w, gamma)} == g.edges.keys()
+            if qbg.criterion_edge(w, gamma)} == g.edges.keys()
 
 
 # 7. structural properties of the canonical coroot layout ------------------
@@ -140,7 +140,9 @@ BETA_TYPES = [
 def test_07_beta_suite(family, rank):
     d = datum_of(family, rank)
     pos = set(d.pos_coroots)
-    assert list(ids.beta(d)) == []  # the multiset of the layout
+    # the multiset of the layout; the checker reads only the graph's datum,
+    # and E7 and E8 are over the group size cap
+    assert list(ids.beta(SimpleNamespace(datum=d))) == []
     for i in range(1, rank + 1):
         betas = af.canonical_beta_order(d, i)
 
@@ -183,8 +185,8 @@ def test_07_beta_concatenation(family, rank):
             target = af.translation(
                 d, tuple(l - o for l, o in zip(lam, d.fundamental_weight(i)))
             )
-            assert af.length_ext(d, af.multiply(target, af.inverse(elt))) == 0
-            assert len(word) == af.length_ext(d, target)
+            assert af.length_ext(af.multiply(target, af.inverse(elt))) == 0
+            assert len(word) == af.length_ext(target)
 
 
 def _omega_pm(rank, *indices):
@@ -203,7 +205,7 @@ def _omega_pm(rank, *indices):
     ("F", 4, _omega_pm(4, 2, 3)),
 ], ids=["A3", "B3", "C3", "G2", "F4"])
 def test_07_word_choice(family, rank, lams):
-    assert list(ids.word_choice(*datum_and_graph(family, rank), lams)) == []
+    assert list(ids.word_choice(graph_of(family, rank), lams)) == []
 
 
 # 8. invariance laws of the generating function ----------------------------
@@ -213,7 +215,7 @@ def test_08_translation_shift(family):
     # G2 has a root-weight coordinate of 3, so its start weights are the
     # largest the weighted decode adds
     mus = [(1, 0), (0, -1), (2, -1)]
-    assert list(ids.shift(*datum_and_graph(family, 2), (-1, -1), mus)) == []
+    assert list(ids.shift(graph_of(family, 2), (-1, -1), mus)) == []
 
 
 def test_08_length_zero_invariance():
@@ -234,14 +236,14 @@ def test_08_length_zero_invariance():
             for u in wg.enumerate_group(d):
                 u_ext = ExtAffineElt((0,) * rank, u)
                 upi = af.multiply(u_ext, pi)
-                lhs = gf.c_function(d, g, u_ext, af.multiply(pi, w), word=word)
+                lhs = gf.c_function(g, u_ext, af.multiply(pi, w), word=word)
                 rhs = gf.shift(
                     gf.c_function(
-                        d, g, ExtAffineElt((0,) * rank, upi.dir), w, word=word
+                        g, ExtAffineElt((0,) * rank, upi.dir), w, word=word
                     ),
                     upi.wt,
                 )
-                assert lhs == rhs, (family, rank, pi, wg.reduced_word(d, u))
+                assert lhs == rhs, (family, rank, pi, wg.reduced_word(u))
 
 
 @pytest.mark.parametrize("family,rank", [
@@ -249,7 +251,7 @@ def test_08_length_zero_invariance():
     ("B", 3), ("C", 3), ("D", 4), ("F", 4),
 ])
 def test_08_w0_inversion(family, rank):
-    assert list(ids.w0_inversion(*datum_and_graph(family, rank))) == []
+    assert list(ids.w0_inversion(graph_of(family, rank))) == []
 
 
 # 9. cominuscule twist relates the two specializations --------------------
@@ -258,7 +260,7 @@ def test_08_w0_inversion(family, rank):
     ("A", 1, 1, 4), ("A", 2, 1, 3), ("A", 2, 2, 3), ("C", 2, 2, 2),
 ])
 def test_09_cominuscule_twist(family, rank, i, mmax):
-    assert list(ids.twist(*datum_and_graph(family, rank), i, range(1, mmax + 1))) == []
+    assert list(ids.twist(graph_of(family, rank), i, range(1, mmax + 1))) == []
 
 
 # 10. all specialization coefficients are non-negative integers -----------
@@ -303,16 +305,15 @@ def test_10_non_negativity():
     # besides the reference number 1, 2, 2 and 3: the lambda-chain at each
     # weight, and one lexicographic chain per negative coordinate
     ("word_choice", (pth, "fold_tables",
-                     lambda d, g, starts, seqs, n=itertools.count():
+                     lambda g, starts, seqs, n=itertools.count():
                      [dict.fromkeys(starts, next(n)) for _ in seqs]),
      "G", 2, (itertools.product((0, -1), repeat=2),), 8),
 ])
 def test_checkers_yield_one_record_per_failing_case(
     monkeypatch, name, patch, family, rank, inputs, cases
 ):
-    d, g = datum_and_graph(family, rank)
     monkeypatch.setattr(*patch)
-    records = list(getattr(ids, name)(d, g, *inputs))
+    records = list(getattr(ids, name)(graph_of(family, rank), *inputs))
     assert len(records) == cases
     assert len({json.dumps(r, sort_keys=True) for r in records}) == cases
     assert {r["type"] for r in records} == {f"{family}{rank}"}

@@ -462,7 +462,7 @@ def test_verify_twist_reports_disagreeing_routes(capsys, disagreeing_routes):
 def test_verify_runs_a_repeated_suite_once(capsys, monkeypatch):
     calls = []
     monkeypatch.setattr(cli.ids, "SUITES", {
-        name: (lambda d, g, name=name: calls.append(name) or (), [("A", 1)])
+        name: (lambda g, name=name: calls.append(name) or (), [("A", 1)])
         for name in ("shift", "beta")
     })
     code, out, _ = run(capsys, "verify", "--suites", "shift,beta,shift")

@@ -105,8 +105,8 @@ def test_c_function_a1_fixtures():
     t = af.translation(d, (-1,))
     e = af.ext_identity(d)
     w0 = ExtAffineElt((0,), wg.longest_element(d))
-    assert gf.c_function(d, g, e, t) == _poly({((-1,), 0): 1, ((1,), 0): 1})
-    assert gf.c_function(d, g, w0, t) == _poly({((1,), 0): 1, ((-1,), 1): 1})
+    assert gf.c_function(g, e, t) == _poly({((-1,), 0): 1, ((1,), 0): 1})
+    assert gf.c_function(g, w0, t) == _poly({((1,), 0): 1, ((-1,), 1): 1})
 
 
 def test_c_function_empty_word():
@@ -114,7 +114,7 @@ def test_c_function_empty_word():
     g = graph_of("A", 2)
     u = ExtAffineElt((2, -1), wg.simple_reflection(d, 1))
     t0 = af.translation(d, (0, 0))
-    assert gf.c_function(d, g, u, t0) == LaurentPoly.monomial((2, -1))
+    assert gf.c_function(g, u, t0) == LaurentPoly.monomial((2, -1))
 
 
 @pytest.mark.parametrize("family,rank,lam", [
@@ -131,9 +131,9 @@ def test_c_function_word_independence(family, rank, lam):
         pi, word = af.word_for_translation(d, mu)
         # the chain's word is a reduced word for the pi-stripped part
         assert af.from_word_ext(d, word, pi) == t
-        alt = gf.c_function(d, g, af.multiply(e, pi), af.from_word_ext(d, word),
+        alt = gf.c_function(g, af.multiply(e, pi), af.from_word_ext(d, word),
                             word=word)
-        assert alt == gf.c_function(d, g, e, t)
+        assert alt == gf.c_function(g, e, t)
 
 
 @pytest.mark.parametrize("family,rank,lam,by_smallest,by_chain", [
@@ -153,7 +153,7 @@ def test_c_function_depends_on_the_word_at_mixed_sign(
     pi_chain, chain = af.word_for_translation(d, lam)
     # both are reduced words of the same x, t_lam = pi x
     assert pi_chain == pi and chain != smallest
-    counts = ([gf.evaluate(gf.c_function(d, g, ExtAffineElt((0,) * rank, v), t,
+    counts = ([gf.evaluate(gf.c_function(g, ExtAffineElt((0,) * rank, v), t,
                                          word=word)) for word in (smallest, chain)]
               for v in g.vertices)
     assert next(c for c in counts if c[0] != c[1]) == [by_smallest, by_chain]
@@ -168,13 +168,13 @@ def test_word_choice_refuses_a_mixed_sign_weight(monkeypatch):
     # as given, before any fold table
     monkeypatch.setattr(pth, "fold_tables", _walked)
     with pytest.raises(ValueError, match=re.escape("anti-dominant: (-1, 2)")):
-        list(ids.word_choice(*datum_and_graph("A", 2), [(0, -1), (-1, 2)]))
+        list(ids.word_choice(graph_of("A", 2), [(0, -1), (-1, 2)]))
 
 
 def test_shift_equivariance():
     # C_{t_mu u}^w = x^mu * C_u^w, for every u
     mus = [(1, 0), (0, -1), (2, -1)]
-    assert list(ids.shift(*datum_and_graph("A", 2), (-1, 0), mus)) == []
+    assert list(ids.shift(graph_of("A", 2), (-1, 0), mus)) == []
 
 
 @pytest.mark.parametrize("family,rank", [("A", 1), ("A", 2), ("C", 2)])
@@ -194,10 +194,10 @@ def test_twisted_translation_invariance(family, rank):
         for uw in [(), (1,)]:
             u = ExtAffineElt((0,) * rank, wg.from_word(d, uw))
             upi = af.multiply(u, pi)
-            lhs = gf.c_function(d, g, u, af.multiply(pi, w), word=word)
+            lhs = gf.c_function(g, u, af.multiply(pi, w), word=word)
             rhs = gf.shift(
                 gf.c_function(
-                    d, g, ExtAffineElt((0,) * rank, upi.dir), w, word=word
+                    g, ExtAffineElt((0,) * rank, upi.dir), w, word=word
                 ),
                 upi.wt,
             )
@@ -211,9 +211,9 @@ def test_plain_translation_invariance_fails():
     e = af.ext_identity(d)
     s0 = af.affine_simple_reflection(d, 0)
     pi = ExtAffineElt((1,), wg.longest_element(d))
-    assert af.length_ext(d, pi) == 0
-    c_s0 = gf.c_function(d, g, e, s0)
-    c_pis0 = gf.c_function(d, g, e, af.multiply(pi, s0))
+    assert af.length_ext(pi) == 0
+    c_s0 = gf.c_function(g, e, s0)
+    c_pis0 = gf.c_function(g, e, af.multiply(pi, s0))
     assert c_s0 == _poly({((2,), 0): 1, ((0,), 1): 1})
     assert c_pis0 == _poly({((-1,), 0): 1, ((1,), 0): 1})
     assert c_s0 != c_pis0
@@ -248,7 +248,7 @@ def test_recursion_derives_each_word_once(family, rank, monkeypatch):
         mu = sub(lam, d.fundamental_weight(i))
         assert ok
         assert lhs == gf.c_function(
-            d, g, ExtAffineElt(zero, u), af.translation(d, mu)
+            g, ExtAffineElt(zero, u), af.translation(d, mu)
         )
 
 
@@ -265,7 +265,7 @@ def test_recursion_lhs_is_the_c_function(family, rank):
             for u in g.vertices:
                 z0 = af.multiply(ExtAffineElt((0,) * rank, u), t_mu)
                 want = Counter((pth.end_weight(p), pth.qwt_degree(p))
-                               for p in pth.enumerate_paths(d, g, z0, betas))
+                               for p in pth.enumerate_paths(g, z0, betas))
                 lhs, rhs, ok = gf.recursion_check(d, g, u, i, lam, cache)
                 assert ok and lhs.terms == want, (lam, i, u)
                 lhs.terms.clear()
@@ -283,7 +283,7 @@ def test_recursion_rhs_is_the_typed_path_sum(family, rank, depth):
     zero, cache = (0,) * rank, {}
     for lam in itertools.product(range(0, -depth - 1, -1), repeat=rank):
         t_lam = af.translation(d, lam)
-        c_lam = {v: gf.c_function(d, g, ExtAffineElt(zero, v), t_lam)
+        c_lam = {v: gf.c_function(g, ExtAffineElt(zero, v), t_lam)
                  for v in g.vertices}
         for i in range(1, rank + 1):
             betas = af.shifted_beta(d, i, lam)
@@ -291,7 +291,7 @@ def test_recursion_rhs_is_the_typed_path_sum(family, rank, depth):
             for u in g.vertices:
                 z0 = ExtAffineElt(wg.act_weight(u, mu), u)
                 want = LaurentPoly()
-                for p in pth.enumerate_paths(d, g, z0, betas):
+                for p in pth.enumerate_paths(g, z0, betas):
                     end = p.ends[-1]
                     offset = sub(end.wt, wg.act_weight(end.dir, lam))
                     want = want + LaurentPoly.monomial(
@@ -343,7 +343,7 @@ def test_recursion_sides_share_no_dict_with_the_cache():
 def _typed_paths(d, g, i, lam):
     """Paths over the shifted betas of omega_i, started at t_{lam - omega_i}."""
     t = af.translation(d, sub(lam, d.fundamental_weight(i)))
-    return list(pth.enumerate_paths(d, g, t, af.shifted_beta(d, i, lam)))
+    return list(pth.enumerate_paths(g, t, af.shifted_beta(d, i, lam)))
 
 
 def test_recursion_collapses_at_zero():
@@ -375,9 +375,9 @@ def test_c_function_refuses_a_translation_of_another_rank():
     t = af.translation(d, (-1, 0))
     word = af.reduced_word_ext(d, t)[1]
     u = ExtAffineElt((0, 0), e)
-    assert gf.c_function(d, g, u, ExtAffineElt((-1, 0), e), word=word)
+    assert gf.c_function(g, u, ExtAffineElt((-1, 0), e), word=word)
     with pytest.raises(ValueError, match="length-2"):
-        gf.c_function(d, g, u, ExtAffineElt((-1,), e), word=word)
+        gf.c_function(g, u, ExtAffineElt((-1,), e), word=word)
 
 
 def test_typed_paths_structure():

@@ -29,19 +29,19 @@ def _translation_input(family, rank, lam):
 
 def _kernel_terms(d, g, z0, betas):
     """The kernel's terms from z0, read as ``genfun.c_function`` reads them."""
-    return pth.fold_tables(d, g, {z0.dir: z0.wt}, [betas])[0][z0.dir]
+    return pth.fold_tables(g, {z0.dir: z0.wt}, [betas])[0][z0.dir]
 
 
 def _kernel_count(d, g, z0, betas):
     starts = {z0.dir: (0,) * d.rank}
-    return sum(pth.fold_tables(d, g, starts, [betas])[0][z0.dir].values())
+    return sum(pth.fold_tables(g, starts, [betas])[0][z0.dir].values())
 
 
 def _walk_terms(d, g, z0, betas):
     """The terms of the unmemoized enumeration from z0."""
     return dict(Counter(
         (pth.end_weight(p), pth.qwt_degree(p))
-        for p in pth.enumerate_paths(d, g, z0, betas)
+        for p in pth.enumerate_paths(g, z0, betas)
     ))
 
 
@@ -53,12 +53,12 @@ def _assert_table_matches_walks(d, g, starts, betas):
     zero = (0,) * d.rank
     starts = dict.fromkeys(starts, zero)
     for gr in (g, g.reversed):
-        table = pth.fold_tables(d, gr, starts, [betas])[0]
+        table = pth.fold_tables(gr, starts, [betas])[0]
         assert set(table) == set(starts)
         for v in starts:
             want = _walk_terms(d, gr, af.ExtAffineElt(zero, v), betas)
             assert table[v] == want, (v, gr is g)
-            (alone,) = pth.fold_tables(d, gr, {v: zero}, [betas])
+            (alone,) = pth.fold_tables(gr, {v: zero}, [betas])
             assert alone[v] == want, (v, gr is g)
 
 
@@ -87,7 +87,7 @@ def test_a2_counts_powers_of_three(lam):
 ])
 def test_count_matches_enumeration(family, rank, lam):
     d, g, t, betas = _translation_input(family, rank, lam)
-    paths = list(pth.enumerate_paths(d, g, t, betas))
+    paths = list(pth.enumerate_paths(g, t, betas))
     assert len(paths) == _kernel_count(d, g, t, betas)
     # fold sets are distinct and lexicographically ordered
     folds = [p.folds for p in paths]
@@ -110,10 +110,10 @@ def test_fold_table_matches_walks_from_each_start(family, rank, lam):
     d, g, t, betas = _translation_input(family, rank, lam)
     zero = (0,) * rank
     for gr in (g, g.reversed):
-        table = pth.fold_tables(d, gr, dict.fromkeys(g.vertices, zero), [betas])[0]
+        table = pth.fold_tables(gr, dict.fromkeys(g.vertices, zero), [betas])[0]
         assert set(table) == set(g.vertices)
         for v, terms in table.items():
-            assert pth.fold_tables(d, gr, {v: zero}, [betas])[0][v] == terms
+            assert pth.fold_tables(gr, {v: zero}, [betas])[0][v] == terms
             z0 = af.ExtAffineElt(wg.act_weight(v, lam), v)
             want = _walk_terms(d, gr, z0, betas)
             assert _kernel_terms(d, gr, z0, betas) == want, (v, gr is g)
@@ -127,14 +127,14 @@ def test_fold_table_at_the_digit_bound_in_a1(m):
     # the end weights of t_{-m omega} span [-2m, 2m], both ends reached
     d, g, t, betas = _translation_input("A", 1, (-m,))
     _assert_table_matches_walks(d, g, g.vertices, betas)
-    plain = pth.fold_tables(d, g, dict.fromkeys(g.vertices, (0,)), [betas])[0]
+    plain = pth.fold_tables(g, dict.fromkeys(g.vertices, (0,)), [betas])[0]
     weights = {wt for terms in plain.values() for (wt,), _ in terms}
     assert {-2 * m, 2 * m} <= weights
     # a start weight is packed into the keys, and the digit bound grows by
     # its largest coordinate, so one far outside the sweeps' own range gets
     # the weight-zero table shifted
     far, near = g.vertices
-    table = pth.fold_tables(d, g, {far: (10 ** 6,), near: (0,)}, [betas])[0]
+    table = pth.fold_tables(g, {far: (10 ** 6,), near: (0,)}, [betas])[0]
     assert table[far] == {((x + 10 ** 6,), q): c
                           for ((x,), q), c in plain[far].items()}
     assert table[near] == plain[near]
@@ -161,10 +161,10 @@ def test_fold_table_packs_start_weights_at_the_extremes(family, rank, lam):
            tuple(big if j % 2 else -big for j in range(rank))]
     for gr in (g, g.reversed):
         starts = {v: mus[n % len(mus)] for n, v in enumerate(gr.vertices)}
-        table = pth.fold_tables(d, gr, starts, [betas])[0]
+        table = pth.fold_tables(gr, starts, [betas])[0]
         keys, shared = {}, 0
         for v, mu in starts.items():
-            plain = pth.fold_tables(d, gr, {v: zero}, [betas])[0][v]
+            plain = pth.fold_tables(gr, {v: zero}, [betas])[0][v]
             assert table[v] == {
                 (tuple(x + m for x, m in zip(wt, mu)), q): c
                 for (wt, q), c in plain.items()}, (v, mu)
@@ -215,7 +215,7 @@ def test_fold_table_gives_each_start_its_own_table():
     for betas in ((), (af.affine_simple_coroot(d, 0),)):
         for gr in (g, g.reversed):
             starts = dict.fromkeys(gr.vertices, (0, 0))
-            (table,) = pth.fold_tables(d, gr, starts, [betas])
+            (table,) = pth.fold_tables(gr, starts, [betas])
             assert len({id(terms) for terms in table.values()}) == len(table)
             first, *rest = gr.vertices
             table[first].clear()
@@ -250,8 +250,8 @@ def test_fold_tables_match_one_call_per_sequence(family, rank, lam, mixed):
     for weight, seqs in cases:
         starts = {v: wg.act_weight(v, weight) for v in g.vertices}
         for gr in (g, g.reversed):
-            tables = pth.fold_tables(d, gr, starts, seqs)
-            assert tables == [pth.fold_tables(d, gr, starts, [b])[0] for b in seqs]
+            tables = pth.fold_tables(gr, starts, seqs)
+            assert tables == [pth.fold_tables(gr, starts, [b])[0] for b in seqs]
             first, *rest = tables
             shared = 0
             for table in tables:
@@ -275,12 +275,21 @@ def test_fold_tables_take_the_bound_from_every_sequence():
     starts = dict.fromkeys(g.vertices, (0,))
     for seqs in ([short, long], [long, short]):
         for gr in (g, g.reversed):
-            tables = pth.fold_tables(d, gr, starts, seqs)
-            assert tables == [pth.fold_tables(d, gr, starts, [b])[0] for b in seqs]
+            tables = pth.fold_tables(gr, starts, seqs)
+            assert tables == [pth.fold_tables(gr, starts, [b])[0] for b in seqs]
     weights = {wt for terms in tables[0].values() for (wt,), _ in terms}
     assert {-8, 8} <= weights
     with pytest.raises(ValueError, match="no beta sequence"):
-        pth.fold_tables(d, g, starts, [])
+        pth.fold_tables(g, starts, [])
+
+
+def test_enumeration_refuses_a_start_weight_of_another_rank():
+    # the fold shifts were zipped against the start weight, so (0,) walked
+    # rank-one weights and (0, 0, 5) kept its third coordinate throughout
+    d, g, t, betas = _translation_input("A", 2, (-1, -1))
+    for wt in ((0,), (0, 0, 5)):
+        with pytest.raises(ValueError, match="length-2 vector"):
+            next(pth.enumerate_paths(g, af.ExtAffineElt(wt, t.dir), betas))
 
 
 @pytest.mark.parametrize("family,rank,lam", [
@@ -292,7 +301,7 @@ def test_fold_table_start_weights(family, rank, lam):
     d, g, t, betas = _translation_input(family, rank, lam)
     starts = {v: wg.act_weight(v, lam) for v in g.vertices}
     for gr in (g, g.reversed):
-        table = pth.fold_tables(d, gr, starts, [betas])[0]
+        table = pth.fold_tables(gr, starts, [betas])[0]
         assert set(table) == set(starts)
         for v, mu in starts.items():
             z0 = af.ExtAffineElt(mu, v)
@@ -301,15 +310,15 @@ def test_fold_table_start_weights(family, rank, lam):
     def read(key):
         raise AssertionError("an edge was read")
     # a bad start, alone or among good ones, is refused before any edge is read
-    unread = SimpleNamespace(edges=SimpleNamespace(get=read))
+    unread = SimpleNamespace(datum=d, edges=SimpleNamespace(get=read))
     for bad in ({t.dir: (0,) * (rank + 1)}, {**starts, t.dir: (0,) * (rank - 1)}):
         with pytest.raises(ValueError, match="length"):
-            pth.fold_tables(d, unread, bad, [betas])
+            pth.fold_tables(unread, bad, [betas])
 
 
 def test_enumeration_prefix_closed():
     d, g, t, betas = _translation_input("C", 2, (-1, -1))
-    folds = {p.folds for p in pth.enumerate_paths(d, g, t, betas)}
+    folds = {p.folds for p in pth.enumerate_paths(g, t, betas)}
     for J in folds:
         for k in range(len(J)):
             assert J[:k] in folds
@@ -318,7 +327,7 @@ def test_enumeration_prefix_closed():
 def test_path_invariants():
     d, g, t, betas = _translation_input("A", 2, (-1, -1))
     refl = [af.affine_reflection(d, b) for b in betas]
-    for p in pth.enumerate_paths(d, g, t, betas):
+    for p in pth.enumerate_paths(g, t, betas):
         assert p.start == t
         assert len(p.ends) == len(p.folds) + 1
         assert set(p.quantum_folds) <= set(p.folds)
@@ -359,17 +368,17 @@ def test_reversed_walk_is_the_w0_image_of_the_forward_walk(family, rank, wts):
         _, word = af.reduced_word_ext(d, af.translation(d, wt))
         betas = af.beta_sequence(d, word)
         starts = {v: wg.act_weight(v, wt) for v in g.vertices}
-        fwd = pth.fold_tables(d, g, starts, [betas])[0]
-        back = pth.fold_tables(d, g.reversed, starts, [betas])[0]
+        fwd = pth.fold_tables(g, starts, [betas])[0]
+        back = pth.fold_tables(g.reversed, starts, [betas])[0]
         for v in g.vertices:
             want = gf.w0_twist(d, gf.LaurentPoly(fwd[wg.multiply(w0, v)]))
-            assert gf.LaurentPoly(back[v]) == want, (wt, wg.reduced_word(d, v))
+            assert gf.LaurentPoly(back[v]) == want, (wt, wg.reduced_word(v))
 
 
 def test_reversed_enumeration_swaps_edge_kinds():
     d, g, t, betas = _translation_input("A", 1, (-1,))
-    fwd = list(pth.enumerate_paths(d, g, t, betas))
-    rev = list(pth.enumerate_paths(d, g.reversed, t, betas))
+    fwd = list(pth.enumerate_paths(g, t, betas))
+    rev = list(pth.enumerate_paths(g.reversed, t, betas))
     assert [p.folds for p in fwd] == [(), (1,)]
     assert [p.folds for p in rev] == [(), (1,)]
     # forward, the fold at 1 rides a covering edge; reversed, a quantum one
@@ -382,9 +391,9 @@ def test_malformed_betas_rejected():
     g = graph_of("A", 2)
     z0 = af.ext_identity(d)
     with pytest.raises(ValueError, match="zero real part"):
-        pth.fold_tables(d, g, {z0.dir: z0.wt}, [[AffineCoroot((0, 0), 1)]])
+        pth.fold_tables(g, {z0.dir: z0.wt}, [[AffineCoroot((0, 0), 1)]])
     with pytest.raises(ValueError, match="not a coroot"):
-        pth.fold_tables(d, g, {z0.dir: z0.wt}, [[AffineCoroot((2, 0), 1)]])
+        pth.fold_tables(g, {z0.dir: z0.wt}, [[AffineCoroot((2, 0), 1)]])
 
 
 def test_a_beta_with_a_list_real_part_is_read_as_its_tuple():
@@ -393,13 +402,13 @@ def test_a_beta_with_a_list_real_part_is_read_as_its_tuple():
     d, g, t, betas = _translation_input("A", 2, (-1, -1))
     e = wg.identity(d)
     listed = [AffineCoroot(list(b.re), b.deg) for b in betas]
-    assert pth.fold_tables(d, g, {e: (0, 0)}, [listed]) == (
-        pth.fold_tables(d, g, {e: (0, 0)}, [betas]))
+    assert pth.fold_tables(g, {e: (0, 0)}, [listed]) == (
+        pth.fold_tables(g, {e: (0, 0)}, [betas]))
 
 
 def test_export_json_records():
     d, g, t, betas = _translation_input("A", 1, (-1,))
-    out = json.loads(written(pth.export, d, pth.enumerate_paths(d, g, t, betas), "json"))
+    out = json.loads(written(pth.export, pth.enumerate_paths(g, t, betas), "json"))
     assert len(out) == 2
     assert out[0] == {
         "folds": [], "quantum_folds": [], "end_weight": [-1],
@@ -411,7 +420,7 @@ def test_export_json_records():
 
 def test_export_csv_parses_back():
     d, g, t, betas = _translation_input("A", 2, (-1, 0))
-    text = written(pth.export, d, pth.enumerate_paths(d, g, t, betas), "csv")
+    text = written(pth.export, pth.enumerate_paths(g, t, betas), "csv")
     rows = list(csv.DictReader(io.StringIO(text)))
     assert len(rows) == 3
     assert rows[0]["end_dir"] == "e"
@@ -423,18 +432,18 @@ def test_export_is_the_stdlib_encoding(family, rank, lam):
     # oracle: the stdlib json and csv writers on the path records, both ways
     d, g, t, betas = _translation_input(family, rank, lam)
     for gr in (g, g.reversed):
-        paths = list(pth.enumerate_paths(d, gr, t, betas))
-        records = [pth.path_record(d, p) for p in paths]
-        assert written(pth.export, d, paths, "json") == json.dumps(records, indent=1) + "\n"
+        paths = list(pth.enumerate_paths(gr, t, betas))
+        records = [pth.path_record(p) for p in paths]
+        assert written(pth.export, paths, "json") == json.dumps(records, indent=1) + "\n"
         buf = io.StringIO()
         rows = csv.DictWriter(buf, fieldnames=list(records[0]), lineterminator="\n")
         rows.writeheader()
         rows.writerows({**r, **{k: " ".join(map(str, r[k])) for k in
                                 ("folds", "quantum_folds", "end_weight")}} for r in records)
-        assert written(pth.export, d, paths, "csv") == buf.getvalue()
+        assert written(pth.export, paths, "csv") == buf.getvalue()
         assert '"' in buf.getvalue()  # an end name with a comma is quoted
     # no record is the empty JSON list
-    assert written(pth.export, d, [], "json") == "[]\n"
+    assert written(pth.export, [], "json") == "[]\n"
 
 
 class _Broken(Exception):
@@ -450,12 +459,12 @@ def _then_broken(paths, k):
 def test_export_writes_each_record_before_the_next_is_drawn(fmt):
     # a walk that fails after k paths leaves exactly k records written
     d, g, t, betas = _translation_input("A", 2, (-1, -1))
-    paths = list(pth.enumerate_paths(d, g, t, betas))
-    whole = written(pth.export, d, paths, fmt)
+    paths = list(pth.enumerate_paths(g, t, betas))
+    whole = written(pth.export, paths, fmt)
     for k in (0, 1, 3, len(paths)):
         out = io.StringIO()
         with pytest.raises(_Broken):
-            pth.export(d, _then_broken(paths, k), fmt, out)
+            pth.export(_then_broken(paths, k), fmt, out)
         text = out.getvalue()
         assert whole.startswith(text)
         if fmt == "json":
@@ -468,7 +477,7 @@ def test_export_refuses_an_unknown_format():
     # a ValueError that names the three formats, before a path is drawn
     d, out = datum_of("A", 1), io.StringIO()
     with pytest.raises(ValueError, match=r"'xml'; have \['table', 'json', 'csv'\]"):
-        pth.export(d, _then_broken([], 0), "xml", out)
+        pth.export(_then_broken([], 0), "xml", out)
     assert out.getvalue() == ""
 
 
@@ -490,13 +499,14 @@ def test_a_start_that_is_no_vertex_is_refused():
                                  steps=_Unread(), index=gr.index)
         for starts in ({bad: (0, 0)}, {**good, bad: (0, 0)}):
             with pytest.raises(ValueError, match="not a vertex"):
-                pth.fold_tables(d, unread, starts, [betas])
+                pth.fold_tables(unread, starts, [betas])
         with pytest.raises(ValueError, match="not a vertex"):
-            next(pth.enumerate_paths(d, unread, af.ExtAffineElt((0, 0), bad), betas))
+            next(pth.enumerate_paths(unread, af.ExtAffineElt((0, 0), bad), betas))
         with pytest.raises(ValueError, match="not a vertex"):
             qbg.edge_kind(unread, bad, d.pos_coroots[0])
-    with pytest.raises(ValueError, match="not a vertex"):
-        gf.c_function(d, g, af.ExtAffineElt((0, 0), bad), t)
+    # c_function's start u*w is a product, which refuses the two data first
+    with pytest.raises(ValueError, match="another root datum"):
+        gf.c_function(g, af.ExtAffineElt((0, 0), bad), t)
 
 
 @pytest.mark.parametrize("family,rank,lam", [
@@ -506,12 +516,12 @@ def test_fold_table_reads_starts_equal_to_vertices(family, rank, lam):
     # a start equal to a vertex but another object walks as the vertex does
     d, g, t, betas = _translation_input(family, rank, lam)
     starts = {v: wg.act_weight(v, lam) for v in g.vertices}
-    copies = {wg.from_word(d, wg.reduced_word(d, v)): mu for v, mu in starts.items()}
+    copies = {wg.from_word(d, wg.reduced_word(v)): mu for v, mu in starts.items()}
     e = wg.identity(d)
     assert e == g.vertices[0] and e is not g.vertices[0]
     for gr in (g, g.reversed):
-        want = pth.fold_tables(d, gr, starts, [betas])[0]
-        assert pth.fold_tables(d, gr, copies, [betas])[0] == want
+        want = pth.fold_tables(gr, starts, [betas])[0]
+        assert pth.fold_tables(gr, copies, [betas])[0] == want
         zero, first = (0,) * rank, g.vertices[0]
-        assert pth.fold_tables(d, gr, {e: zero}, [betas])[0][e] == (
-            pth.fold_tables(d, gr, {first: zero}, [betas])[0][first])
+        assert pth.fold_tables(gr, {e: zero}, [betas])[0][e] == (
+            pth.fold_tables(gr, {first: zero}, [betas])[0][first])

@@ -9,14 +9,19 @@ criterion.  The fixture asserts 15.
 """
 
 import ast
+import importlib
+import inspect
 import io
 import json
 import operator
+import pkgutil
 import random
+import re
 from pathlib import Path
 
 import pytest
 
+import alcovepaths
 from alcovepaths.lattice import build_datum, dot
 from alcovepaths import weylgroup as wg
 from alcovepaths import affine as af
@@ -51,7 +56,7 @@ def test_edge_length_conditions(family, rank):
     g = graph_of(family, rank)
     for (w, gamma), (kind, _) in g.edges.items():
         ws = wg.multiply(w, wg.reflection_of(d, gamma))
-        lw, lws = wg.length(d, w), wg.length(d, ws)
+        lw, lws = wg.length(w), wg.length(ws)
         if kind == qbg.BRUHAT:
             assert lws == lw + 1
         else:
@@ -114,7 +119,7 @@ def test_quantum_labels_are_quantum_roots(family, rank):
               if kind == qbg.QUANTUM}
     quantum_roots = {
         gamma for gamma in d.pos_coroots
-        if wg.length(d, wg.reflection_of(d, gamma)) == dot(gamma, two_rho(d)) - 1
+        if wg.length(wg.reflection_of(d, gamma)) == dot(gamma, two_rho(d)) - 1
     }
     assert labels == quantum_roots
     assert labels
@@ -128,8 +133,8 @@ def test_exclusion_rule_is_the_bfp_condition(family, rank):
     d = datum_of(family, rank)
     for gamma in d.pos_coroots:
         s = wg.reflection_of(d, gamma)
-        bfp = wg.length(d, s) == dot(gamma, two_rho(d)) - 1
-        assert qbg.criterion_edge(d, s, gamma) == bfp, gamma
+        bfp = wg.length(s) == dot(gamma, two_rho(d)) - 1
+        assert qbg.criterion_edge(s, gamma) == bfp, gamma
 
 
 @pytest.mark.parametrize("family,rank,size",
@@ -141,14 +146,14 @@ def test_edge_rule_on_sampled_elements(family, rank, size):
     # of w0, so every length is reached, then ``rank`` random letters
     d = datum_of(family, rank)
     rng = random.Random(rank)
-    top = wg.reduced_word(d, wg.longest_element(d))
+    top = wg.reduced_word(wg.longest_element(d))
     sample = list(dict.fromkeys(
         wg.from_word(d, top[:rng.randrange(len(top) + 1)]
                      + tuple(rng.randint(1, rank) for _ in range(rank)))
         for _ in range(size)))
     edges = length_rule_edges(d, sample)
     assert {(w, gamma) for w in sample for gamma in d.pos_coroots
-            if qbg.criterion_edge(d, w, gamma)} == edges.keys()
+            if qbg.criterion_edge(w, gamma)} == edges.keys()
     # the kind is the sign of w(gamma), and both kinds are sampled
     assert {kind for kind, _ in edges.values()} == {qbg.BRUHAT, qbg.QUANTUM}
     for (w, gamma), (kind, _) in edges.items():
@@ -187,16 +192,16 @@ def test_edge_kind_lookup():
 
 def test_one_line_notation():
     d = datum_of("A", 2)
-    assert ids._one_line(d, wg.identity(d)) == (1, 2, 3)
-    assert ids._one_line(d, wg.simple_reflection(d, 1)) == (2, 1, 3)
-    assert ids._one_line(d, wg.longest_element(d)) == (3, 2, 1)
+    assert ids._one_line(wg.identity(d)) == (1, 2, 3)
+    assert ids._one_line(wg.simple_reflection(d, 1)) == (2, 1, 3)
+    assert ids._one_line(wg.longest_element(d)) == (3, 2, 1)
 
 
 def test_signed_one_line_notation():
     d = datum_of("C", 2)
-    assert ids._one_line(d, wg.identity(d)) == (1, 2, 3, 4)
+    assert ids._one_line(wg.identity(d)) == (1, 2, 3, 4)
     # s_2 swaps position 2 with bar(2)
-    assert ids._one_line(d, wg.simple_reflection(d, 2)) == (1, 3, 2, 4)
+    assert ids._one_line(wg.simple_reflection(d, 2)) == (1, 3, 2, 4)
 
 
 def test_export_json_deterministic():
@@ -251,7 +256,7 @@ NAME_TYPES = [
 def word_names(d, g):
     # oracle: reduced_word peels left descents, so it shares no code with
     # the exports, which read each name off the breadth-first group walk
-    return {w: ",".join(map(str, wg.reduced_word(d, w))) or "e"
+    return {w: ",".join(map(str, wg.reduced_word(w))) or "e"
             for w in g.vertices}
 
 
@@ -277,16 +282,16 @@ def test_exports_read_the_one_group_walk(monkeypatch):
     words, want = d.memo["smallest_words"], word_names(d, g)
     t = af.translation(d, (0, -1, -1))
     paths = list(pth.enumerate_paths(
-        d, g, t, af.beta_sequence(d, af.reduced_word_ext(d, t)[1])))
+        g, t, af.beta_sequence(d, af.reduced_word_ext(d, t)[1])))
     monkeypatch.setattr(wg, "enumerate_group", _walked)
     monkeypatch.setattr(wg, "reduced_word", _walked)
     names, _ = qbg._by_name(qbg.QuantumBruhatGraph(d, g.vertices, {}))
     assert dict(zip(g.vertices, names)) == want
     assert written(qbg.export_json, g) and written(qbg.export_dot, g)
-    assert [pth.path_record(d, p)["end_dir"] for p in paths] == [
+    assert [pth.path_record(p)["end_dir"] for p in paths] == [
         want[pth.end_dir(p)] for p in paths]
     for fmt in ("table", "json", "csv"):
-        assert written(pth.export, d, paths, fmt)
+        assert written(pth.export, paths, fmt)
     assert d.memo["smallest_words"] is words
 
 
@@ -352,7 +357,7 @@ def test_rank_one_keys_are_bare_indices():
 
 
 @pytest.mark.parametrize("family,rank,other", [("B", 3, "C3"), ("A", 3, "G2")])
-def test_an_element_of_another_datum_is_refused(family, rank, other):
+def test_an_element_of_another_datum_is_refused(monkeypatch, family, rank, other):
     # elements compare by their coroot permutations alone, and some of
     # C3's (w0 among them) and G2's identity have the permutation of a
     # vertex of B3 or A3; index refuses them, and so does every walk and
@@ -371,52 +376,94 @@ def test_an_element_of_another_datum_is_refused(family, rank, other):
             with pytest.raises(ValueError, match="not a vertex"):
                 qbg.edge_kind(gr, w, d.pos_coroots[0])
             with pytest.raises(ValueError, match="not a vertex"):
-                pth.fold_tables(d, gr, {w: lam}, [betas])
+                pth.fold_tables(gr, {w: lam}, [betas])
             with pytest.raises(ValueError, match="not a vertex"):
-                next(pth.enumerate_paths(d, gr, af.ExtAffineElt(lam, w), betas))
+                next(pth.enumerate_paths(gr, af.ExtAffineElt(lam, w), betas))
             with pytest.raises(ValueError, match="not a vertex"):
                 gf.recursion_check(d, gr, w, 1, lam)
-        # G2's twist acts on no weight of rank 3, and is refused for that first
-        with pytest.raises(ValueError, match="not a vertex|length-2 vector"):
-            mac.weyl_dimension(d, g, w, lam)
+        # the twist times t_lam is a product of elements of two data; G2's
+        # twist acts on no weight of rank 3, and is refused for that first
+        with pytest.raises(ValueError, match="another root datum|length-2 vector"):
+            mac.weyl_dimension(g, w, lam)
     # an element of a group of another rank is refused too, not looked up
     with pytest.raises(ValueError, match="not a vertex"):
         gf.recursion_check(d, g, wg.longest_element(datum_of("A", 1)), 1, lam)
-    # a walk given the graph of the other datum, either way round, refuses
-    # it before it reads a column, also from a start that is its vertex
-    for wd, gr in ((d, graph_of(od.family, od.rank)), (od, g)):
-        e, mu = wg.identity(gr.datum), (-1,) + (0,) * (wd.rank - 1)
-        t = af.translation(wd, mu)
-        wbetas = af.beta_sequence(wd, af.reduced_word_ext(wd, t)[1])
-        with pytest.raises(ValueError, match="another root datum"):
-            pth.fold_tables(wd, gr, {e: mu}, [wbetas])
-        with pytest.raises(ValueError, match="another root datum"):
-            next(pth.enumerate_paths(wd, gr, af.ExtAffineElt(mu, e), wbetas))
-        # C3's datum on B3's graph would read 5 (C3 has 6, B3 7); the
-        # identity of another rank acts on no weight of this one, and is
-        # refused for that first
-        with pytest.raises(ValueError, match="another root datum|length-[23] vector"):
-            mac.weyl_dimension(wd, gr, e, mu)
-    # the affine functions and criterion_edge take the datum and an element
-    # apart and refuse an element of the other datum before any table is
-    # read: read with C3's tables, B3's t_(-1,0,0) s1 s2 s3 has length 8,
-    # not 9, and its descents do not peel it to the identity
+    # the four functions that take a datum beside a graph or an element
+    # refuse the other datum's, either way round, before any work (the
+    # work they hand on raises), also from a start that is a vertex
+    def work(*args):
+        raise AssertionError("work began before the data were compared")
+    with monkeypatch.context() as m:
+        for module, name in ((mac, "weyl_character"), (mac, "_e_inf_routes"),
+                             (pth, "fold_tables"), (af, "_simple_steps")):
+            m.setattr(module, name, work)
+        for wd, ed in ((d, od), (od, d)):
+            gr, e = graph_of(ed.family, ed.rank), wg.identity(ed)
+            mu = (-1,) + (0,) * (wd.rank - 1)
+            # read with C3's tables, B3's t_(-1,0,0) s1 s2 s3 has length 8,
+            # not 9, and its descents do not peel it to the identity
+            v = wg.from_word(ed, range(1, ed.rank + 1))
+            for call, *args in ((mac.e_zero, gr, mu), (mac.e_infinity, gr, mu),
+                                (gf.recursion_check, gr, e, 1, mu),
+                                (af.reduced_word_ext, af.ExtAffineElt(mu, v))):
+                with pytest.raises(ValueError, match="another root datum"):
+                    call(wd, *args)
+    # a product of elements of two data is refused, not composed: B3's s3
+    # times C3's s3 was a B3 element other than the identity, and
+    # c_function on B3's graph with B3's word of t_(-1,0,0) and a twist in
+    # C3 returned B3 values for 4 of C3's 48 elements, and called the
+    # other 44 "not a vertex"
     for wd, ed in ((d, od), (od, d)):
-        v = wg.from_word(ed, range(1, ed.rank + 1))
-        a = af.ExtAffineElt((-1,) + (0,) * (wd.rank - 1), v)
-        c = af.affine_simple_coroot(wd, 0)
-        for call, *args in ((af.length_ext, a), (af.reduced_word_ext, a),
-                            (af.is_right_descent_ext, a, 0),
-                            (af.act_on_affine_coroot, a, c),
-                            (qbg.criterion_edge, v, wd.pos_coroots[0])):
-            with pytest.raises(ValueError, match="another root datum"):
-                call(wd, *args)
+        s, r = wg.simple_reflection(wd, wd.rank), wg.simple_reflection(ed, ed.rank)
+        mu = (-1,) + (0,) * (wd.rank - 1)
+        gr = graph_of(wd.family, wd.rank)
+        word = af.reduced_word_ext(wd, af.translation(wd, mu))[1]
+        calls = [(wg.multiply, s, r), (wg.multiply, r, s),
+                 (af.multiply, af.ExtAffineElt((0,) * wd.rank, s),
+                  af.ExtAffineElt((0,) * ed.rank, r)),
+                 (af.from_word_ext, wd, (0,), af.ExtAffineElt((0,) * ed.rank, r))]
+        calls += [(gf.c_function, gr, af.ext_identity(wd), af.ExtAffineElt(mu, w), word)
+                  for w in wg.enumerate_group(ed)]
+        # across ranks, a weight of the one acting on an element of the
+        # other is refused for that first
+        refusal = "another root datum"
+        if wd.rank != ed.rank:
+            refusal += "|length-[23] vector"
+        for call, *args in calls:
+            with pytest.raises(ValueError, match=refusal):
+                call(*args)
     # an element of an equal datum built apart is a vertex
     again = build_datum(family, rank)
     assert g.index(wg.longest_element(again)) == g.index(wg.longest_element(d))
-    # and is read by the affine functions as the datum's own
-    a = af.ExtAffineElt(lam, wg.longest_element(again))
-    assert af.length_ext(d, a) == af.length_ext(again, a)
+    # and meets the datum's own elements, graph and tables as its own
+    w0 = wg.longest_element(again)
+    assert wg.multiply(w0, wg.longest_element(d)) == wg.identity(d)
+    a = af.ExtAffineElt(lam, w0)
+    assert af.reduced_word_ext(d, a) == af.reduced_word_ext(again, a)
+    assert mac.e_zero(again, g, lam) == mac.e_zero(d, g, lam)
+
+
+def test_a_datum_is_read_from_the_graph_or_element_given():
+    # a public function given a graph, an element or a path reads the root
+    # datum from it, so no second datum beside it can be another's.  The
+    # exceptions are the four that the benchmark calls with a datum, each
+    # refusing one of another root datum first, and from_word_ext, whose
+    # pi is optional
+    given = re.compile(r"\b(QuantumBruhatGraph|WeylElt|ExtAffineElt|AlcovePath)\b")
+    both = []
+    for info in pkgutil.iter_modules(alcovepaths.__path__):
+        module = importlib.import_module(f"alcovepaths.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            f = getattr(module, name)
+            if not inspect.isfunction(f):
+                continue
+            params = inspect.signature(f).parameters.values()
+            if "datum" in (p.name for p in params) and any(
+                    p.name == "graph" or given.search(str(p.annotation)) for p in params):
+                both.append(f"{info.name}.{name}")
+    assert sorted(both) == ["affine.from_word_ext", "affine.reduced_word_ext",
+                            "genfun.recursion_check", "macdonald.e_infinity",
+                            "macdonald.e_zero"]
 
 
 def test_only_index_reads_the_vertex_numbers():
@@ -444,11 +491,11 @@ def test_walks_and_exports_build_no_edges_view():
     d = build_datum("B", 3)
     g = qbg.build(d)
     lam = (-1, 0, -1)
-    assert mac.weyl_dimension(d, g, wg.identity(d), lam) > 0
+    assert mac.weyl_dimension(g, wg.identity(d), lam) > 0
     assert mac.e_infinity(d, g, lam).terms
     t = af.translation(d, lam)
     betas = af.beta_sequence(d, af.reduced_word_ext(d, t)[1])
     for gr in (g, g.reversed):
-        assert list(pth.enumerate_paths(d, gr, t, betas))
+        assert list(pth.enumerate_paths(gr, t, betas))
         assert written(qbg.export_json, gr) and written(qbg.export_dot, gr)
         assert "edges" not in vars(gr)
