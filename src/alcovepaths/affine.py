@@ -216,8 +216,11 @@ def reduced_word_ext(datum: RootDatum, a: ExtAffineElt):
     return pi, tuple(word)
 
 
-def from_word_ext(datum: RootDatum, word, pi: ExtAffineElt | None = None) -> ExtAffineElt:
-    out = pi if pi is not None else ext_identity(datum)
+def from_word_ext(datum: RootDatum, word) -> ExtAffineElt:
+    """The product ``s_{i_1} ... s_{i_l}`` of the affine simple reflections
+    of ``word``; with a length-zero left factor pi it is
+    ``multiply(pi, from_word_ext(datum, word))``."""
+    out = ext_identity(datum)
     for i in word:
         out = multiply(out, affine_simple_reflection(datum, i))
     return out

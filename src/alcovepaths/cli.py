@@ -21,7 +21,10 @@ refusal's message as ``error: <message>`` on stderr.
 Exit codes: 0 success, 2 a refused argument (``ValueError``, from the
 CLI's syntax checks or the library, or an ``argparse`` usage error), 3 a
 size cap exceeded (the group order, or the translation length of
-``char``, ``dims`` and ``emac``), 4 identity-verification failure.
+``char``, ``dims`` and ``emac``), 4 identity-verification failure, 141
+stdout closed before the output was written (as ``| head`` does; the
+status a shell reports for a writer cut off by SIGPIPE), with nothing on
+stderr.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 
@@ -46,6 +50,7 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_CAP = 3
 EXIT_IDENTITY = 4
+EXIT_PIPE = 141
 
 # the longest l(t_lam) whose fold walk char, dims and emac run: a dims run
 # at 64 takes 0.4 s in A1 and 2-3 s in A2, and its time grows fast beyond
@@ -299,7 +304,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_PARSE if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe is met here, not at exit
+        return code
+    except BrokenPipeError:
+        # the exit's own flush then writes what is left to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -156,7 +156,7 @@ def recursion_check(
     u: WeylElt,
     i: int,
     lam,
-    cache: dict | None = None,
+    cache: dict,
 ):
     """One-step peeling identity for anti-dominant lam and finite u.
 
@@ -166,11 +166,11 @@ def recursion_check(
     walk over the shifted fundamental betas followed by the lambda-chain
     of lam, one beta sequence of t_mu.  Returns (lhs, rhs, equal).
 
-    ``cache`` maps mu to ``{v: C_v^{t_mu}}`` over every vertex v, the
-    table over the word ``reduced_word_ext`` gives t_mu, and ``(i, lam)``
-    to the same over the joined sequence, both from the starts ``{v:
-    v(mu)}`` (the paths of C_v^{t_mu} start at v t_mu = t_{v(mu)} v); a
-    miss fills all v.  A miss on mu walks both sequences in one
+    ``cache``, a dict the caller keeps (empty at first), maps mu to
+    ``{v: C_v^{t_mu}}`` over every vertex v, the table over the word
+    ``reduced_word_ext`` gives t_mu, and ``(i, lam)`` to the same over the
+    joined sequence, both from the starts ``{v: v(mu)}`` (the paths of
+    C_v^{t_mu} start at v t_mu = t_{v(mu)} v); a miss fills all v.  A miss on mu walks both sequences in one
     ``paths.fold_tables`` call, which hands the second table the first's
     dict wherever the two agree; when mu is cached, the call walks only
     the joined sequence and keeps the cached dict wherever they agree.
@@ -183,8 +183,6 @@ def recursion_check(
         datum.check_same(graph.datum)
     datum.check_antidominant(lam)
     graph.index(u)  # refuses a non-vertex before the cache is read
-    if cache is None:
-        cache = {}
     lam, mu = tuple(lam), sub(lam, datum.fundamental_weight(i))
     # cache[mu] is filled before cache[i, lam], so a miss on either is a
     # miss on (i, lam), and the starts are built once for both walks

@@ -53,7 +53,7 @@ def shift(graph, lam, mus):
         base = gf.c_function(graph, ExtAffineElt((0,) * datum.rank, u), w, word)
         for mu in mus:
             z0 = af.multiply(ExtAffineElt(tuple(mu), u), w)
-            lhs = Counter((pth.end_weight(p), pth.qwt_degree(p))
+            lhs = Counter((p.end.wt, p.qwt_degree)
                           for p in pth.enumerate_paths(graph, z0, betas))
             if gf.LaurentPoly(lhs) != gf.shift(base, mu):
                 yield _failure(datum, lam=list(lam), u=_word(u), mu=list(mu))

@@ -7,6 +7,8 @@ running element by the reflection in the *original* coroot ``beta_j``;
 positions that are skipped leave the element unchanged.  A fold set is
 admissible when each folded step projects to an edge of the quantum
 Bruhat graph, and the fold is quantum exactly when that edge is.
+An ``AlcovePath`` keeps only what a character reads of it: its folds,
+its quantum folds, its end and its q-degree.
 Both walks read coroot indices and root weights from ``graph.datum`` and
 columns from ``graph.steps``, so the two cannot come from two root data,
 and refuse a start that is not a vertex (``graph.index``).
@@ -24,26 +26,24 @@ from .affine import ExtAffineElt
 from . import qbg
 from .qbg import QuantumBruhatGraph
 
-__all__ = [
-    "AlcovePath", "enumerate_paths", "fold_tables",
-    "end_weight", "end_dir", "qwt_degree", "path_record", "export",
-]
+__all__ = ["AlcovePath", "enumerate_paths", "fold_tables", "path_record", "export"]
 
 
 @dataclass(frozen=True)
 class AlcovePath:
-    """A folded path: start element, coroot sequence, and fold data.
+    """An admissible fold set and what it adds to a character,
+    ``x^{end.wt} q^{qwt_degree}``.
 
-    ``folds`` is the strictly increasing tuple of 1-based fold positions;
-    ``ends`` lists the running elements z_0, ..., z_r (one per fold, plus
-    the start); ``quantum_folds`` is the subset of folds whose projected
-    edge is quantum.
+    ``folds`` is the strictly increasing tuple of 1-based fold positions
+    and ``quantum_folds`` the subset of them whose projected edge is
+    quantum; ``end`` is the element reached after the last fold, and
+    ``qwt_degree`` the total delta-degree of the coroots folded at the
+    quantum positions.
     """
-    start: ExtAffineElt
-    betas: tuple
     folds: tuple
-    ends: tuple
     quantum_folds: tuple
+    end: ExtAffineElt
+    qwt_degree: int
 
 
 def _positions(datum: RootDatum, betas) -> list:
@@ -71,31 +71,40 @@ def enumerate_paths(graph: QuantumBruhatGraph, z0: ExtAffineElt, betas):
     around); the subtree is pruned otherwise.  Edges are read off
     ``graph.steps`` by vertex number; a start that is no vertex, or whose
     weight is not of the rank, is refused.  The empty fold set is always
-    admissible and comes first.
+    admissible and comes first.  The search is a loop over an explicit
+    stack, one frame per fold (the path so far, its vertex and an iterator
+    over the positions left), so no recursion limit bounds a path's folds;
+    each path's end and q-degree are carried from its parent's.
     """
-    datum, betas = graph.datum, tuple(betas)
+    datum = graph.datum
     positions = _positions(datum, betas)
     datum.check_rank(z0.wt)
     vertices, v0 = graph.vertices, graph.index(z0.dir)
     cols = [(graph.steps[g], k, deg) for g, k, deg in positions]
-
-    def walk(z, v, pos, folds, ends, qfolds):
-        yield AlcovePath(z0, betas, folds, ends, qfolds)
-        for p in range(pos, len(betas)):
+    path = AlcovePath((), (), z0, 0)
+    yield path
+    stack = [(path, v0, iter(range(len(cols))))]
+    while stack:
+        path, v, left = stack[-1]
+        for p in left:
             col, k, deg = cols[p]
-            edge = col[v]
-            if edge is None:
-                continue
-            j, quantum = edge
-            # z s_{beta_p} = t_{wt + shift} ws with shift = -deg_p times the
-            # root weight of z.dir(Re beta_p), as in fold_tables
-            shift = datum.root_weights[z.dir.perm[k]]
-            z1 = ExtAffineElt(tuple(x - deg * y for x, y in zip(z.wt, shift)),
-                              vertices[j])
-            q1 = qfolds + (p + 1,) if quantum else qfolds
-            yield from walk(z1, j, p + 1, folds + (p + 1,), ends + (z1,), q1)
-
-    yield from walk(z0, v0, 0, (), (z0,), ())
+            if edge := col[v]:
+                break
+        else:
+            stack.pop()
+            continue
+        j, quantum = edge
+        # z s_{beta_p} = t_{wt + shift} ws with shift = -deg_p times the
+        # root weight of z.dir(Re beta_p), as in fold_tables
+        z, fold = path.end, p + 1
+        shift = datum.root_weights[z.dir.perm[k]]
+        z = ExtAffineElt(tuple(x - deg * y for x, y in zip(z.wt, shift)), vertices[j])
+        qfolds, qdeg = path.quantum_folds, path.qwt_degree
+        if quantum:
+            qfolds, qdeg = qfolds + (fold,), qdeg + deg
+        path = AlcovePath(path.folds + (fold,), qfolds, z, qdeg)
+        yield path
+        stack.append((path, j, iter(range(fold, len(cols)))))
 
 
 def _sweep(graph, at, positions, packed, qdigit) -> list:
@@ -203,29 +212,16 @@ def fold_tables(graph: QuantumBruhatGraph, starts, sequences) -> list:
     return tables
 
 
-def end_weight(p: AlcovePath):
-    return p.ends[-1].wt
-
-
-def end_dir(p: AlcovePath) -> wg.WeylElt:
-    return p.ends[-1].dir
-
-
-def qwt_degree(p: AlcovePath) -> int:
-    """Total delta-degree of the coroots folded at quantum positions."""
-    return sum(p.betas[j - 1].deg for j in p.quantum_folds)
-
-
 def path_record(p: AlcovePath) -> dict:
     """Flat export record for one path; each format of ``export`` writes
     its fields in this order."""
-    v = end_dir(p)
+    v = p.end.dir
     return {
         "folds": list(p.folds),
         "quantum_folds": list(p.quantum_folds),
-        "end_weight": list(end_weight(p)),
+        "end_weight": list(p.end.wt),
         "end_dir": qbg.word_name(wg.smallest_words(v.datum)[v]),
-        "qwt_degree": qwt_degree(p),
+        "qwt_degree": p.qwt_degree,
     }
 
 

@@ -537,3 +537,29 @@ def test_module_entry_point(argv, code, out, err):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
+
+
+@pytest.mark.parametrize("argv,lines", [
+    (("paths", "--type", "A1", "--weight", "-1100"), 1200),
+    (("qbg", "--type", "B4", "--format", "json"), 1),
+    (("dims", "--type", "A2", "--weight", "-1,-1"), 0),
+], ids=["paths", "qbg", "dims"])
+def test_a_closed_pipe_exits_141_in_silence(argv, lines):
+    # as `| head` does: the reader takes a few lines and closes the pipe
+    # while the writer still has output to write; dims writes one short
+    # line, still in the buffer when the command returns (stdout on a pipe
+    # is block-buffered unless PYTHONUNBUFFERED is set), so main's flush
+    # meets the closed pipe and not the one at exit
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(src)
+    with subprocess.Popen(
+            [sys.executable, "-B", "-m", "alcovepaths.cli", *argv], env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        read = [proc.stdout.readline() for _ in range(lines)]
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert all(line.endswith(b"\n") for line in read)
+    assert (code, err) == (141, b"")
+    assert cli.EXIT_PIPE == 141

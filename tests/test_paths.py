@@ -4,6 +4,7 @@ import csv
 import io
 import itertools
 import json
+import sys
 from collections import Counter
 from types import SimpleNamespace
 
@@ -40,8 +41,7 @@ def _kernel_count(d, g, z0, betas):
 def _walk_terms(d, g, z0, betas):
     """The terms of the unmemoized enumeration from z0."""
     return dict(Counter(
-        (pth.end_weight(p), pth.qwt_degree(p))
-        for p in pth.enumerate_paths(g, z0, betas)
+        (p.end.wt, p.qwt_degree) for p in pth.enumerate_paths(g, z0, betas)
     ))
 
 
@@ -316,6 +316,15 @@ def test_fold_table_start_weights(family, rank, lam):
             pth.fold_tables(unread, bad, [betas])
 
 
+def test_a_path_may_fold_more_often_than_the_recursion_limit():
+    # the walk keeps its frames on a stack of its own: A1's t_(-1100) has
+    # 1,100 betas, and its first paths fold at every one of them
+    d, g, t, betas = _translation_input("A", 1, (-1100,))
+    first = list(itertools.islice(pth.enumerate_paths(g, t, betas), 1200))
+    assert max(len(p.folds) for p in first) > sys.getrecursionlimit()
+    assert first[0].folds == () and first[0].end == t
+
+
 def test_enumeration_prefix_closed():
     d, g, t, betas = _translation_input("C", 2, (-1, -1))
     folds = {p.folds for p in pth.enumerate_paths(g, t, betas)}
@@ -328,17 +337,14 @@ def test_path_invariants():
     d, g, t, betas = _translation_input("A", 2, (-1, -1))
     refl = [af.affine_reflection(d, b) for b in betas]
     for p in pth.enumerate_paths(g, t, betas):
-        assert p.start == t
-        assert len(p.ends) == len(p.folds) + 1
         assert set(p.quantum_folds) <= set(p.folds)
-        # ends is the running product of reflections at the folds
+        # end is the start times the reflections at the folds; every prefix
+        # of a fold set is yielded too, so this covers each element on the way
         z = t
-        for j, end in zip(p.folds, p.ends[1:]):
+        for j in p.folds:
             z = af.multiply(z, refl[j - 1])
-            assert end == z
-        assert pth.end_weight(p) == p.ends[-1].wt
-        assert pth.end_dir(p) == p.ends[-1].dir
-        assert pth.qwt_degree(p) == sum(betas[j - 1].deg for j in p.quantum_folds)
+        assert p.end == z
+        assert p.qwt_degree == sum(betas[j - 1].deg for j in p.quantum_folds)
 
 
 def _nonzero(values, rank, most=None):

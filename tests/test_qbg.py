@@ -289,7 +289,7 @@ def test_exports_read_the_one_group_walk(monkeypatch):
     assert dict(zip(g.vertices, names)) == want
     assert written(qbg.export_json, g) and written(qbg.export_dot, g)
     assert [pth.path_record(p)["end_dir"] for p in paths] == [
-        want[pth.end_dir(p)] for p in paths]
+        want[p.end.dir] for p in paths]
     for fmt in ("table", "json", "csv"):
         assert written(pth.export, paths, fmt)
     assert d.memo["smallest_words"] is words
@@ -380,14 +380,14 @@ def test_an_element_of_another_datum_is_refused(monkeypatch, family, rank, other
             with pytest.raises(ValueError, match="not a vertex"):
                 next(pth.enumerate_paths(gr, af.ExtAffineElt(lam, w), betas))
             with pytest.raises(ValueError, match="not a vertex"):
-                gf.recursion_check(d, gr, w, 1, lam)
+                gf.recursion_check(d, gr, w, 1, lam, {})
         # the twist times t_lam is a product of elements of two data; G2's
         # twist acts on no weight of rank 3, and is refused for that first
         with pytest.raises(ValueError, match="another root datum|length-2 vector"):
             mac.weyl_dimension(g, w, lam)
     # an element of a group of another rank is refused too, not looked up
     with pytest.raises(ValueError, match="not a vertex"):
-        gf.recursion_check(d, g, wg.longest_element(datum_of("A", 1)), 1, lam)
+        gf.recursion_check(d, g, wg.longest_element(datum_of("A", 1)), 1, lam, {})
     # the four functions that take a datum beside a graph or an element
     # refuse the other datum's, either way round, before any work (the
     # work they hand on raises), also from a start that is a vertex
@@ -404,7 +404,7 @@ def test_an_element_of_another_datum_is_refused(monkeypatch, family, rank, other
             # not 9, and its descents do not peel it to the identity
             v = wg.from_word(ed, range(1, ed.rank + 1))
             for call, *args in ((mac.e_zero, gr, mu), (mac.e_infinity, gr, mu),
-                                (gf.recursion_check, gr, e, 1, mu),
+                                (gf.recursion_check, gr, e, 1, mu, {}),
                                 (af.reduced_word_ext, af.ExtAffineElt(mu, v))):
                 with pytest.raises(ValueError, match="another root datum"):
                     call(wd, *args)
@@ -420,8 +420,7 @@ def test_an_element_of_another_datum_is_refused(monkeypatch, family, rank, other
         word = af.reduced_word_ext(wd, af.translation(wd, mu))[1]
         calls = [(wg.multiply, s, r), (wg.multiply, r, s),
                  (af.multiply, af.ExtAffineElt((0,) * wd.rank, s),
-                  af.ExtAffineElt((0,) * ed.rank, r)),
-                 (af.from_word_ext, wd, (0,), af.ExtAffineElt((0,) * ed.rank, r))]
+                  af.ExtAffineElt((0,) * ed.rank, r))]
         calls += [(gf.c_function, gr, af.ext_identity(wd), af.ExtAffineElt(mu, w), word)
                   for w in wg.enumerate_group(ed)]
         # across ranks, a weight of the one acting on an element of the
@@ -447,8 +446,7 @@ def test_a_datum_is_read_from_the_graph_or_element_given():
     # a public function given a graph, an element or a path reads the root
     # datum from it, so no second datum beside it can be another's.  The
     # exceptions are the four that the benchmark calls with a datum, each
-    # refusing one of another root datum first, and from_word_ext, whose
-    # pi is optional
+    # refusing one of another root datum first
     given = re.compile(r"\b(QuantumBruhatGraph|WeylElt|ExtAffineElt|AlcovePath)\b")
     both = []
     for info in pkgutil.iter_modules(alcovepaths.__path__):
@@ -461,9 +459,8 @@ def test_a_datum_is_read_from_the_graph_or_element_given():
             if "datum" in (p.name for p in params) and any(
                     p.name == "graph" or given.search(str(p.annotation)) for p in params):
                 both.append(f"{info.name}.{name}")
-    assert sorted(both) == ["affine.from_word_ext", "affine.reduced_word_ext",
-                            "genfun.recursion_check", "macdonald.e_infinity",
-                            "macdonald.e_zero"]
+    assert sorted(both) == ["affine.reduced_word_ext", "genfun.recursion_check",
+                            "macdonald.e_infinity", "macdonald.e_zero"]
 
 
 def test_only_index_reads_the_vertex_numbers():
